@@ -38,12 +38,11 @@ _STD_FLOOR = 1e-8  # regularizes correlation of a collapsed latent column
 
 
 def _sigmoid(a):
-    out = np.empty_like(a)
+    # 1/(1+e) where a >= 0 and e/(1+e) elsewhere, with e = exp(-|a|) never
+    # overflowing; minimum(a, -a) is -|a| that keeps a NaN's sign bit.
+    e = np.exp(np.minimum(a, -a))
     pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    return (pos + (1.0 - pos) * e) / (1.0 + e)
 
 
 def _elu(a):

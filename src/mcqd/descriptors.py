@@ -59,7 +59,12 @@ class DescriptorExtractor:
         raise NotImplementedError
 
     def extract_many(self, observation_list) -> np.ndarray:
-        """Vectorized-where-possible batch variant; returns (n, out_dim)."""
+        """Batch variant; returns (n, out_dim).
+
+        Hardcoded batches are bit-identical to per-row extract() calls;
+        learned batches may differ from them in the last ulp, because the
+        encoder's matrix products sum in a batch-size dependent order.
+        """
         return np.array([self.extract(obs) for obs in observation_list])
 
 
@@ -74,21 +79,28 @@ class HardcodedExtractor(DescriptorExtractor):
             self._rows.append(channel_index[red.channel])
 
     def extract(self, observations: np.ndarray) -> np.ndarray:
-        obs = np.asarray(observations, dtype=float)
-        fd = np.empty(self.out_dim)
+        return self.extract_many([observations])[0]
+
+    def extract_many(self, observation_list) -> np.ndarray:
+        obs = np.asarray(observation_list, dtype=float)
+        if obs.ndim != 3:
+            raise StructuralError("expected a sequence of (channels, timepoints)")
+        fd = np.empty((len(obs), self.out_dim))
+        # sum / t is the division np.mean does, without its per-call overhead
+        t = obs.shape[-1]
         for k, (red, row) in enumerate(zip(self.spec.reductions, self._rows)):
-            series = obs[row]
+            series = obs[:, row]
             if red.kind == "mean":
-                value = series.mean()
+                value = series.sum(axis=-1) / t
             elif red.kind == "final":
-                value = series[-1]
+                value = series[:, -1]
             elif red.kind == "mean_abs":
-                value = np.abs(series).mean()
+                value = np.abs(series).sum(axis=-1) / t
             else:  # frac_above
-                value = np.mean(series > red.threshold)
+                value = (series > red.threshold).sum(axis=-1) / t
             lo, hi = red.bounds
-            fd[k] = np.clip((value - lo) / (hi - lo), 0.0, 1.0)
-        return fd
+            fd[:, k] = (value - lo) / (hi - lo)
+        return np.clip(fd, 0.0, 1.0, out=fd)
 
 
 class LearnedExtractor(DescriptorExtractor):

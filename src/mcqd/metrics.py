@@ -107,7 +107,7 @@ def fd_abs_correlation(containers, depot) -> float | None:
     """
     if len(depot) < 2:
         return None
-    observations = [s.evaluation.observations for s in depot.solutions]
+    observations = depot.observation_corpus()
     blocks = [c.extractor.extract_many(observations) for c in containers]
     fd = np.hstack(blocks)
     if fd.shape[1] < 2:

@@ -172,14 +172,14 @@ class SurrogateWalkerTask(Task):
         return knots_x, heights
 
     @staticmethod
-    def _terrain_height(knots_x, heights, x):
-        """Heightfield lookup at x, elementwise over (batch, episodes)."""
+    def _terrain_height(knots_x, heights, rows, x):
+        """Heightfield lookup at x, elementwise over (batch, episodes): ``heights``
+        is the flattened terrain, ``rows`` each heightfield's offset in it."""
         seg = (x - knots_x[0]) / (knots_x[1] - knots_x[0])
-        idx = np.clip(seg.astype(int), 0, len(knots_x) - 2)
-        frac = np.clip(seg - idx, 0.0, 1.0)
-        lo = np.take_along_axis(heights, idx[..., np.newaxis], axis=-1)[..., 0]
-        hi = np.take_along_axis(heights, idx[..., np.newaxis] + 1, axis=-1)[..., 0]
-        return lo * (1.0 - frac) + hi * frac
+        idx = np.minimum(np.maximum(seg.astype(int), 0), len(knots_x) - 2)
+        frac = np.minimum(np.maximum(seg - idx, 0.0), 1.0)
+        at = rows + idx
+        return heights[at] * (1.0 - frac) + heights[at + 1] * frac
 
     def evaluate(self, genome, seed_seq):
         return self.evaluate_many([genome], [seed_seq])[0]
@@ -206,7 +206,8 @@ class SurrogateWalkerTask(Task):
             rng = np.random.Generator(np.random.PCG64(ss))
             knots_x, heights = self._make_terrain(rng, e)
             terrains.append(heights)
-        terrain = np.stack(terrains)  # (batch, episodes, knots)
+        terrain = np.stack(terrains).ravel()  # (batch, episodes, knots) flattened
+        rows = len(knots_x) * np.arange(b * e).reshape(b, e)
 
         # initial split stance, identical for every episode
         leg_drop = self.THIGH_LEN * math.cos(0.3) + self.SHANK_LEN * math.cos(0.3)
@@ -243,7 +244,9 @@ class SurrogateWalkerTask(Task):
             qdd = self.JOINT_GAIN * torque - self.JOINT_DAMPING * qd
             qd_new = qd + self.DT * qdd
             q_unclipped = q + self.DT * qd_new
-            q_new = np.clip(q_unclipped, -self.JOINT_LIMIT, self.JOINT_LIMIT)
+            # minimum/maximum give np.clip's values without its per-call overhead
+            q_new = np.minimum(np.maximum(q_unclipped, -self.JOINT_LIMIT),
+                               self.JOINT_LIMIT)
             qd_new = np.where(q_new != q_unclipped, 0.0, qd_new)
 
             # forward kinematics and ground interaction per leg
@@ -257,7 +260,7 @@ class SurrogateWalkerTask(Task):
                 a2 = a1 + knee
                 foot_x = x + self.THIGH_LEN * np.sin(a1) + self.SHANK_LEN * np.sin(a2)
                 foot_y = y - self.THIGH_LEN * np.cos(a1) - self.SHANK_LEN * np.cos(a2)
-                ground = self._terrain_height(knots_x, terrain, foot_x)
+                ground = self._terrain_height(knots_x, terrain, rows, foot_x)
                 pen = ground - foot_y
                 touching = pen > 0.0
                 new_contact[..., leg] = touching
@@ -266,8 +269,8 @@ class SurrogateWalkerTask(Task):
                 force_y += np.where(touching, support, 0.0)
                 foot_vx = (self.THIGH_LEN * np.cos(a1) * (omega + hip_d)
                            + self.SHANK_LEN * np.cos(a2) * (omega + hip_d + knee_d))
-                traction = np.clip(-self.TRACTION * foot_vx,
-                                   -self.TRACTION_MAX, self.TRACTION_MAX)
+                traction = np.minimum(np.maximum(-self.TRACTION * foot_vx,
+                                                 -self.TRACTION_MAX), self.TRACTION_MAX)
                 force_x += np.where(touching, traction, 0.0)
 
             any_contact = new_contact.any(axis=-1)
@@ -304,7 +307,7 @@ class SurrogateWalkerTask(Task):
                                - self.TORQUE_COST * torque_total,
                                0.0)
 
-            clearance = y - self._terrain_height(knots_x, terrain, x)
+            clearance = y - self._terrain_height(knots_x, terrain, rows, x)
             fell = alive & ((np.abs(theta) > self.FALL_ANGLE)
                             | (clearance < self.FALL_CLEARANCE))
             reward -= self.FALL_PENALTY * fell

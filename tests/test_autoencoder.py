@@ -1,4 +1,6 @@
 """Loss oracles, analytic-gradient checks, and training behaviour."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from mcqd.autoencoder import (
     save_checkpoint,
     train_ensemble,
     xavier_uniform_init,
+    _sigmoid,
 )
 from mcqd.core import InvalidValueError, StructuralError
 from mcqd.postprocess import QuantileTransform
@@ -328,6 +331,29 @@ class TestGradients:
 # ---------------------------------------------------------------------------
 # Building blocks
 # ---------------------------------------------------------------------------
+
+class TestSigmoid:
+    @staticmethod
+    def masked_sigmoid(a):
+        """The former two-branch formula, kept as the oracle."""
+        out = np.empty_like(a)
+        pos = a >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+        ea = np.exp(a[~pos])
+        out[~pos] = ea / (1.0 + ea)
+        return out
+
+    def test_bit_identical_to_masked_formula(self):
+        edge = np.array([800.0, -800.0, 1e-320, -1e-320, 0.0, -0.0, np.nan])
+        wide = np.random.default_rng(11).normal(0.0, 30.0, 10_000)
+        for a in (edge, wide, wide.reshape(100, 100)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _sigmoid(a)
+            assert got.shape == a.shape
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          self.masked_sigmoid(a).view(np.int64))
+
 
 class TestDenseNet:
     def test_xavier_limits_and_zero_bias(self, rng):

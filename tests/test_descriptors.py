@@ -1,6 +1,9 @@
 """Descriptor extraction: hardcoded reductions and learned latents."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcqd.autoencoder import ObservationScaler
 from mcqd.core import ConfigurationError
@@ -53,6 +56,58 @@ class TestHardcoded:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             ChannelReduction("disp", "median", (0.0, 1.0))
+
+
+def _reference_extract(spec, index, obs):
+    """The original one-observation reduction loop, kept as the oracle."""
+    fd = np.empty(spec.out_dim)
+    for k, red in enumerate(spec.reductions):
+        series = obs[index[red.channel]]
+        if red.kind == "mean":
+            value = series.mean()
+        elif red.kind == "final":
+            value = series[-1]
+        elif red.kind == "mean_abs":
+            value = np.abs(series).mean()
+        else:
+            value = np.mean(series > red.threshold)
+        lo, hi = red.bounds
+        fd[k] = np.clip((value - lo) / (hi - lo), 0.0, 1.0)
+    return fd
+
+
+@st.composite
+def _observation_batches(draw):
+    n = draw(st.integers(1, 12))
+    t = draw(st.sampled_from((1, 10, 13)))
+    # exact threshold and bound values sit on the comparison edges
+    values = st.one_of(st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
+                       st.sampled_from((0.25, -1.0, 2.0, 0.0, -0.0)))
+    return draw(arrays(float, (n, 2, t), elements=values))
+
+
+class TestHardcodedBatch:
+    SPEC = HardcodedSpec((
+        ChannelReduction("disp", "mean", (-1.0, 2.0)),
+        ChannelReduction("disp", "final", (-1.0, 2.0)),
+        ChannelReduction("angle", "mean_abs", (0.0, 3.0)),
+        ChannelReduction("angle", "frac_above", (0.0, 1.0), threshold=0.25),
+        ChannelReduction("angle", "mean", (-0.5, 0.5)),
+    ))
+    INDEX = {"disp": 0, "angle": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_observation_batches())
+    def test_batch_is_bit_identical_to_per_row(self, obs):
+        ex = HardcodedExtractor(self.SPEC, self.INDEX)
+        batch = ex.extract_many(obs)
+        assert batch.shape == (len(obs), self.SPEC.out_dim)
+        per_row = np.stack([ex.extract(o) for o in obs])
+        reference = np.stack([_reference_extract(self.SPEC, self.INDEX, o) for o in obs])
+        # int64 views compare bits, so a flipped zero sign fails too
+        np.testing.assert_array_equal(batch.view(np.int64), per_row.view(np.int64))
+        np.testing.assert_array_equal(batch.view(np.int64), reference.view(np.int64))
+        assert np.all((batch >= 0.0) & (batch <= 1.0))
 
 
 class TestLearned:

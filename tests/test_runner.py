@@ -1,4 +1,5 @@
 """End-to-end runs: artifacts, determinism, aggregation, plot data."""
+import hashlib
 import json
 
 import numpy as np
@@ -124,6 +125,48 @@ class TestDeterminism:
             assert b1 == b2, name
         assert (r1.run_dir / "aggregate.csv").read_bytes() == \
             (r2.run_dir / "aggregate.csv").read_bytes()
+
+
+# A tiny hardcoded-walker run: walker evaluation, hardcoded extraction and
+# the FD correlation, with no descriptor training.
+HARDCODED_WALKER_YAML = """\
+case: golden-hc-walker
+seed: 4
+replicates: 1
+containers:
+  bin_budget: 50
+  grids:
+    - {shape: [5, 5], fd: hardcoded, count: 2}
+task:
+  name: surrogate_walker
+  params: {episode_steps: 60, obs_window: 6, episodes_per_eval: 2}
+search:
+  sharing: shared
+  initialization_budget: 40
+  evaluation_budget: 60
+  batch_size: 20
+training:
+  strategy: none
+"""
+
+# sha256 of the run's artifacts, recorded before the descriptor, walker and
+# sigmoid hot loops were vectorised.  The meta header lines carry the config
+# hash and the package version, so a version bump changes these on purpose.
+HARDCODED_WALKER_GOLDEN_SHA256 = {
+    "metrics.csv": "ce39ac929ad2faf7046008afc0a0ed580876c0fddf403cc2448c2703b6b7daf4",
+    "containers.jsonl": "f4169532e5577fc5a2e402949c542931eb0c00f5e56be8b5bde80441a51a7007",
+}
+
+
+class TestGolden:
+    def test_hardcoded_walker_artifacts(self, tmp_path):
+        config = ExperimentConfig.from_yaml(HARDCODED_WALKER_YAML)
+        result = run_experiment(config, tmp_path / "golden")
+        assert not result.failed
+        rep = result.run_dir / "rep_000"
+        digests = {name: hashlib.sha256((rep / name).read_bytes()).hexdigest()
+                   for name in HARDCODED_WALKER_GOLDEN_SHA256}
+        assert digests == HARDCODED_WALKER_GOLDEN_SHA256
 
 
 class TestAggregate:

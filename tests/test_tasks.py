@@ -1,4 +1,6 @@
 """Surrogate walker and analytic toy task."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,22 @@ class TestToyTask:
         # f(1, 0) = 1 for the standard parameters
         ev = task.evaluate(np.array([1.0, 0.0]), None)
         assert ev.fitness == pytest.approx(-1.0, abs=1e-9)
+
+
+# sha256 of evaluate_many's fitness and observation bytes for six fixed
+# genomes and seeds, recorded before the walker's hot loop was vectorised;
+# any change to the dynamics, the terrain lookup or the observation
+# averaging shows up here.
+WALKER_GOLDEN_SHA256 = "36727a9244311681af928a99c953d08e5d8409506757f09428050cc7fb5f6129"
+
+
+def test_walker_golden_bytes(walker):
+    rng = np.random.default_rng(2021)
+    genomes = rng.uniform(-1, 1, (6, walker.definition.genome_dim))
+    genomes[0] = 0.0  # the zero controller only settles onto its springs
+    seeds = [episode_seed_sequence(31, 7 * i) for i in range(6)]
+    batch = walker.evaluate_many(genomes, seeds)
+    digest = hashlib.sha256(np.array([ev.fitness for ev in batch]).tobytes())
+    for ev in batch:
+        digest.update(np.ascontiguousarray(ev.observations, dtype=float).tobytes())
+    assert digest.hexdigest() == WALKER_GOLDEN_SHA256

@@ -37,12 +37,16 @@ DIVERSITY_KINDS = ("none", "outputs", "cov", "cmd")
 _STD_FLOOR = 1e-8  # regularizes correlation of a collapsed latent column
 
 
-def _sigmoid(a):
+def _sigmoid(a, out=None, tmp=None):
     # 1/(1+e) where a >= 0 and e/(1+e) elsewhere, with e = exp(-|a|) never
-    # overflowing; minimum(a, -a) is -|a| that keeps a NaN's sign bit.
-    e = np.exp(np.minimum(a, -a))
-    pos = a >= 0
-    return (pos + (1.0 - pos) * e) / (1.0 + e)
+    # overflowing: the numerator max(e, a >= 0) is 1 or e.  minimum(a, -a)
+    # is -|a| that keeps a NaN's sign bit.  out (which may be a itself) and
+    # tmp, when given, are arrays shaped like a.
+    e = np.negative(a, out=tmp)
+    np.minimum(a, e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, a >= 0, out=out)
+    return np.divide(num, np.add(e, 1.0, out=e), out=num)
 
 
 def _elu(a):
@@ -125,11 +129,14 @@ class DenseNet:
             params.append(layer.bias)
         return params
 
-    def forward(self, x: np.ndarray, train: bool = False, rng=None):
-        """Run a (batch, in) matrix through the net; returns (out, cache)."""
+    def forward(self, x: np.ndarray, train: bool = False, rng=None, stop=None):
+        """Run a (batch, in) matrix through the net; returns (out, cache).
+
+        With ``stop`` the pass ends before ``layers[stop]``.
+        """
         h = x
         cache = []
-        for layer in self.layers:
+        for layer in self.layers[:stop]:
             a = h @ layer.weights.T + layer.bias
             h_act = _activate(layer.activation, a)
             mask = None
@@ -143,21 +150,23 @@ class DenseNet:
             h = out
         return h, cache
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """Backpropagate grad_out (d loss / d output) through cached forward.
 
-        Returns ([(dW, db) per layer], d loss / d input).
+        The cache may cover only the first layers (a pass ended by ``stop``).
+        Returns ([(dW, db) per cached layer], d loss / d input), the latter
+        None without ``input_grad``.
         """
         g = grad_out
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
+        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(cache)
+        for i in range(len(cache) - 1, -1, -1):
             layer = self.layers[i]
             x_in, a, h_act, mask = cache[i]
             if mask is not None:
                 g = g * mask
             da = g * _activate_grad(layer.activation, a, h_act)
             grads[i] = (da.T @ x_in, da.sum(axis=0))
-            g = da @ layer.weights
+            g = da @ layer.weights if i or input_grad else None
         return grads, g
 
 
@@ -205,6 +214,10 @@ class ModularAutoEncoderEnsemble:
                 raise StructuralError("modules must share input and latent dims")
             if m.decoder.input_dim != lat or m.decoder.output_dim != in_dim:
                 raise StructuralError("decoder dims must mirror the encoder")
+            out = m.decoder.layers[-1]
+            if out.activation != "sigmoid" or out.dropout != 0.0:
+                raise StructuralError(
+                    "the decoder output layer must be a sigmoid without dropout")
         if diversity_kind == "cmd" and len(modules) >= 2 and lat < 2:
             raise StructuralError("cmd diversity needs latent_dim >= 2")
         self.modules: list[AutoEncoderModule] = list(modules)
@@ -390,11 +403,17 @@ def combined_loss(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
     return _combined_value(ensemble, x, zs, ys)
 
 
+def _diversity_kind(ensemble) -> str:
+    """The diversity term that takes part in the loss ("none" at weight 0)."""
+    if ensemble.diversity_weight == 0.0:
+        return "none"
+    return ensemble.diversity_kind
+
+
 def _combined_value(ensemble, x, zs, ys) -> float:
     value = _recons_value(x, ys)
-    kind = ensemble.diversity_kind
-    lam = ensemble.diversity_weight
-    if kind == "none" or lam == 0.0:
+    kind = _diversity_kind(ensemble)
+    if kind == "none":
         return value
     if kind == "outputs":
         div = _outputs_value(ys)
@@ -402,7 +421,7 @@ def _combined_value(ensemble, x, zs, ys) -> float:
         div = _cov_value(zs)
     else:
         div = _cmd_value(zs, ensemble.latent_dim)
-    return value + ensemble.diversity_sign * lam * div
+    return value + ensemble.diversity_sign * ensemble.diversity_weight * div
 
 
 # ---------------------------------------------------------------------------
@@ -465,44 +484,123 @@ def _cmd_latent_grads(zs):
     return grads
 
 
-def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None):
+def _output_buffers(ensemble: ModularAutoEncoderEnsemble, rows: int) -> np.ndarray:
+    """Scratch (rows, input_dim) arrays for the decoders' wide output layer.
+
+    One set is sized per training and shared by every module, minibatch and
+    validation pass, which use the first n rows of each: the reconstruction
+    y, its gradient d, a temporary and, for the outputs diversity term, the
+    ensemble-mean reconstruction.
+    """
+    k = 4 if _diversity_kind(ensemble) == "outputs" else 3
+    return np.empty((k, rows, ensemble.input_dim))
+
+
+def _decode_output(layer: DenseLayer, h, y, tmp) -> np.ndarray:
+    """sigmoid(h @ W.T + b) of a decoder's output layer, written into y."""
+    np.matmul(h, layer.weights.T, out=y)
+    y += layer.bias
+    return _sigmoid(y, out=y, tmp=tmp)
+
+
+def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
+             buffers: np.ndarray | None = None, need_grads=True):
     """Combined loss and its gradient w.r.t. every parameter of every module.
 
     Returns (loss, grads) with grads a flat list matching
-    ``ensemble.parameters()`` order.  With ``train=True`` dropout masks are
+    ``ensemble.parameters()`` order; grads is empty without ``need_grads``
+    or when the loss is not finite.  With ``train=True`` dropout masks are
     sampled from ``rng`` and the returned gradients incorporate them.
+    ``buffers``, from ``_output_buffers`` with at least as many rows as the
+    batch, lets a training loop reuse one set of output-layer scratch arrays.
+
+    The wide decoder output layer runs one module at a time in the buffers:
+    its forward pass, the loss terms, their gradient and the layer's
+    backward pass share three (n, input_dim) arrays.  Without a diversity
+    term each module finishes its backward pass before the next one starts,
+    so one module's activations are alive at a time.  Dropout masks are
+    drawn in ``forward_all``'s order, and each float operation, with its
+    operand order, is the one ``forward_all`` and ``_combined_value``
+    perform, so the loss is bit-identical to ``combined_loss``.
     """
     x = _as_batch(batch)
+    if buffers is None:
+        buffers = _output_buffers(ensemble, x.shape[0])
     b, m = x.shape[0], ensemble.n_modules
-    zs, ys, enc_caches, dec_caches = ensemble.forward_all(x, train=train, rng=rng)
-    loss = _combined_value(ensemble, x, zs, ys)
+    kind = _diversity_kind(ensemble)
+    lam = ensemble.diversity_sign * ensemble.diversity_weight
+    y, d, tmp, *mean = buffers[:, :b]
+    mean_y = mean[0] if kind == "outputs" else None
+    grads: list[np.ndarray] = []
+
+    def finish(module, h, enc_cache, dec_cache, d_z_extra=None):
+        """One module's output layer, loss terms and backward pass; returns
+        its (recons, outputs) loss terms and appends its gradients."""
+        out_layer = module.decoder.layers[-1]
+        _decode_output(out_layer, h, y, tmp)
+        np.subtract(y, x, out=d)
+        recons = np.sum(np.multiply(d, d, out=tmp)) / b
+        outputs = 0.0
+        if mean_y is not None:
+            outputs = np.sum(np.square(np.subtract(y, mean_y, out=tmp), out=tmp))
+        if not need_grads:
+            return recons, outputs
+        np.multiply(2.0 / (b * m), d, out=d)  # d loss / d y
+        if mean_y is not None:
+            np.add(d, np.multiply(lam * 2.0 / (b * m),
+                                  np.subtract(y, mean_y, out=tmp), out=tmp), out=d)
+        sigmoid_grad = np.multiply(y, np.subtract(1.0, y, out=tmp), out=tmp)
+        np.multiply(d, sigmoid_grad, out=d)
+        out_grads = (d.T @ h, d.sum(axis=0))
+        dec_grads, d_z = module.decoder.backward(dec_cache, d @ out_layer.weights)
+        if d_z_extra is not None:
+            d_z = d_z + d_z_extra
+        enc_grads, _ = module.encoder.backward(enc_cache, d_z, input_grad=False)
+        for dw, db in enc_grads + dec_grads + [out_grads]:
+            grads.extend((dw, db))
+        return recons, outputs
+
+    # A diversity term couples the modules, so their backward passes wait
+    # until every module has run forward.
+    terms, zs, passes = [], [], []
+    for module in ensemble.modules:
+        z, enc_cache = module.encoder.forward(x, train=train, rng=rng)
+        h, dec_cache = module.decoder.forward(z, train=train, rng=rng, stop=-1)
+        if kind == "none":
+            terms.append(finish(module, h, enc_cache, dec_cache))
+        else:
+            zs.append(z)
+            passes.append((module, h, enc_cache, dec_cache))
+
+    div, d_zs_extra = 0.0, [None] * len(passes)
+    if kind == "outputs":
+        # finish() computes each reconstruction again, to the same bits
+        mean_y[...] = 0.0
+        for module, h, _, _ in passes:
+            mean_y += _decode_output(module.decoder.layers[-1], h, y, tmp)
+        mean_y /= m
+    elif kind == "cov":
+        div = _cov_value(zs)
+        if need_grads:
+            d_zs_extra = [lam * g for g in _cov_latent_grads(zs)]
+    elif kind == "cmd":
+        div = _cmd_value(zs, ensemble.latent_dim)
+        if need_grads:
+            d_zs_extra = [lam * g for g in _cmd_latent_grads(zs)]
+    for p, d_z_extra in zip(passes, d_zs_extra):
+        terms.append(finish(*p, d_z_extra))
+
+    recons = outputs = 0.0
+    for r, o in terms:
+        recons += r
+        outputs += o
+    loss = recons / m
+    if kind == "outputs":
+        div = outputs / (b * m)
+    if kind != "none":
+        loss = loss + lam * div
     if not np.isfinite(loss):
         return loss, []  # diverged; gradients would be garbage
-
-    d_ys = [2.0 / (b * m) * (y - x) for y in ys]
-    d_zs_extra = None
-    kind = ensemble.diversity_kind
-    lam = ensemble.diversity_sign * ensemble.diversity_weight
-    if kind != "none" and ensemble.diversity_weight != 0.0:
-        if kind == "outputs":
-            mean_y = sum(ys) / m
-            for i in range(m):
-                d_ys[i] = d_ys[i] + lam * 2.0 / (b * m) * (ys[i] - mean_y)
-        elif kind == "cov":
-            d_zs_extra = [lam * g for g in _cov_latent_grads(zs)]
-        else:
-            d_zs_extra = [lam * g for g in _cmd_latent_grads(zs)]
-
-    grads: list[np.ndarray] = []
-    for i, module in enumerate(ensemble.modules):
-        dec_grads, d_z = module.decoder.backward(dec_caches[i], d_ys[i])
-        if d_zs_extra is not None:
-            d_z = d_z + d_zs_extra[i]
-        enc_grads, _ = module.encoder.backward(enc_caches[i], d_z)
-        for dw, db in enc_grads:
-            grads.extend((dw, db))
-        for dw, db in dec_grads:
-            grads.extend((dw, db))
     return loss, grads
 
 
@@ -595,13 +693,15 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
 
     params = ensemble.parameters()
     opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_adam)
+    slices = _batch_slices(x_train.shape[0], cfg.batch_size)
+    buffers = _output_buffers(ensemble, max([hi - lo for lo, hi in slices] + [n_val]))
     report = TrainReport()
     for epoch in range(cfg.epochs):
         order = rng.permutation(x_train.shape[0])
         epoch_loss = 0.0
-        for lo, hi in _batch_slices(x_train.shape[0], cfg.batch_size):
+        for lo, hi in slices:
             xb = x_train[order[lo:hi]]
-            loss, grads = backward(ensemble, xb, train=True, rng=rng)
+            loss, grads = backward(ensemble, xb, train=True, rng=rng, buffers=buffers)
             if not np.isfinite(loss):
                 report.diverged = True
                 report.message = f"non-finite training loss at epoch {epoch}"
@@ -610,7 +710,7 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
             opt.step(params, grads)
         report.train_losses.append(epoch_loss / x_train.shape[0])
         if n_val > 0:
-            val = combined_loss(ensemble, x_val)
+            val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
             if not np.isfinite(val):
                 report.diverged = True
                 report.message = f"non-finite validation loss at epoch {epoch}"

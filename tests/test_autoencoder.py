@@ -1,4 +1,5 @@
 """Loss oracles, analytic-gradient checks, and training behaviour."""
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from mcqd.autoencoder import (
     Adam,
     DenseNet,
+    ModularAutoEncoderEnsemble,
     ObservationScaler,
     TrainingConfig,
     backward,
@@ -319,6 +321,28 @@ class TestGradients:
         for a, b in zip(g_div, g_rec):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
+    def test_backward_loss_is_bitwise_combined_loss(self, kind):
+        # backward streams the output layer through scratch buffers;
+        # combined_loss runs forward_all and the plain loss functions
+        ens = build_toy_ensemble(n_modules=3, diversity_kind=kind, seed=16)
+        x = np.random.default_rng(7).random((9, 6))
+        loss, _ = backward(ens, x)
+        assert loss == combined_loss(ens, x)
+
+    def test_reused_buffers_give_the_same_gradients(self):
+        from mcqd.autoencoder import _output_buffers
+        ens = build_toy_ensemble(n_modules=2, diversity_kind="outputs", seed=17)
+        rng = np.random.default_rng(8)
+        big, small = rng.random((12, 6)), rng.random((5, 6))
+        buffers = _output_buffers(ens, 12)
+        backward(ens, big, buffers=buffers)  # leaves stale rows behind
+        loss, grads = backward(ens, small, buffers=buffers)
+        fresh_loss, fresh_grads = backward(ens, small)
+        assert loss == fresh_loss
+        for a, b in zip(grads, fresh_grads):
+            np.testing.assert_array_equal(a, b)
+
     def test_dropout_gradients_consistent_with_masked_forward(self):
         # two calls with the same rng state must agree loss-wise
         ens = build_toy_ensemble(n_modules=2, dropout=0.3, seed=15)
@@ -344,7 +368,8 @@ class TestSigmoid:
         return out
 
     def test_bit_identical_to_masked_formula(self):
-        edge = np.array([800.0, -800.0, 1e-320, -1e-320, 0.0, -0.0, np.nan])
+        edge = np.array([800.0, -800.0, 1e-320, -1e-320, 0.0, -0.0, np.nan,
+                         -np.nan, np.inf, -np.inf, 745.2, -745.2, 1e308, -1e308])
         wide = np.random.default_rng(11).normal(0.0, 30.0, 10_000)
         for a in (edge, wide, wide.reshape(100, 100)):
             with warnings.catch_warnings():
@@ -384,6 +409,32 @@ class TestDenseNet:
         zs, _, _, _ = ens.forward_all(x)
         for z in zs:
             assert np.all(z > 0.0) and np.all(z < 1.0)
+
+    def test_stop_and_input_grad(self, rng):
+        net = DenseNet.build([4, 3, 2], ["elu", "sigmoid"])
+        xavier_uniform_init(net, rng)
+        x = rng.random((5, 4))
+        out, cache = net.forward(x)
+        head, head_cache = net.forward(x, stop=-1)
+        assert len(head_cache) == 1
+        np.testing.assert_array_equal(head, cache[1][0])
+        g = rng.random(out.shape)
+        full, dx = net.backward(cache, g)
+        part, none = net.backward(cache, g, input_grad=False)
+        assert dx.shape == x.shape and none is None
+        for (w1, b1), (w2, b2) in zip(full, part):
+            np.testing.assert_array_equal(w1, w2)
+            np.testing.assert_array_equal(b1, b2)
+
+    def test_decoder_output_layer_must_be_plain_sigmoid(self):
+        module = build_toy_ensemble(n_modules=1).modules[0]
+        out = module.decoder.layers[-1]
+        out.dropout = 0.1
+        with pytest.raises(StructuralError):
+            ModularAutoEncoderEnsemble([module])
+        out.dropout, out.activation = 0.0, "linear"
+        with pytest.raises(StructuralError):
+            ModularAutoEncoderEnsemble([module])
 
     def test_forward_rejects_non_finite(self):
         ens = build_toy_ensemble(n_modules=1)
@@ -452,6 +503,52 @@ class TestTraining:
         report = train_ensemble(ens, x, cfg, np.random.default_rng(9))
         assert report.epochs_run == 5
         assert len(report.val_losses) == 5
+
+
+def _int64_sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=float).view(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# Parameters (sha256 of their int64 views, in ``parameters()`` order) and
+# exact loss curves after ``TestTrainingGolden``'s run, recorded before the
+# training step was restructured.  They hold at 1 and 2 BLAS threads.
+TRAINING_GOLDEN = {
+    "none": (
+        "3090e8eb29c6817f20997fc3c9406de0162db54de3ba29dd16f6a6bf0f285b29",
+        [2.1447193303233636, 2.083051194282705, 2.040310095272463],
+        [2.14891636326699, 2.1329365484322964, 2.1320316450935155]),
+    "outputs": (
+        "5d333f6c5704f630405ea398970d6e0e3ba1ea89cc96cc2a1843ea641d429717",
+        [2.092817051673205, 2.057630366648749, 2.015166245177451],
+        [2.1401454869617664, 2.1369019931189612, 2.1407112137828204]),
+    "cov": (
+        "c880ffe9fd6351e132f60676290e16938ceb81cbe9099c2901921f6c90c7974f",
+        [2.021261680479683, 1.9574323356389824, 1.7707275348618319],
+        [2.1124793628879983, 2.0501271095516733, 1.9885267506362592]),
+    "cmd": (
+        "1589a89471b688b7cebe985c603f91d614fe2282a02d48f629f9cfe747fc8271",
+        [-0.41163713458898316, 0.26911275679341684, -0.5035982057139882],
+        [-1.2968418354092828, -1.6212593921591627, -1.7419197714966876]),
+}
+
+
+class TestTrainingGolden:
+    @pytest.mark.parametrize("kind", sorted(TRAINING_GOLDEN))
+    def test_parameters_and_losses_are_pinned(self, kind):
+        ens = build_toy_ensemble(n_modules=3, input_dim=24, hidden=(6, 3),
+                                 diversity_kind=kind, dropout=0.2, seed=50)
+        x = np.random.default_rng(51).random((29, 24))
+        # 7 validation rows; 22 training rows in batches of 7, so the
+        # trailing single row merges into the batch before it
+        cfg = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=7)
+        report = train_ensemble(ens, x, cfg, np.random.default_rng(52))
+        assert not report.diverged
+        got = (_int64_sha256(ens.parameters()), report.train_losses,
+               report.val_losses)
+        assert got == TRAINING_GOLDEN[kind]
 
 
 class TestAdam:

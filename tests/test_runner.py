@@ -158,6 +158,57 @@ HARDCODED_WALKER_GOLDEN_SHA256 = {
 }
 
 
+# A tiny learned-descriptor walker run: initial training, then two online
+# retrains that warm-start the ensemble, refit the quantiles and reindex.
+LEARNED_WALKER_YAML = """\
+case: golden-ae-walker
+seed: 5
+replicates: 1
+containers:
+  bin_budget: 50
+  grids:
+    - {shape: [5, 5], fd: ae_qt, count: 2}
+task:
+  name: surrogate_walker
+  params: {episode_steps: 60, obs_window: 6, episodes_per_eval: 2}
+search:
+  sharing: non_shared
+  initialization_budget: 40
+  evaluation_budget: 60
+  batch_size: 20
+training:
+  strategy: online
+  period: 6
+  epochs: 3
+  batch_size: 16
+  hidden: [8, 4]
+  quantiles: 20
+"""
+
+# sha256 of the learned run's text artifacts and of its checkpoint arrays
+# (name, dtype, shape and bytes of each, in name order; the .npz container
+# itself stamps its write time), recorded before the ensemble training step
+# was restructured.
+LEARNED_WALKER_GOLDEN_SHA256 = {
+    "metrics.csv":
+        "835603ece70a4719014e7dd88c22e093c250479c8c7c5216d921c390776f9676",
+    "containers.jsonl":
+        "b787009aefaf5ead9c52e2c3daafd397d041389490b2b3c70f4c18e3c568b0d5",
+    "checkpoint.npz":
+        "7878b9c7bb14c34a0d1b7a57d1186f16dd8317c4422fb2fc0cf730f643c17e43",
+}
+
+
+def _npz_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with np.load(path, allow_pickle=False) as data:
+        for name in sorted(data.files):
+            a = data[name]
+            digest.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
 class TestGolden:
     def test_hardcoded_walker_artifacts(self, tmp_path):
         config = ExperimentConfig.from_yaml(HARDCODED_WALKER_YAML)
@@ -167,6 +218,19 @@ class TestGolden:
         digests = {name: hashlib.sha256((rep / name).read_bytes()).hexdigest()
                    for name in HARDCODED_WALKER_GOLDEN_SHA256}
         assert digests == HARDCODED_WALKER_GOLDEN_SHA256
+
+    def test_learned_walker_artifacts(self, tmp_path):
+        config = ExperimentConfig.from_yaml(LEARNED_WALKER_YAML)
+        result = run_experiment(config, tmp_path / "golden")
+        assert not result.failed
+        rep = result.run_dir / "rep_000"
+        records = [json.loads(ln) for ln in
+                   (rep / "batches.jsonl").read_text().splitlines()[1:]]
+        assert any(r["retrain"] is not None for r in records)
+        digests = {name: hashlib.sha256((rep / name).read_bytes()).hexdigest()
+                   for name in ("metrics.csv", "containers.jsonl")}
+        digests["checkpoint.npz"] = _npz_sha256(rep / "checkpoint.npz")
+        assert digests == LEARNED_WALKER_GOLDEN_SHA256
 
 
 class TestAggregate:

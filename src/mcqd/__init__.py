@@ -22,14 +22,18 @@ from .core import (  # noqa: F401
 )
 from .engine import (  # noqa: F401
     ContainerSpec,
-    CuriosityConfig,
     Engine,
-    MutationConfig,
     SharingStrategy,
     TrainingStrategy,
     mutate_polynomial,
     select_curiosity_roulette,
 )
-from .config import ExperimentConfig, build_preset, preset_names  # noqa: F401
+from .config import (  # noqa: F401
+    ExperimentConfig,
+    SearchSection,
+    TrainingSection,
+    build_preset,
+    preset_names,
+)
 from .postprocess import QuantileTransform  # noqa: F401
 from .tasks import make_task  # noqa: F401

@@ -16,8 +16,6 @@ def _add_run_flags(parser):
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--replicates", type=int, default=None,
                         help="replicate count override")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="evaluation thread count override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,8 +51,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         config.seed = args.seed
     if args.replicates is not None:
         config.replicates = args.replicates
-    if args.workers is not None:
-        config.search.n_workers = args.workers
     config.validate()
     return config
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -84,10 +84,34 @@ class GridSpec:
         return cap
 
 
+# Each section below is one YAML mapping: a field is a key, its default is
+# the key's default, and a field whose default is a section is a nested
+# mapping.  ``from_dict`` and ``to_dict`` are derived from these classes.
+
 @dataclass
 class TaskSection:
     name: str = "surrogate_walker"
     params: dict = field(default_factory=dict)
+
+
+@dataclass
+class MutationSection:
+    """Bounded polynomial mutation; the bounds are the task's genome bounds."""
+
+    probability: float = 0.1
+    eta: float = 20.0
+
+
+@dataclass
+class CuriositySection:
+    """Per-parent score bookkeeping: reward on any accepted offspring,
+    penalty otherwise, clamped at a strictly positive floor so every elite
+    keeps nonzero selection probability."""
+
+    success_delta: float = 1.0
+    failure_delta: float = -0.5
+    floor: float = 0.01
+    initial: float = 1.0
 
 
 @dataclass
@@ -96,13 +120,8 @@ class SearchSection:
     initialization_budget: int = 1000
     evaluation_budget: int = 10000
     batch_size: int = 100
-    n_workers: int = 1
-    mutation_probability: float = 0.1
-    mutation_eta: float = 20.0
-    curiosity_success: float = 1.0
-    curiosity_failure: float = -0.5
-    curiosity_floor: float = 0.01
-    curiosity_initial: float = 1.0
+    mutation: MutationSection = field(default_factory=MutationSection)
+    curiosity: CuriositySection = field(default_factory=CuriositySection)
 
 
 @dataclass
@@ -125,6 +144,60 @@ class TrainingSection:
     dropout: float = 0.2
     quantiles: int = 1000
     diversity: DiversitySection = field(default_factory=DiversitySection)
+
+
+# Keys older configs carry that no longer select anything: they are read
+# and dropped, so they change neither the config nor its hash.  Every run
+# directory written before the evaluation thread pool was removed has
+# ``search.n_workers: 1`` in its config.yaml.
+_RETIRED_KEYS = {SearchSection: ("n_workers",)}
+
+# Field annotation -> conversion of the YAML value.
+_COERCE = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "tuple[int, ...]": lambda value: tuple(int(v) for v in value),
+    "dict": lambda value: _strip_lines(dict(value or {})),
+}
+
+
+def _take_fields(cls, sec: _Section, names=None) -> dict:
+    """Read the fields of dataclass ``cls`` (all, or those in ``names``, in
+    field order) from ``sec``; a nested section is read and finished whole."""
+    values = {}
+    for f in fields(cls):
+        if names is not None and f.name not in names:
+            continue
+        if is_dataclass(f.default_factory):
+            values[f.name] = _load(f.default_factory, sec.subsection(f.name, {}))
+            continue
+        if f.default is not MISSING:
+            default = f.default
+        elif f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:
+            default = _REQUIRED
+        value = sec.take(f.name, default)
+        values[f.name] = _COERCE.get(f.type, lambda v: v)(value)
+    return values
+
+
+def _load(cls, sec: _Section):
+    for key in _RETIRED_KEYS.get(cls, ()):
+        sec.take(key, None)
+    values = _take_fields(cls, sec)
+    sec.finish()
+    return cls(**values)
+
+
+def _plain(value):
+    """YAML- and JSON-ready copy of ``asdict`` output: tuples become lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass
@@ -161,21 +234,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         root = _Section(data, "config")
-        case = str(root.take("case"))
-        seed = int(root.take("seed", 0))
-        replicates = int(root.take("replicates", 1))
-        output_dir = root.take("output_dir", None)
-
-        task_sec = root.subsection("task", {})
-        task = TaskSection(
-            name=str(task_sec.take("name", "surrogate_walker")),
-            params=_strip_lines(dict(task_sec.take("params", {}) or {})),
-        )
-        task_sec.finish()
+        values = _take_fields(cls, root, ("case", "seed", "replicates",
+                                          "output_dir", "task"))
 
         cont_sec = root.subsection("containers")
-        bin_budget = int(cont_sec.take("bin_budget"))
-        grids = []
+        values["bin_budget"] = int(cont_sec.take("bin_budget"))
+        grids = values["grids"] = []
         raw_grids = cont_sec.take("grids")
         if not isinstance(raw_grids, list) or not raw_grids:
             raise ConfigurationError(
@@ -189,118 +253,34 @@ class ExperimentConfig:
             grids.extend(GridSpec(shape=shape, fd=fd) for _ in range(count))
         cont_sec.finish()
 
-        search_sec = root.subsection("search", {})
-        mut = search_sec.subsection("mutation", {})
-        cur = search_sec.subsection("curiosity", {})
-        search = SearchSection(
-            sharing=str(search_sec.take("sharing", "shared")),
-            initialization_budget=int(search_sec.take("initialization_budget", 1000)),
-            evaluation_budget=int(search_sec.take("evaluation_budget", 10000)),
-            batch_size=int(search_sec.take("batch_size", 100)),
-            n_workers=int(search_sec.take("n_workers", 1)),
-            mutation_probability=float(mut.take("probability", 0.1)),
-            mutation_eta=float(mut.take("eta", 20.0)),
-            curiosity_success=float(cur.take("success_delta", 1.0)),
-            curiosity_failure=float(cur.take("failure_delta", -0.5)),
-            curiosity_floor=float(cur.take("floor", 0.01)),
-            curiosity_initial=float(cur.take("initial", 1.0)),
-        )
-        mut.finish()
-        cur.finish()
-        search_sec.finish()
-
-        train_sec = root.subsection("training", {})
-        div = train_sec.subsection("diversity", {})
-        training = TrainingSection(
-            strategy=str(train_sec.take("strategy", "online")),
-            period=int(train_sec.take("period", 5000)),
-            epochs=int(train_sec.take("epochs", 200)),
-            learning_rate=float(train_sec.take("learning_rate", 0.01)),
-            batch_size=int(train_sec.take("batch_size", 1024)),
-            validation_split=float(train_sec.take("validation_split", 0.25)),
-            latent_dim=int(train_sec.take("latent_dim", 2)),
-            hidden=tuple(int(h) for h in train_sec.take("hidden", (16, 5))),
-            dropout=float(train_sec.take("dropout", 0.2)),
-            quantiles=int(train_sec.take("quantiles", 1000)),
-            diversity=DiversitySection(
-                kind=str(div.take("kind", "none")),
-                weight=float(div.take("weight", 1.0)),
-                sign=int(div.take("sign", -1)),
-            ),
-        )
-        div.finish()
-        train_sec.finish()
+        values.update(_take_fields(cls, root, ("search", "training")))
         root.finish()
 
-        config = cls(case=case, seed=seed, replicates=replicates,
-                     output_dir=output_dir, bin_budget=bin_budget, grids=grids,
-                     task=task, search=search, training=training)
+        config = cls(**values)
         config.validate()
         return config
 
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "output_dir": self.output_dir,
-            "containers": {
-                "bin_budget": self.bin_budget,
-                "grids": [{"shape": list(g.shape), "fd": g.fd} for g in self.grids],
-            },
-            "task": {"name": self.task.name, "params": dict(self.task.params)},
-            "search": {
-                "sharing": self.search.sharing,
-                "initialization_budget": self.search.initialization_budget,
-                "evaluation_budget": self.search.evaluation_budget,
-                "batch_size": self.search.batch_size,
-                "n_workers": self.search.n_workers,
-                "mutation": {
-                    "probability": self.search.mutation_probability,
-                    "eta": self.search.mutation_eta,
-                },
-                "curiosity": {
-                    "success_delta": self.search.curiosity_success,
-                    "failure_delta": self.search.curiosity_failure,
-                    "floor": self.search.curiosity_floor,
-                    "initial": self.search.curiosity_initial,
-                },
-            },
-            "training": {
-                "strategy": self.training.strategy,
-                "period": self.training.period,
-                "epochs": self.training.epochs,
-                "learning_rate": self.training.learning_rate,
-                "batch_size": self.training.batch_size,
-                "validation_split": self.training.validation_split,
-                "latent_dim": self.training.latent_dim,
-                "hidden": list(self.training.hidden),
-                "dropout": self.training.dropout,
-                "quantiles": self.training.quantiles,
-                "diversity": {
-                    "kind": self.training.diversity.kind,
-                    "weight": self.training.diversity.weight,
-                    "sign": self.training.diversity.sign,
-                },
-            },
-        }
+        d = _plain(asdict(self))
+        head = {key: d.pop(key) for key in ("case", "seed", "replicates", "output_dir")}
+        containers = {"bin_budget": d.pop("bin_budget"), "grids": d.pop("grids")}
+        return {**head, "containers": containers, **d}
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
 
     def hash(self) -> str:
-        """Identity hash of the experiment; the evaluation worker count is an
-        execution knob and deliberately excluded (results never depend on it)."""
-        d = self.to_dict()
-        d["search"].pop("n_workers")
-        blob = json.dumps(d, sort_keys=True).encode()
+        """Identity hash of the experiment."""
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the values.  No check here needs the task, so these errors
+        surface when the config loads, before any run directory exists."""
         capacities = sum(g.capacity for g in self.grids)
         if capacities != self.bin_budget:
             raise ConfigurationError(
@@ -314,6 +294,12 @@ class ExperimentConfig:
                 f"unknown diversity kind {self.training.diversity.kind!r}")
         if self.training.diversity.sign not in (1, -1):
             raise ConfigurationError("diversity sign must be +1 or -1")
+        if not 0.0 < self.training.validation_split < 1.0:
+            raise ConfigurationError("training.validation_split must be in (0, 1)")
+        if not 0.0 <= self.search.mutation.probability <= 1.0:
+            raise ConfigurationError("search.mutation.probability must be in [0, 1]")
+        if self.search.mutation.eta <= 0:
+            raise ConfigurationError("search.mutation.eta must be positive")
         kinds = {g.fd for g in self.grids}
         unknown = kinds - {"hardcoded", "ae", "ae_qt"}
         if unknown:
@@ -323,6 +309,11 @@ class ExperimentConfig:
             raise ConfigurationError("learned descriptors need training strategy != none")
         if not learned and self.training.strategy != "none":
             raise ConfigurationError("hardcoded descriptors require training strategy none")
+        for g in self.grids:
+            if g.fd in learned and len(g.shape) != self.training.latent_dim:
+                raise ConfigurationError(
+                    f"learned grid shape {list(g.shape)} must have "
+                    f"training.latent_dim = {self.training.latent_dim} dimensions")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
         for name, value in (("initialization_budget", self.search.initialization_budget),

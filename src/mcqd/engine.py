@@ -11,14 +11,14 @@ container (non-shared strategy).
 Determinism contract: every random decision comes from a named substream of
 the master seed (init, selection, mutation, per-evaluation episodes, model
 training), selection and mutation for a whole batch happen before any
-evaluation, and insertions are committed in iteration order.  Evaluations
-are pure functions of (genome, substream), so the thread count used to run
-them cannot change any result.
+evaluation, and insertions are committed in iteration order.
+
+Every setting comes from the experiment config's ``search`` and
+``training`` sections; the genome bounds come from the task.
 """
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +29,7 @@ from .autoencoder import (
     TrainingConfig,
     train_ensemble,
 )
+from .config import MutationSection, SearchSection, TrainingSection
 from .core import (
     AddOutcome,
     ConfigurationError,
@@ -74,31 +75,6 @@ FD_TYPES = ("hardcoded", "ae", "ae_qt")
 
 
 @dataclass
-class MutationConfig:
-    probability: float = 0.1
-    eta: float = 20.0
-    bounds: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ConfigurationError("mutation probability must be in [0, 1]")
-        if self.eta <= 0:
-            raise ConfigurationError("eta must be positive")
-
-
-@dataclass
-class CuriosityConfig:
-    """Per-parent score bookkeeping: reward on any accepted offspring,
-    penalty otherwise, clamped at a strictly positive floor so every elite
-    keeps nonzero selection probability."""
-
-    success_delta: float = 1.0
-    failure_delta: float = -0.5
-    floor: float = 0.01
-    initial: float = 1.0
-
-
-@dataclass
 class ContainerSpec:
     shape: tuple[int, ...]
     fd_type: str
@@ -109,15 +85,16 @@ class ContainerSpec:
             raise ConfigurationError(f"unknown fd type {self.fd_type!r}")
 
 
-def mutate_polynomial(genome: np.ndarray, cfg: MutationConfig, rng) -> np.ndarray:
+def mutate_polynomial(genome: np.ndarray, cfg: MutationSection,
+                      bounds: tuple[float, float], rng) -> np.ndarray:
     """Bounded polynomial mutation with crowding index eta.
 
     Each gene mutates independently with probability ``cfg.probability``;
     the perturbation follows the bounded polynomial distribution and the
-    result is clipped back into bounds.  RNG consumption is constant (two
+    result is clipped back into ``bounds``.  RNG consumption is constant (two
     draws per gene) so downstream draws do not depend on which genes fired.
     """
-    lo, hi = cfg.bounds
+    lo, hi = bounds
     x = np.asarray(genome, dtype=float)
     span = hi - lo
     do_mut = rng.random(x.shape) < cfg.probability
@@ -188,43 +165,26 @@ class Engine:
     """Search state plus the operations that advance it."""
 
     def __init__(self, task: Task, container_specs: list[ContainerSpec],
-                 sharing: SharingStrategy = SharingStrategy.SHARED,
-                 training_strategy: TrainingStrategy = TrainingStrategy.ONLINE,
-                 mutation: MutationConfig | None = None,
-                 curiosity: CuriosityConfig | None = None,
-                 training: TrainingConfig | None = None,
-                 init_budget: int = 1000,
-                 eval_budget: int = 10000,
-                 training_period: int = 5000,
-                 n_quantiles: int = 1000,
-                 ae_hidden: tuple[int, ...] = (16, 5),
-                 ae_dropout: float = 0.2,
-                 latent_dim: int = 2,
-                 diversity_kind: str = "none",
-                 diversity_weight: float = 1.0,
-                 diversity_sign: int = -1,
-                 seed: int = 0,
-                 n_workers: int = 1):
+                 search: SearchSection, training: TrainingSection, seed: int):
         self.task = task
-        self.sharing = SharingStrategy(sharing)
-        self.training_strategy = TrainingStrategy(training_strategy)
-        lo, hi = task.definition.genome_bounds
-        self.mutation = mutation or MutationConfig(bounds=(lo, hi))
-        self.curiosity = curiosity or CuriosityConfig()
-        self.training = training or TrainingConfig()
-        self.init_budget = int(init_budget)
-        self.eval_budget = int(eval_budget)
-        self.training_period = int(training_period)
-        self.n_quantiles = int(n_quantiles)
+        self.search = search
+        self.training = training
         self.seed = int(seed)
-        self.n_workers = int(n_workers)
+        self.sharing = SharingStrategy(search.sharing)
+        self.training_strategy = TrainingStrategy(training.strategy)
+        self.mutation = search.mutation
+        self.curiosity = search.curiosity
+        self._train_config = TrainingConfig(
+            epochs=training.epochs, learning_rate=training.learning_rate,
+            batch_size=training.batch_size,
+            validation_split=training.validation_split)
 
         learned = [s for s in container_specs if s.fd_type != "hardcoded"]
         if learned and self.training_strategy is TrainingStrategy.NONE:
             raise ConfigurationError("learned descriptors require a training strategy")
         if not learned and self.training_strategy is not TrainingStrategy.NONE:
             raise ConfigurationError("hardcoded-only experiments must use training: none")
-        if any(len(spec.shape) != latent_dim for spec in learned):
+        if any(len(spec.shape) != training.latent_dim for spec in learned):
             raise ConfigurationError(
                 "learned container grids must match the latent dimensionality")
         self._specs = list(container_specs)
@@ -255,11 +215,6 @@ class Engine:
         self.ensemble: ModularAutoEncoderEnsemble | None = None
         self.scaler: ObservationScaler | None = None
         self.quantile_transforms: dict[int, QuantileTransform] = {}
-        self._ae_build = dict(hidden=tuple(ae_hidden), dropout=ae_dropout,
-                              latent_dim=latent_dim,
-                              diversity_kind=diversity_kind,
-                              diversity_weight=diversity_weight,
-                              diversity_sign=diversity_sign)
 
         self._rng_selection = substream(self.seed, STREAM_SELECTION)
         self._rng_mutation = substream(self.seed, STREAM_MUTATION)
@@ -278,26 +233,18 @@ class Engine:
     def learned_container_ids(self) -> list[int]:
         return sorted(self.module_index)
 
-    def _evaluate_genomes(self, genomes):
-        """Charge evaluation indices and run the task, possibly threaded.
+    @property
+    def eval_budget(self) -> int:
+        return self.search.evaluation_budget
 
-        The batch is split into contiguous worker chunks and results are
-        collected by index; evaluations are pure functions of (genome,
-        substream), so the worker count cannot change any outcome.
-        """
+    def _evaluate_genomes(self, genomes):
+        """Charge evaluation indices and run the task on the whole batch."""
         base = self._next_eval_index
         self._next_eval_index += len(genomes)
         self.total_evaluations += len(genomes)
         seeds = [episode_seed_sequence(self.seed, base + i)
                  for i in range(len(genomes))]
-        if self.n_workers <= 1 or len(genomes) < 2:
-            return self.task.evaluate_many(genomes, seeds)
-        bounds = np.linspace(0, len(genomes), self.n_workers + 1).astype(int)
-        chunks = [(genomes[lo:hi], seeds[lo:hi])
-                  for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            parts = list(pool.map(lambda c: self.task.evaluate_many(*c), chunks))
-        return [ev for part in parts for ev in part]
+        return self.task.evaluate_many(genomes, seeds)
 
     def _new_solution(self, genome, evaluation) -> Solution:
         sol = Solution(id=self.next_solution_id, genome=genome,
@@ -330,15 +277,21 @@ class Engine:
         scaler = ObservationScaler.fit(corpus)
         inputs = scaler.transform(corpus)
         if self.ensemble is None:
+            t = self.training
             candidate = ModularAutoEncoderEnsemble.build(
                 input_dim=inputs.shape[1],
+                latent_dim=t.latent_dim,
                 n_modules=len(self.module_index),
+                hidden=t.hidden,
+                dropout=t.dropout,
+                diversity_kind=t.diversity.kind,
+                diversity_weight=t.diversity.weight,
+                diversity_sign=t.diversity.sign,
                 rng=rng,
-                **self._ae_build,
             )
         else:
             candidate = self.ensemble.clone()
-        report = train_ensemble(candidate, inputs, self.training, rng)
+        report = train_ensemble(candidate, inputs, self._train_config, rng)
         return candidate, scaler, inputs, report
 
     def _publish_models(self, ensemble, scaler, inputs) -> None:
@@ -351,7 +304,7 @@ class Engine:
             if spec.fd_type == "ae_qt":
                 latents = ensemble.encode(inputs, self.module_index[cid])
                 qt = QuantileTransform.fit(
-                    latents, min(self.n_quantiles, latents.shape[0]))
+                    latents, min(self.training.quantiles, latents.shape[0]))
                 self.quantile_transforms[cid] = qt
             self.containers[cid].extractor = LearnedExtractor(
                 ensemble, self.module_index[cid], scaler, qt)
@@ -365,8 +318,8 @@ class Engine:
             raise RuntimeError("engine already initialized")
         lo, hi = self.task.definition.genome_bounds
         rng = substream(self.seed, STREAM_INIT)
-        genomes = rng.uniform(lo, hi,
-                              (self.init_budget, self.task.definition.genome_dim))
+        genomes = rng.uniform(lo, hi, (self.search.initialization_budget,
+                                       self.task.definition.genome_dim))
         evaluations = self._evaluate_genomes(list(genomes))
         if self.module_index:
             corpus = np.stack([ev.observations for ev in evaluations])
@@ -403,8 +356,9 @@ class Engine:
         """One batch of select -> mutate -> evaluate -> insert iterations.
 
         Selection and mutation are planned up front against the batch-start
-        container state; evaluations may run on a thread pool; insertions,
-        curiosity updates and depot records are committed in iteration order.
+        container state; the whole batch is then evaluated in one task call;
+        insertions, curiosity updates and depot records are committed in
+        iteration order.
         A batch that would overrun the evaluation budget is truncated and
         flagged partial.
         """
@@ -434,7 +388,7 @@ class Engine:
                 base = self._rng_selection.uniform(
                     lo, hi, self.task.definition.genome_dim)
             parents.append(parent)
-            children.append(mutate_polynomial(base, self.mutation,
+            children.append(mutate_polynomial(base, self.mutation, (lo, hi),
                                               self._rng_mutation))
 
         evaluations = self._evaluate_genomes(children)
@@ -469,7 +423,7 @@ class Engine:
         """
         if self.training_strategy is not TrainingStrategy.ONLINE:
             return None
-        if self.depot.added_since_last_training < self.training_period:
+        if self.depot.added_since_last_training < self.training.period:
             return None
         corpus = self.depot.observation_corpus()
         candidate, scaler, inputs, report = self._fit_and_train(corpus)

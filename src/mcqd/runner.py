@@ -32,18 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autoencoder import TrainingConfig, save_checkpoint
+from .autoencoder import save_checkpoint
 from .config import ExperimentConfig
 from .core import ConfigurationError
 from .descriptors import fd_pairs_default
-from .engine import (
-    ContainerSpec,
-    CuriosityConfig,
-    Engine,
-    MutationConfig,
-    SharingStrategy,
-    TrainingStrategy,
-)
+from .engine import ContainerSpec, Engine
 from .metrics import METRIC_COLUMNS, snapshot
 from .tasks import make_task
 
@@ -71,35 +64,7 @@ def build_engine(config: ExperimentConfig, seed: int) -> Engine:
         else:
             specs.append(ContainerSpec(shape=grid.shape, fd_type=grid.fd))
 
-    lo, hi = task.definition.genome_bounds
-    return Engine(
-        task=task,
-        container_specs=specs,
-        sharing=SharingStrategy(config.search.sharing),
-        training_strategy=TrainingStrategy(config.training.strategy),
-        mutation=MutationConfig(probability=config.search.mutation_probability,
-                                eta=config.search.mutation_eta, bounds=(lo, hi)),
-        curiosity=CuriosityConfig(success_delta=config.search.curiosity_success,
-                                  failure_delta=config.search.curiosity_failure,
-                                  floor=config.search.curiosity_floor,
-                                  initial=config.search.curiosity_initial),
-        training=TrainingConfig(epochs=config.training.epochs,
-                                learning_rate=config.training.learning_rate,
-                                batch_size=config.training.batch_size,
-                                validation_split=config.training.validation_split),
-        init_budget=config.search.initialization_budget,
-        eval_budget=config.search.evaluation_budget,
-        training_period=config.training.period,
-        n_quantiles=config.training.quantiles,
-        ae_hidden=config.training.hidden,
-        ae_dropout=config.training.dropout,
-        latent_dim=config.training.latent_dim,
-        diversity_kind=config.training.diversity.kind,
-        diversity_weight=config.training.diversity.weight,
-        diversity_sign=config.training.diversity.sign,
-        seed=seed,
-        n_workers=config.search.n_workers,
-    )
+    return Engine(task, specs, config.search, config.training, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +204,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
 
     Replicate k runs with seed (config.seed + k) in ``rep_<k>``.  A replicate
     that raises is recorded in a FAILED file and skipped by the aggregate;
-    its partial artifacts are kept.
+    its partial artifacts are kept.  With no successful replicate there is
+    nothing to aggregate, and no aggregate is written.
     """
     run_dir = resolve_run_dir(config, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -262,7 +228,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
             log.error("replicate %d (seed %d) failed: %s", k, seed, outcome.error)
         result.replicates.append(outcome)
 
-    write_aggregate([run_dir], run_dir / "aggregate.csv")
+    if len(result.failed) < len(result.replicates):
+        write_aggregate([run_dir], run_dir / "aggregate.csv")
     return result
 
 

@@ -12,13 +12,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from mcqd.autoencoder import TrainingConfig, backward, d_corr
-from mcqd.config import build_preset
+from mcqd.autoencoder import backward, d_corr
+from mcqd.config import (
+    DiversitySection,
+    MutationSection,
+    SearchSection,
+    TrainingSection,
+    build_preset,
+)
 from mcqd.core import GridContainer, bin_index
 from mcqd.engine import (
     ContainerSpec,
     Engine,
-    MutationConfig,
     SharingStrategy,
     TrainingStrategy,
     mutate_polynomial,
@@ -74,12 +79,14 @@ def run_desk_search(fd_type, sharing, diversity=("none", 1.0, -1), seed=0,
         strategy = TrainingStrategy.ONLINE
     kind, weight, sign = diversity
     engine = Engine(
-        task=task, container_specs=specs, sharing=sharing,
-        training_strategy=strategy,
-        training=TrainingConfig(epochs=50, learning_rate=0.01, batch_size=1024),
-        init_budget=500, eval_budget=5000, training_period=500,
-        n_quantiles=1000, diversity_kind=kind, diversity_weight=weight,
-        diversity_sign=sign, seed=seed)
+        task=task, container_specs=specs,
+        search=SearchSection(sharing=sharing, initialization_budget=500,
+                             evaluation_budget=5000),
+        training=TrainingSection(
+            strategy=strategy, period=500, epochs=50, learning_rate=0.01,
+            batch_size=1024, quantiles=1000,
+            diversity=DiversitySection(kind=kind, weight=weight, sign=sign)),
+        seed=seed)
     engine.initialize()
     bounds = task.definition.fitness_bounds
     run = DeskRun(snaps=[snapshot(0, engine.containers, engine.depot, bounds)])
@@ -127,8 +134,7 @@ def determinism_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("determinism")
     config = build_preset("qt-reco-4-ns", desk=True, seed=7, replicates=1)
     paths = {}
-    for label, workers in (("first", 1), ("second", 1), ("threaded", 4)):
-        config.search.n_workers = workers
+    for label in ("first", "second"):
         result = run_experiment(config, root / label)
         assert not result.failed
         paths[label] = result.run_dir / "rep_000"
@@ -280,22 +286,20 @@ def test_c07_kl_coverage_identities():
 
 
 def test_c08_determinism(determinism_runs):
-    """Byte-identical logs and snapshots across reruns and worker counts."""
+    """Byte-identical logs and snapshots across reruns."""
     reference = {name: (determinism_runs["first"] / name).read_bytes()
                  for name in ("metrics.csv", "containers.jsonl")}
-    for label in ("second", "threaded"):
-        for name, blob in reference.items():
-            assert (determinism_runs[label] / name).read_bytes() == blob, \
-                (label, name)
+    for name, blob in reference.items():
+        assert (determinism_runs["second"] / name).read_bytes() == blob, name
 
 
 def test_c09_mutation_operator():
     """KS <= 0.01 against the analytic CDF; bounds hold over 1e6 mutations."""
     start = time.time()
-    cfg = MutationConfig(probability=1.0, eta=20.0, bounds=(0.0, 1.0))
+    cfg = MutationSection(probability=1.0, eta=20.0)
     rng = np.random.default_rng(3)
     n = 100_000
-    samples = np.sort(mutate_polynomial(np.full(n, 0.5), cfg, rng))
+    samples = np.sort(mutate_polynomial(np.full(n, 0.5), cfg, (0.0, 1.0), rng))
     grid = np.arange(1, n + 1) / n
     cdf = np.array([polynomial_mutation_cdf(s, 0.5, 0.0, 1.0, 20.0)
                     for s in samples])
@@ -303,10 +307,10 @@ def test_c09_mutation_operator():
     assert ks < 0.01, ks
 
     big = np.full(1_000_000, 0.0)
-    cfg_edge = MutationConfig(probability=1.0, eta=20.0, bounds=(-1.0, 1.0))
-    mutated = mutate_polynomial(big, cfg_edge, rng)
+    cfg_edge = MutationSection(probability=1.0, eta=20.0)
+    mutated = mutate_polynomial(big, cfg_edge, (-1.0, 1.0), rng)
     assert np.all(mutated >= -1.0) and np.all(mutated <= 1.0)
-    mutated = mutate_polynomial(np.full(1_000_000, 1.0), cfg_edge, rng)
+    mutated = mutate_polynomial(np.full(1_000_000, 1.0), cfg_edge, (-1.0, 1.0), rng)
     assert np.all(mutated >= -1.0) and np.all(mutated <= 1.0)
     assert time.time() - start < 60.0
 

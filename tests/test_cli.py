@@ -50,6 +50,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert "typo_key" in err and "line" in err
 
+    def test_config_error_creates_no_run_directory(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG + "  latent_dim: 3\n")
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert "latent_dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_replicate_failed(self, config_file, tmp_path, capsys,
+                                    monkeypatch):
+        import mcqd.runner as runner_mod
+
+        def always_fails(cfg, seed):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(runner_mod, "build_engine", always_fails)
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out),
+                     "--replicates", "2"]) == 1
+        printed = capsys.readouterr().out
+        for seed in (3, 4):
+            assert f"seed {seed}: FAILED (RuntimeError: synthetic failure)" in printed
+        assert (out / "rep_000" / "FAILED").exists()
+        assert (out / "rep_001" / "FAILED").exists()
+        assert not (out / "aggregate.csv").exists()
+
     def test_overrides(self, config_file, tmp_path):
         out = tmp_path / "out2"
         assert main(["run", str(config_file), "--out", str(out),

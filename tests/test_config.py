@@ -1,4 +1,6 @@
 """Config schema: strict parsing, validation, round trip, presets."""
+import hashlib
+
 import pytest
 
 from mcqd.config import (
@@ -80,6 +82,140 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_yaml(bad)
 
+    def test_learned_grid_must_match_latent_dim(self):
+        bad = GOOD_YAML.replace("  epochs: 2", "  epochs: 2\n  latent_dim: 3")
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(bad)
+        assert "latent_dim" in str(err.value)
+
+    @pytest.mark.parametrize("split", ["0.0", "1.0", "-0.5"])
+    def test_validation_split_outside_open_unit_interval(self, split):
+        bad = GOOD_YAML.replace("  epochs: 2", f"  epochs: 2\n  validation_split: {split}")
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(bad)
+        assert "validation_split" in str(err.value)
+
+    @pytest.mark.parametrize("probability", ["-0.1", "1.5"])
+    def test_mutation_probability_outside_unit_interval(self, probability):
+        bad = GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10\n"
+                                f"  mutation: {{probability: {probability}}}")
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(bad)
+        assert "probability" in str(err.value)
+
+    @pytest.mark.parametrize("eta", ["0.0", "-1.0"])
+    def test_mutation_eta_not_positive(self, eta):
+        bad = GOOD_YAML.replace("  batch_size: 10",
+                                f"  batch_size: 10\n  mutation: {{eta: {eta}}}")
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(bad)
+        assert "eta" in str(err.value)
+
+    def test_retired_n_workers_is_read_and_dropped(self):
+        cfg = ExperimentConfig.from_yaml(GOOD_YAML)
+        old = ExperimentConfig.from_yaml(
+            GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10\n  n_workers: 4"))
+        assert old == cfg
+        assert old.hash() == cfg.hash()
+        assert "n_workers" not in old.to_yaml()
+
+
+# config.hash() and the sha256 of to_yaml() for every preset at both scales,
+# recorded before from_dict/to_dict were derived from the section classes.
+# config.yaml then carried an "  n_workers: 1" line, taken out before hashing.
+PRESET_GOLDEN = {
+    ("hardcoded-4", False): (
+        "a88e11174a2452ad",
+        "8dccda5479116ecb3e1d078550ccdbe1a29b5816eebfdefaa8d194c2b5ff2eff"),
+    ("hardcoded-4", True): (
+        "27036df7c5358a60",
+        "02fcde024e10afec839a35d033f47f79b3ee2cc717e94ac6860ab9def37e6f07"),
+    ("hardcoded-4-ns", False): (
+        "6b721d7c47a69915",
+        "776d88aae262fe0a93700550295dc8f4a31f51a8ca98e29df696093335d090e6"),
+    ("hardcoded-4-ns", True): (
+        "0a36a2691af1fcbd",
+        "6166d764ff25a3c84a5e85fce43819b67144c3d4a43026bca9a8deb5367836a5"),
+    ("pt-reco-4", False): (
+        "12949121adef1d0b",
+        "b1d7425e92c06403069efe2b55869d1c59a70280a8636c687607994025248fc4"),
+    ("pt-reco-4", True): (
+        "58fd5f77f25d3bf3",
+        "ecaf87ba7a529dc5d298a068881b58d21941c40e324a4e3dcfea25b6b52a97aa"),
+    ("reco-4", False): (
+        "bc83940df288f765",
+        "0ee4271a55dee0e8ee323f8882455b69b51a6741ca68c3be6152172e95caef3c"),
+    ("reco-4", True): (
+        "d13e6c945e85c812",
+        "5fa4893bf30778e3db505e77245fed93cc13c3dda938a65a822e26463aa9bd8f"),
+    ("qt-reco-4", False): (
+        "364214ab467aa3ee",
+        "7d562e3eb8e0d1a6b08682329d02880ffd198405b47c0afa2493af85dcb89872"),
+    ("qt-reco-4", True): (
+        "3e72eb4df56c6c31",
+        "c10b10734e0f0aa9aef3238b9e36a253c438a569a56c97c5d6e922b955ba8656"),
+    ("qt-reco-4-ns", False): (
+        "e4e1255f9b26589e",
+        "ea08dbc19a025eb379f2ddf2df4485ce21e4eba19151958443645f4d59e077b0"),
+    ("qt-reco-4-ns", True): (
+        "01dfa5076fd13216",
+        "f773fb6730c3d0b6b611786424bb6fe638e67fc60f22a814b93f0654e0c9c435"),
+    ("hardcoded-1", False): (
+        "dc6923288eef1895",
+        "91b6041ab6e6aae7dc5e9050802386c941e1adc8b228bbbcf996d13e19d476e0"),
+    ("hardcoded-1", True): (
+        "68f94b774827173d",
+        "0ce13789d6328d28fef86be681807400f9029f44c990d08476524b5e56dbcd0d"),
+    ("qt-reco-1", False): (
+        "f0bebde47f87ff2e",
+        "7241b957ff827eba251c72dca34bcd77dd0bd4569aec47e59e942d1671a123c2"),
+    ("qt-reco-1", True): (
+        "bc5bb87b342b8faa",
+        "3d592e783818718c7b2ea2d73354a363f3e9d61d471172a9c8a20d9abfd93640"),
+    ("qt-reco-6-ns", False): (
+        "023dd60d944604c3",
+        "56ec6452e421ac883b66958e1bef4059aa4aa0342142b082c96059b71faa92c6"),
+    ("qt-reco-6-ns", True): (
+        "a87987ff8c5c454a",
+        "438d367924b18c3d9a7e3fac440a920699c40e78c5d23caaec31dd7a39117efa"),
+    ("qt-reco-9-ns", False): (
+        "a87637960fa0acb8",
+        "40704c6d6e5d8f578ce7037fc695d141509e946264d8146d1edfed1cc950f167"),
+    ("qt-reco-9-ns", True): (
+        "9b82615cb9f791ae",
+        "055fcd34b902b091808b3782d01ffe834881bc002a10731b9858a530ace55ead"),
+    ("qt-reco-25-ns", False): (
+        "2e4c02c2524616c3",
+        "9d5ced172b448640be5fb2b605e92b7f99c6adbecdb7e923601e8c6447e16ef5"),
+    ("qt-reco-25-ns", True): (
+        "b9e6e153ddebd6ce",
+        "1e07ba5b09ec6ac004839ddc39e2fcc087167ac0f9beb558d097f123ee8c07bd"),
+    ("qt-outputs-4-ns", False): (
+        "655826499f44ae49",
+        "8e1ff78cbbff8b1044d015854a90598a9f151613395ca6f0bc2c9ba3ee664fcf"),
+    ("qt-outputs-4-ns", True): (
+        "7f7b410fe00d07ed",
+        "cd300fccd8092bd9494fa0e1671f97319635306a329370584908577e2241fd15"),
+    ("qt-covmin-4-ns", False): (
+        "8cd9f20bfd8869d0",
+        "c0ea8ff5214e3b6ec0d26b8f0043012bfdf5f6da3ddd8e2091d002510fe43f9f"),
+    ("qt-covmin-4-ns", True): (
+        "ed8d73bdab1a7a6c",
+        "76755762c168efc8f362951d2a94364c3c061fe37dbf5a685b97f0a5aa058eec"),
+    ("qt-covmax-4-ns", False): (
+        "824794c3d3e6870b",
+        "bebbecf44cf0f0a9968ebfd84c5a59e913dac3e8d7b0faa347f477516c0c24f3"),
+    ("qt-covmax-4-ns", True): (
+        "0b83d6a5be780c0f",
+        "83a82932beba80135845ffcf5a58ed2e772ff51c60f7a6eee741c28625556eb6"),
+    ("qt-cmd-4-ns", False): (
+        "60bf178c3e25eda5",
+        "a37e4353ac6b15c558ec5dc4054b0d8e522b7015bb4c1f241a62161cecd4c059"),
+    ("qt-cmd-4-ns", True): (
+        "41f69f44d60b515f",
+        "b9b6a27ec812b7ef8772ed227edf4ab65b363f717f02608c4198630fd9e183b4"),
+}
+
 
 class TestRoundTrip:
     def test_yaml_round_trip_identity(self):
@@ -93,6 +229,25 @@ class TestRoundTrip:
             cfg = build_preset(name, desk=True, seed=3, replicates=2)
             again = ExperimentConfig.from_yaml(cfg.to_yaml())
             assert again == cfg
+
+    @pytest.mark.parametrize("name,desk", sorted(PRESET_GOLDEN))
+    def test_preset_hash_and_yaml_golden(self, name, desk):
+        cfg = build_preset(name, desk=desk)
+        digest = hashlib.sha256(cfg.to_yaml().encode()).hexdigest()
+        assert (cfg.hash(), digest) == PRESET_GOLDEN[name, desk]
+        again = ExperimentConfig.from_yaml(cfg.to_yaml())
+        assert again.hash() == cfg.hash() and again.to_yaml() == cfg.to_yaml()
+
+    def test_values_take_the_field_type(self):
+        loose = GOOD_YAML.replace("seed: 7", "seed: '7'").replace(
+            "weight: 1.0", "weight: 1").replace(
+            "  epochs: 2", "  epochs: 2\n  learning_rate: 1\n  hidden: ['8', 4]")
+        exact = GOOD_YAML.replace(
+            "  epochs: 2", "  epochs: 2\n  learning_rate: 1.0\n  hidden: [8, 4]")
+        cfg = ExperimentConfig.from_yaml(loose)
+        assert cfg.to_yaml() == ExperimentConfig.from_yaml(exact).to_yaml()
+        assert cfg.training.hidden == (8, 4)
+        assert type(cfg.training.learning_rate) is float
 
     def test_hash_changes_with_content(self):
         cfg = ExperimentConfig.from_yaml(GOOD_YAML)
@@ -141,8 +296,8 @@ class TestPresets:
         assert cfg.training.batch_size == 1024
         assert cfg.training.validation_split == 0.25
         assert cfg.training.diversity.weight == 1.0
-        assert cfg.search.mutation_probability == 0.1
-        assert cfg.search.mutation_eta == 20.0
+        assert cfg.search.mutation.probability == 0.1
+        assert cfg.search.mutation.eta == 20.0
         params = cfg.task.params
         assert params["episode_steps"] == 300
         assert params["obs_window"] == 30

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mcqd.autoencoder import TrainingConfig
+from mcqd.config import MutationSection, SearchSection, TrainingSection
 from mcqd.core import EmptyContainerError, Evaluation, GridContainer
 from mcqd.descriptors import ChannelReduction, HardcodedSpec
 from mcqd.engine import (
@@ -10,7 +10,6 @@ from mcqd.engine import (
     STREAM_SELECTION,
     ContainerSpec,
     Engine,
-    MutationConfig,
     SharingStrategy,
     TrainingStrategy,
     mutate_polynomial,
@@ -43,25 +42,25 @@ def polynomial_mutation_cdf(t, x, lo, hi, eta):
 
 class TestPolynomialMutation:
     def test_zero_probability_is_identity(self):
-        cfg = MutationConfig(probability=0.0, eta=20.0, bounds=(-1.0, 1.0))
+        cfg = MutationSection(probability=0.0, eta=20.0)
         g = np.linspace(-1, 1, 7)
-        out = mutate_polynomial(g, cfg, np.random.default_rng(0))
+        out = mutate_polynomial(g, cfg, (-1.0, 1.0), np.random.default_rng(0))
         np.testing.assert_array_equal(out, g)
 
     def test_bounds_respected_from_boundary_gene(self):
-        cfg = MutationConfig(probability=1.0, eta=20.0, bounds=(-1.0, 1.0))
+        cfg = MutationSection(probability=1.0, eta=20.0)
         rng = np.random.default_rng(1)
         for start in (-1.0, 1.0, 0.0):
             g = np.full(100, start)
             for _ in range(50):
-                g = mutate_polynomial(g, cfg, rng)
+                g = mutate_polynomial(g, cfg, (-1.0, 1.0), rng)
                 assert np.all(g >= -1.0) and np.all(g <= 1.0)
 
     def test_distribution_matches_analytic_cdf(self):
-        cfg = MutationConfig(probability=1.0, eta=20.0, bounds=(0.0, 1.0))
+        cfg = MutationSection(probability=1.0, eta=20.0)
         rng = np.random.default_rng(2)
         n = 100_000
-        samples = np.sort(mutate_polynomial(np.full(n, 0.5), cfg, rng))
+        samples = np.sort(mutate_polynomial(np.full(n, 0.5), cfg, (0.0, 1.0), rng))
         grid = np.arange(1, n + 1) / n
         cdf = np.array([polynomial_mutation_cdf(s, 0.5, 0.0, 1.0, 20.0)
                         for s in samples])
@@ -70,12 +69,12 @@ class TestPolynomialMutation:
 
     def test_rng_consumption_constant(self):
         # identical downstream draws whether or not genes mutated
-        cfg_lo = MutationConfig(probability=0.0, eta=20.0, bounds=(0.0, 1.0))
-        cfg_hi = MutationConfig(probability=1.0, eta=20.0, bounds=(0.0, 1.0))
+        cfg_lo = MutationSection(probability=0.0, eta=20.0)
+        cfg_hi = MutationSection(probability=1.0, eta=20.0)
         g = np.full(5, 0.5)
         r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        mutate_polynomial(g, cfg_lo, r1)
-        mutate_polynomial(g, cfg_hi, r2)
+        mutate_polynomial(g, cfg_lo, (0.0, 1.0), r1)
+        mutate_polynomial(g, cfg_hi, (0.0, 1.0), r2)
         assert r1.random() == r2.random()
 
 
@@ -150,20 +149,20 @@ class LineTask(Task):
                           episode_count=1)
 
 
-def line_engine(**kwargs):
+def line_engine(container_specs=None, eval_budget=100, seed=11):
     spec = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
-    defaults = dict(
+    if container_specs is None:
+        container_specs = [ContainerSpec(shape=(1,), fd_type="hardcoded",
+                                         hardcoded=spec)]
+    return Engine(
         task=LineTask(),
-        container_specs=[ContainerSpec(shape=(1,), fd_type="hardcoded",
-                                       hardcoded=spec)],
-        sharing=SharingStrategy.NON_SHARED,
-        training_strategy=TrainingStrategy.NONE,
-        init_budget=1,
-        eval_budget=100,
-        seed=11,
+        container_specs=container_specs,
+        search=SearchSection(sharing=SharingStrategy.NON_SHARED,
+                             initialization_budget=1,
+                             evaluation_budget=eval_budget),
+        training=TrainingSection(strategy=TrainingStrategy.NONE),
+        seed=seed,
     )
-    defaults.update(kwargs)
-    return Engine(**defaults)
 
 
 class TestBookkeepingOracle:
@@ -192,7 +191,7 @@ class TestBookkeepingOracle:
             for _ in range(4):
                 sel.random()  # roulette draw over the single elite
                 genes.append(float(mutate_polynomial(np.array([parent_gene]),
-                                                     cfg, mut)[0]))
+                                                     cfg, (0.0, 1.0), mut)[0]))
             # commit phase: children compete against the current elite, but
             # curiosity updates land on the planned parent object
             replaced = False
@@ -236,27 +235,28 @@ def toy_hardcoded_specs():
     ]
 
 
-def toy_engine(sharing=SharingStrategy.SHARED, learned=False, **kwargs):
+def toy_engine(sharing=SharingStrategy.SHARED, learned=False,
+               training_strategy=TrainingStrategy.ONLINE, training_period=40,
+               seed=5):
     task = make_task("rastrigin_toy")
     if learned:
         specs = [ContainerSpec(shape=(6, 6), fd_type="ae_qt") for _ in range(2)]
-        strategy = kwargs.pop("training_strategy", TrainingStrategy.ONLINE)
+        strategy = training_strategy
     else:
         specs = [ContainerSpec(shape=(6, 6), fd_type="hardcoded", hardcoded=hs)
                  for hs in toy_hardcoded_specs()]
         strategy = TrainingStrategy.NONE
-    defaults = dict(
-        task=task, container_specs=specs, sharing=sharing,
-        training_strategy=strategy, init_budget=30, eval_budget=200,
-        training_period=40, seed=5,
-        # two-gene genomes need a high per-gene rate to mutate at all
-        mutation=MutationConfig(probability=0.5, eta=20.0,
-                                bounds=task.definition.genome_bounds),
-        training=TrainingConfig(epochs=3, learning_rate=0.01, batch_size=16),
-        ae_hidden=(8,), n_quantiles=50,
+    return Engine(
+        task=task, container_specs=specs,
+        search=SearchSection(
+            sharing=sharing, initialization_budget=30, evaluation_budget=200,
+            # two-gene genomes need a high per-gene rate to mutate at all
+            mutation=MutationSection(probability=0.5, eta=20.0)),
+        training=TrainingSection(
+            strategy=strategy, period=training_period, epochs=3,
+            learning_rate=0.01, batch_size=16, hidden=(8,), quantiles=50),
+        seed=seed,
     )
-    defaults.update(kwargs)
-    return Engine(**defaults)
 
 
 def engine_fingerprint(engine):
@@ -295,16 +295,6 @@ class TestEngineLifecycle:
                 engine.run_batch(20, i)
             runs.append(engine_fingerprint(engine))
         assert runs[0] == runs[1]
-
-    def test_worker_count_does_not_change_results(self):
-        prints = []
-        for workers in (1, 3):
-            engine = toy_engine(seed=43, n_workers=workers)
-            engine.initialize()
-            for i in range(3):
-                engine.run_batch(20, i)
-            prints.append(engine_fingerprint(engine))
-        assert prints[0] == prints[1]
 
     def test_budget_accounting_exact(self):
         engine = toy_engine()

@@ -1,6 +1,7 @@
 """End-to-end runs: artifacts, determinism, aggregation, plot data."""
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -284,6 +285,21 @@ class TestPlotData:
                     .read_text().splitlines()[1:]]
         filled = sum(1 for r in rows for v in r.split(",") if v != "")
         assert filled == sum(1 for r in snapshot if r["container_id"] == 0)
+
+    def test_run_directory_with_retired_n_workers(self, toy_run, tmp_path):
+        """Run directories written while the evaluation thread pool existed
+        carry ``n_workers: 1`` in their config.yaml."""
+        _, result = toy_run
+        old = tmp_path / "old_run"
+        shutil.copytree(result.run_dir, old, ignore=shutil.ignore_patterns("plot"))
+        text = (old / "config.yaml").read_text()
+        assert "n_workers" not in text
+        (old / "config.yaml").write_text(
+            text.replace("  batch_size: 20\n", "  batch_size: 20\n  n_workers: 1\n", 1))
+        plot_dir = emit_plot_data(old)
+        assert (plot_dir / "curves.csv").read_bytes() == \
+            (result.run_dir / "aggregate.csv").read_bytes()
+        assert (plot_dir / "heatmap_rep_000_c0.csv").exists()
 
     def test_missing_artifacts_diagnostic(self, tmp_path):
         with pytest.raises(FileNotFoundError) as err:

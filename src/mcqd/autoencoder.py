@@ -23,7 +23,6 @@ modules toward complementary representations.
 """
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 
@@ -53,232 +52,151 @@ def _elu(a):
     return np.where(a > 0, a, np.expm1(a))
 
 
-def _activate(name, a):
-    if name == "elu":
-        return _elu(a)
-    if name == "sigmoid":
-        return _sigmoid(a)
-    if name == "linear":
-        return a
-    raise StructuralError(f"unknown activation {name!r}")
+def net_forward(net, x, dropout=0.0, rng=None, stop=None):
+    """Run a (batch, in) matrix through one encoder or decoder.
 
-
-def _activate_grad(name, a, h):
-    # h is the post-activation value, handy for sigmoid
-    if name == "elu":
-        return np.where(a > 0, 1.0, np.exp(a))
-    if name == "sigmoid":
-        return h * (1.0 - h)
-    if name == "linear":
-        return np.ones_like(a)
-    raise StructuralError(f"unknown activation {name!r}")
-
-
-@dataclass
-class DenseLayer:
-    weights: np.ndarray  # (fan_out, fan_in)
-    bias: np.ndarray  # (fan_out,)
-    activation: str
-    dropout: float = 0.0
-
-
-class DenseNet:
-    """Small fully-connected network with per-layer activation and dropout.
-
-    Dropout uses inverted scaling at train time (mask / keep_prob), so
-    inference needs no rescaling and is fully deterministic.
+    ``net`` is a list of (W, b) layer views, W shaped (fan_out, fan_in).
+    Every layer but the last applies ELU and then, when ``dropout`` > 0,
+    an inverted dropout mask drawn from ``rng`` (mask / keep_prob, so
+    inference needs no rescaling); the last layer applies a sigmoid.  With
+    ``stop`` the pass ends before ``net[stop]``.  Returns (out, cache).
     """
-
-    def __init__(self, layers: list[DenseLayer]):
-        self.layers = layers
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.weights.shape[1] != prev.weights.shape[0]:
-                raise StructuralError("adjacent layer dimensions are incompatible")
-
-    @classmethod
-    def build(cls, sizes, activations, dropouts=None) -> "DenseNet":
-        """Allocate zeroed layers: sizes [in, h1, ..., out], one activation each."""
-        if len(activations) != len(sizes) - 1:
-            raise StructuralError("need one activation per layer")
-        if dropouts is None:
-            dropouts = [0.0] * len(activations)
-        layers = []
-        for i, act in enumerate(activations):
-            layers.append(
-                DenseLayer(
-                    weights=np.zeros((sizes[i + 1], sizes[i])),
-                    bias=np.zeros(sizes[i + 1]),
-                    activation=act,
-                    dropout=float(dropouts[i]),
-                )
-            )
-        return cls(layers)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weights.shape[0]
-
-    def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.layers:
-            params.append(layer.weights)
-            params.append(layer.bias)
-        return params
-
-    def forward(self, x: np.ndarray, train: bool = False, rng=None, stop=None):
-        """Run a (batch, in) matrix through the net; returns (out, cache).
-
-        With ``stop`` the pass ends before ``layers[stop]``.
-        """
-        h = x
-        cache = []
-        for layer in self.layers[:stop]:
-            a = h @ layer.weights.T + layer.bias
-            h_act = _activate(layer.activation, a)
-            mask = None
-            if train and layer.dropout > 0.0:
-                keep = 1.0 - layer.dropout
+    h, cache, last = x, [], len(net) - 1
+    for i, (w, b) in enumerate(net[:stop]):
+        a = h @ w.T + b
+        mask = None
+        if i == last:
+            h_act = out = _sigmoid(a)
+        else:
+            h_act = out = _elu(a)
+            if dropout > 0.0:
+                keep = 1.0 - dropout
                 mask = (rng.random(h_act.shape) < keep) / keep
                 out = h_act * mask
-            else:
-                out = h_act
-            cache.append((h, a, h_act, mask))
-            h = out
-        return h, cache
-
-    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
-        """Backpropagate grad_out (d loss / d output) through cached forward.
-
-        The cache may cover only the first layers (a pass ended by ``stop``).
-        Returns ([(dW, db) per cached layer], d loss / d input), the latter
-        None without ``input_grad``.
-        """
-        g = grad_out
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(cache)
-        for i in range(len(cache) - 1, -1, -1):
-            layer = self.layers[i]
-            x_in, a, h_act, mask = cache[i]
-            if mask is not None:
-                g = g * mask
-            da = g * _activate_grad(layer.activation, a, h_act)
-            grads[i] = (da.T @ x_in, da.sum(axis=0))
-            g = da @ layer.weights if i or input_grad else None
-        return grads, g
+        cache.append((h, a, h_act, mask))
+        h = out
+    return h, cache
 
 
-def xavier_uniform_init(net: DenseNet, rng) -> None:
-    """Glorot-uniform weights, zero biases."""
-    for layer in net.layers:
-        fan_out, fan_in = layer.weights.shape
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
-        layer.bias[...] = 0.0
+def net_backward(net, grads, cache, g, input_grad=True):
+    """Backpropagate g (d loss / d output) through a cached forward pass.
 
-
-@dataclass
-class AutoEncoderModule:
-    encoder: DenseNet
-    decoder: DenseNet
-
-    def forward(self, x: np.ndarray):
-        """Deterministic (z, y) for one flattened observation (dropout off)."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise InvalidValueError("non-finite encoder input")
-        z, _ = self.encoder.forward(np.atleast_2d(x))
-        y, _ = self.decoder.forward(z)
-        if x.ndim == 1:
-            return z[0], y[0]
-        return z, y
+    Writes each cached layer's (dW, db) into ``grads``, a list of views
+    parallel to ``net``.  The cache may cover only the first layers (a pass
+    ended by ``stop``).  Returns d loss / d input, None without
+    ``input_grad``.
+    """
+    last = len(net) - 1
+    for i in range(len(cache) - 1, -1, -1):
+        x_in, a, h_act, mask = cache[i]
+        if mask is not None:
+            g = g * mask
+        if i == last:
+            da = g * (h_act * (1.0 - h_act))
+        else:
+            da = g * np.where(a > 0, 1.0, np.exp(a))
+        dw, db = grads[i]
+        np.matmul(da.T, x_in, out=dw)
+        da.sum(axis=0, out=db)
+        g = da @ net[i][0] if i or input_grad else None
+    return g
 
 
 class ModularAutoEncoderEnsemble:
-    """M encoder/decoder pairs trained jointly under a combined loss."""
+    """M encoder/decoder pairs of one topology, trained jointly under a
+    combined loss.
 
-    def __init__(self, modules, diversity_kind="none", diversity_weight=1.0,
-                 diversity_sign=-1):
-        if not modules:
+    Each encoder is in -> hidden... (ELU, dropout) -> latent (sigmoid) and
+    each decoder mirrors it back to in.  Every parameter lives in one
+    float64 vector ``theta``: module by module, the encoder's layers then
+    the decoder's, each layer's weights then its bias.  ``nets[k]`` holds
+    module k's (encoder, decoder) lists of (W, b) views into ``theta``.
+    """
+
+    def __init__(self, input_dim, latent_dim, n_modules, hidden=(16, 5), dropout=0.2,
+                 diversity_kind="none", diversity_weight=1.0, diversity_sign=-1,
+                 theta=None):
+        hidden = tuple(int(h) for h in hidden)
+        if n_modules < 1:
             raise StructuralError("ensemble needs at least one module")
         if diversity_kind not in DIVERSITY_KINDS:
             raise StructuralError(f"unknown diversity kind {diversity_kind!r}")
         if diversity_sign not in (1, -1):
             raise StructuralError("diversity_sign must be +1 or -1")
-        in_dim = modules[0].encoder.input_dim
-        lat = modules[0].encoder.output_dim
-        for m in modules:
-            if m.encoder.input_dim != in_dim or m.encoder.output_dim != lat:
-                raise StructuralError("modules must share input and latent dims")
-            if m.decoder.input_dim != lat or m.decoder.output_dim != in_dim:
-                raise StructuralError("decoder dims must mirror the encoder")
-            out = m.decoder.layers[-1]
-            if out.activation != "sigmoid" or out.dropout != 0.0:
-                raise StructuralError(
-                    "the decoder output layer must be a sigmoid without dropout")
-        if diversity_kind == "cmd" and len(modules) >= 2 and lat < 2:
+        if any(h < 1 for h in hidden):
+            raise StructuralError("hidden layer widths must be >= 1")
+        if not 0.0 <= dropout < 1.0:
+            raise StructuralError("dropout must be in [0, 1)")
+        if diversity_kind == "cmd" and n_modules >= 2 and latent_dim < 2:
             raise StructuralError("cmd diversity needs latent_dim >= 2")
-        self.modules: list[AutoEncoderModule] = list(modules)
+        self.input_dim = int(input_dim)
+        self.latent_dim = int(latent_dim)
+        self.n_modules = int(n_modules)
+        self.hidden = hidden
+        self.dropout = float(dropout)
         self.diversity_kind = diversity_kind
         self.diversity_weight = float(diversity_weight)
         self.diversity_sign = int(diversity_sign)
+        sizes = [self.input_dim, *hidden, self.latent_dim]
+        self._layer_shapes = [(fan_out, fan_in) for s in (sizes, sizes[::-1])
+                              for fan_in, fan_out in zip(s, s[1:])]
+        size = self.n_modules * sum(o * i + o for o, i in self._layer_shapes)
+        self.theta = np.zeros(size) if theta is None else theta
+        self.nets = self.views(self.theta)
 
     @classmethod
     def build(cls, input_dim, latent_dim, n_modules, hidden=(16, 5), dropout=0.2,
               diversity_kind="none", diversity_weight=1.0, diversity_sign=-1,
               rng=None):
-        """Desk topology: in -> hidden (ELU, dropout) -> latent (sigmoid), mirrored."""
-        hidden = tuple(int(h) for h in hidden)
-        enc_sizes = [input_dim, *hidden, latent_dim]
-        dec_sizes = [latent_dim, *reversed(hidden), input_dim]
-        n_h = len(hidden)
-        modules = []
-        for _ in range(n_modules):
-            enc = DenseNet.build(enc_sizes, ["elu"] * n_h + ["sigmoid"],
-                                 [dropout] * n_h + [0.0])
-            dec = DenseNet.build(dec_sizes, ["elu"] * n_h + ["sigmoid"],
-                                 [dropout] * n_h + [0.0])
-            if rng is not None:
-                xavier_uniform_init(enc, rng)
-                xavier_uniform_init(dec, rng)
-            modules.append(AutoEncoderModule(enc, dec))
-        return cls(modules, diversity_kind, diversity_weight, diversity_sign)
+        """Glorot-uniform weights drawn from ``rng`` (zeros without one) and
+        zero biases, module by module, encoder then decoder, layer by layer."""
+        ensemble = cls(input_dim, latent_dim, n_modules, hidden, dropout,
+                       diversity_kind, diversity_weight, diversity_sign)
+        if rng is not None:
+            for enc, dec in ensemble.nets:
+                for w, _ in enc + dec:
+                    fan_out, fan_in = w.shape
+                    limit = np.sqrt(6.0 / (fan_in + fan_out))
+                    w[...] = rng.uniform(-limit, limit, size=w.shape)
+        return ensemble
 
-    @property
-    def n_modules(self) -> int:
-        return len(self.modules)
-
-    @property
-    def input_dim(self) -> int:
-        return self.modules[0].encoder.input_dim
-
-    @property
-    def latent_dim(self) -> int:
-        return self.modules[0].encoder.output_dim
+    def views(self, flat: np.ndarray) -> list:
+        """Per module, (encoder, decoder) lists of (W, b) views into a
+        vector laid out like ``theta``."""
+        nets, at, depth = [], 0, len(self.hidden) + 1
+        for _ in range(self.n_modules):
+            layers = []
+            for fan_out, fan_in in self._layer_shapes:
+                w = flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
+                at += w.size
+                layers.append((w, flat[at:at + fan_out]))
+                at += fan_out
+            nets.append((layers[:depth], layers[depth:]))
+        return nets
 
     def clone(self) -> "ModularAutoEncoderEnsemble":
-        return copy.deepcopy(self)
+        return ModularAutoEncoderEnsemble(
+            self.input_dim, self.latent_dim, self.n_modules, self.hidden,
+            self.dropout, self.diversity_kind, self.diversity_weight,
+            self.diversity_sign, theta=self.theta.copy())
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for m in self.modules:
-            params.extend(m.encoder.parameters())
-            params.extend(m.decoder.parameters())
-        return params
+        """Every weight and bias view, in ``theta`` order."""
+        return [p for enc, dec in self.nets for layer in enc + dec for p in layer]
 
     def encode(self, x: np.ndarray, module_index: int) -> np.ndarray:
         """Latent codes for a (batch, in) matrix, inference mode."""
-        z, _ = self.modules[module_index].encoder.forward(np.atleast_2d(np.asarray(x, float)))
+        z, _ = net_forward(self.nets[module_index][0],
+                           np.atleast_2d(np.asarray(x, float)))
         return z
 
     def forward_all(self, x: np.ndarray, train: bool = False, rng=None):
         """Forward every module; returns (zs, ys, enc_caches, dec_caches)."""
+        dropout = self.dropout if train else 0.0
         zs, ys, enc_caches, dec_caches = [], [], [], []
-        for m in self.modules:
-            z, ec = m.encoder.forward(x, train=train, rng=rng)
-            y, dc = m.decoder.forward(z, train=train, rng=rng)
+        for enc, dec in self.nets:
+            z, ec = net_forward(enc, x, dropout, rng)
+            y, dc = net_forward(dec, z, dropout, rng)
             zs.append(z)
             ys.append(y)
             enc_caches.append(ec)
@@ -496,10 +414,11 @@ def _output_buffers(ensemble: ModularAutoEncoderEnsemble, rows: int) -> np.ndarr
     return np.empty((k, rows, ensemble.input_dim))
 
 
-def _decode_output(layer: DenseLayer, h, y, tmp) -> np.ndarray:
-    """sigmoid(h @ W.T + b) of a decoder's output layer, written into y."""
-    np.matmul(h, layer.weights.T, out=y)
-    y += layer.bias
+def _decode_output(layer, h, y, tmp) -> np.ndarray:
+    """sigmoid(h @ W.T + b) of a decoder's (W, b) output layer, written into y."""
+    w, b = layer
+    np.matmul(h, w.T, out=y)
+    y += b
     return _sigmoid(y, out=y, tmp=tmp)
 
 
@@ -507,12 +426,12 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
              buffers: np.ndarray | None = None, need_grads=True):
     """Combined loss and its gradient w.r.t. every parameter of every module.
 
-    Returns (loss, grads) with grads a flat list matching
-    ``ensemble.parameters()`` order; grads is empty without ``need_grads``
-    or when the loss is not finite.  With ``train=True`` dropout masks are
-    sampled from ``rng`` and the returned gradients incorporate them.
-    ``buffers``, from ``_output_buffers`` with at least as many rows as the
-    batch, lets a training loop reuse one set of output-layer scratch arrays.
+    Returns (loss, grad) with grad a fresh vector laid out like
+    ``ensemble.theta``; grad is None without ``need_grads`` or when the loss
+    is not finite.  With ``train=True`` dropout masks are sampled from
+    ``rng`` and the returned gradient incorporates them.  ``buffers``, from
+    ``_output_buffers`` with at least as many rows as the batch, lets a
+    training loop reuse one set of output-layer scratch arrays.
 
     The wide decoder output layer runs one module at a time in the buffers:
     its forward pass, the loss terms, their gradient and the layer's
@@ -529,15 +448,17 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     b, m = x.shape[0], ensemble.n_modules
     kind = _diversity_kind(ensemble)
     lam = ensemble.diversity_sign * ensemble.diversity_weight
+    dropout = ensemble.dropout if train else 0.0
     y, d, tmp, *mean = buffers[:, :b]
     mean_y = mean[0] if kind == "outputs" else None
-    grads: list[np.ndarray] = []
+    grad = np.empty_like(ensemble.theta) if need_grads else None
+    grad_nets = ensemble.views(grad) if need_grads else None
 
-    def finish(module, h, enc_cache, dec_cache, d_z_extra=None):
-        """One module's output layer, loss terms and backward pass; returns
-        its (recons, outputs) loss terms and appends its gradients."""
-        out_layer = module.decoder.layers[-1]
-        _decode_output(out_layer, h, y, tmp)
+    def finish(k, h, enc_cache, dec_cache, d_z_extra=None):
+        """Module k's output layer, loss terms and backward pass; returns
+        its (recons, outputs) loss terms and writes its gradients."""
+        enc, dec = ensemble.nets[k]
+        _decode_output(dec[-1], h, y, tmp)
         np.subtract(y, x, out=d)
         recons = np.sum(np.multiply(d, d, out=tmp)) / b
         outputs = 0.0
@@ -551,33 +472,34 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
                                   np.subtract(y, mean_y, out=tmp), out=tmp), out=d)
         sigmoid_grad = np.multiply(y, np.subtract(1.0, y, out=tmp), out=tmp)
         np.multiply(d, sigmoid_grad, out=d)
-        out_grads = (d.T @ h, d.sum(axis=0))
-        dec_grads, d_z = module.decoder.backward(dec_cache, d @ out_layer.weights)
+        g_enc, g_dec = grad_nets[k]
+        dw, db = g_dec[-1]
+        np.matmul(d.T, h, out=dw)
+        d.sum(axis=0, out=db)
+        d_z = net_backward(dec, g_dec, dec_cache, d @ dec[-1][0])
         if d_z_extra is not None:
             d_z = d_z + d_z_extra
-        enc_grads, _ = module.encoder.backward(enc_cache, d_z, input_grad=False)
-        for dw, db in enc_grads + dec_grads + [out_grads]:
-            grads.extend((dw, db))
+        net_backward(enc, g_enc, enc_cache, d_z, input_grad=False)
         return recons, outputs
 
     # A diversity term couples the modules, so their backward passes wait
     # until every module has run forward.
     terms, zs, passes = [], [], []
-    for module in ensemble.modules:
-        z, enc_cache = module.encoder.forward(x, train=train, rng=rng)
-        h, dec_cache = module.decoder.forward(z, train=train, rng=rng, stop=-1)
+    for k, (enc, dec) in enumerate(ensemble.nets):
+        z, enc_cache = net_forward(enc, x, dropout, rng)
+        h, dec_cache = net_forward(dec, z, dropout, rng, stop=-1)
         if kind == "none":
-            terms.append(finish(module, h, enc_cache, dec_cache))
+            terms.append(finish(k, h, enc_cache, dec_cache))
         else:
             zs.append(z)
-            passes.append((module, h, enc_cache, dec_cache))
+            passes.append((k, h, enc_cache, dec_cache))
 
     div, d_zs_extra = 0.0, [None] * len(passes)
     if kind == "outputs":
         # finish() computes each reconstruction again, to the same bits
         mean_y[...] = 0.0
-        for module, h, _, _ in passes:
-            mean_y += _decode_output(module.decoder.layers[-1], h, y, tmp)
+        for k, h, _, _ in passes:
+            mean_y += _decode_output(ensemble.nets[k][1][-1], h, y, tmp)
         mean_y /= m
     elif kind == "cov":
         div = _cov_value(zs)
@@ -600,8 +522,8 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     if kind != "none":
         loss = loss + lam * div
     if not np.isfinite(loss):
-        return loss, []  # diverged; gradients would be garbage
-    return loss, grads
+        return loss, None  # diverged; gradients would be garbage
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -609,38 +531,37 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
 # ---------------------------------------------------------------------------
 
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    """Adam over one parameter vector, updated in place."""
 
-    def step(self, params, grads) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, theta, lr):
+        self.theta = theta
+        self.lr = lr
+        self.t = 0
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+
+    def step(self, grad) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        self.m *= b1
+        self.m += (1 - b1) * grad
+        self.v *= b2
+        self.v += (1 - b2) * grad * grad
+        self.theta -= self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)
 
 
 @dataclass
 class TrainingConfig:
-    epochs: int = 200
-    learning_rate: float = 0.01
-    batch_size: int = 1024
-    validation_split: float = 0.25
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    seed: int | None = None
+    """The trainer's settings; the engine fills them from ``TrainingSection``."""
+
+    epochs: int
+    learning_rate: float
+    batch_size: int
+    validation_split: float
 
     def __post_init__(self):
         if not 0.0 < self.validation_split < 1.0:
@@ -672,7 +593,7 @@ def _batch_slices(n, batch_size):
 
 
 def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
-                   cfg: TrainingConfig, rng=None) -> TrainReport:
+                   cfg: TrainingConfig, rng) -> TrainReport:
     """Mini-batch Adam on the combined loss; mutates the ensemble in place.
 
     ``inputs`` is the (n, input_dim) corpus already min-max scaled to [0, 1].
@@ -681,8 +602,6 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     flagged diverged; the caller decides whether to keep the old model.
     """
     x = _as_batch(inputs)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     n = x.shape[0]
     perm = rng.permutation(n)
     n_val = min(int(round(n * cfg.validation_split)), n - 1)
@@ -691,8 +610,7 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     x_val = x[val_idx]
     x_train = x[train_idx]
 
-    params = ensemble.parameters()
-    opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_adam)
+    opt = Adam(ensemble.theta, cfg.learning_rate)
     slices = _batch_slices(x_train.shape[0], cfg.batch_size)
     buffers = _output_buffers(ensemble, max([hi - lo for lo, hi in slices] + [n_val]))
     report = TrainReport()
@@ -701,13 +619,13 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
         epoch_loss = 0.0
         for lo, hi in slices:
             xb = x_train[order[lo:hi]]
-            loss, grads = backward(ensemble, xb, train=True, rng=rng, buffers=buffers)
+            loss, grad = backward(ensemble, xb, train=True, rng=rng, buffers=buffers)
             if not np.isfinite(loss):
                 report.diverged = True
                 report.message = f"non-finite training loss at epoch {epoch}"
                 return report
             epoch_loss += loss * (hi - lo)
-            opt.step(params, grads)
+            opt.step(grad)
         report.train_losses.append(epoch_loss / x_train.shape[0])
         if n_val > 0:
             val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
@@ -756,41 +674,46 @@ class ObservationScaler:
         return scaled.reshape(obs.shape[0], -1)
 
 
+def _module_structure(ensemble: ModularAutoEncoderEnsemble) -> dict:
+    """The checkpoint's description of one module; every module has it."""
+    n_h = len(ensemble.hidden)
+
+    def net_meta(sizes):
+        return {
+            "sizes": sizes,
+            "activations": ["elu"] * n_h + ["sigmoid"],
+            "dropouts": [ensemble.dropout] * n_h + [0.0],
+        }
+
+    sizes = [ensemble.input_dim, *ensemble.hidden, ensemble.latent_dim]
+    return {"encoder": net_meta(sizes), "decoder": net_meta(sizes[::-1])}
+
+
 def save_checkpoint(path, ensemble: ModularAutoEncoderEnsemble,
                     scaler: ObservationScaler,
                     quantile_transforms: dict[int, QuantileTransform] | None = None):
     """Write model parameters, input scaling and quantile landmarks to .npz.
 
-    Layout: a ``structure`` JSON string describing layer sizes, activations,
-    dropouts and the diversity configuration, plus float64 arrays
-    ``m{i}_{enc|dec}_{w|b}{l}``, ``scale_lo``/``scale_hi`` and
-    ``qt{cid}_landmarks``/``qt{cid}_levels``.  Values round-trip bit-exactly.
+    Layout: a ``structure`` JSON string describing each module's layer
+    sizes, activations and dropouts and the diversity configuration, plus
+    float64 arrays ``m{i}_{enc|dec}_{w|b}{l}``, ``scale_lo``/``scale_hi``
+    and ``qt{cid}_landmarks``/``qt{cid}_levels``.  Values round-trip
+    bit-exactly.
     """
     quantile_transforms = quantile_transforms or {}
-
-    def net_meta(net):
-        return {
-            "sizes": [net.input_dim] + [l.weights.shape[0] for l in net.layers],
-            "activations": [l.activation for l in net.layers],
-            "dropouts": [l.dropout for l in net.layers],
-        }
-
     structure = {
         "diversity_kind": ensemble.diversity_kind,
         "diversity_weight": ensemble.diversity_weight,
         "diversity_sign": ensemble.diversity_sign,
-        "modules": [
-            {"encoder": net_meta(m.encoder), "decoder": net_meta(m.decoder)}
-            for m in ensemble.modules
-        ],
+        "modules": [_module_structure(ensemble)] * ensemble.n_modules,
         "qt_ids": sorted(quantile_transforms),
     }
     arrays = {"structure": np.array(json.dumps(structure, sort_keys=True))}
-    for i, module in enumerate(ensemble.modules):
-        for tag, net in (("enc", module.encoder), ("dec", module.decoder)):
-            for l, layer in enumerate(net.layers):
-                arrays[f"m{i}_{tag}_w{l}"] = layer.weights
-                arrays[f"m{i}_{tag}_b{l}"] = layer.bias
+    for i, nets in enumerate(ensemble.nets):
+        for tag, net in zip(("enc", "dec"), nets):
+            for l, (w, b) in enumerate(net):
+                arrays[f"m{i}_{tag}_w{l}"] = w
+                arrays[f"m{i}_{tag}_b{l}"] = b
     arrays["scale_lo"] = scaler.lo
     arrays["scale_hi"] = scaler.hi
     for cid, qt in quantile_transforms.items():
@@ -800,26 +723,31 @@ def save_checkpoint(path, ensemble: ModularAutoEncoderEnsemble,
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (ensemble, scaler, {cid: qt})."""
+    """Inverse of save_checkpoint; returns (ensemble, scaler, {cid: qt}).
+
+    Raises StructuralError unless every module has the topology that
+    ``ModularAutoEncoderEnsemble`` builds, the same for all.
+    """
     with np.load(path, allow_pickle=False) as data:
         structure = json.loads(str(data["structure"]))
-        modules = []
-        for i, meta in enumerate(structure["modules"]):
-            nets = {}
-            for tag in ("enc", "dec"):
-                nm = meta["encoder" if tag == "enc" else "decoder"]
-                net = DenseNet.build(nm["sizes"], nm["activations"], nm["dropouts"])
-                for l, layer in enumerate(net.layers):
-                    layer.weights[...] = data[f"m{i}_{tag}_w{l}"]
-                    layer.bias[...] = data[f"m{i}_{tag}_b{l}"]
-                nets[tag] = net
-            modules.append(AutoEncoderModule(nets["enc"], nets["dec"]))
+        modules = structure["modules"]
+        encoder = modules[0]["encoder"]
+        sizes = encoder["sizes"]
         ensemble = ModularAutoEncoderEnsemble(
-            modules,
+            sizes[0], sizes[-1], len(modules), hidden=sizes[1:-1],
+            dropout=encoder["dropouts"][0] if len(sizes) > 2 else 0.0,
             diversity_kind=structure["diversity_kind"],
             diversity_weight=structure["diversity_weight"],
             diversity_sign=structure["diversity_sign"],
         )
+        if any(meta != _module_structure(ensemble) for meta in modules):
+            raise StructuralError(
+                "checkpoint modules must all share the encoder/decoder topology")
+        for i, nets in enumerate(ensemble.nets):
+            for tag, net in zip(("enc", "dec"), nets):
+                for l, (w, b) in enumerate(net):
+                    w[...] = data[f"m{i}_{tag}_w{l}"]
+                    b[...] = data[f"m{i}_{tag}_b{l}"]
         scaler = ObservationScaler(data["scale_lo"], data["scale_hi"])
         qts = {
             int(cid): QuantileTransform(data[f"qt{cid}_landmarks"],

@@ -60,6 +60,17 @@ class _Section:
                 f"line {self.line}: missing key {key!r} in section {self.name!r}")
         return default
 
+    def take_as(self, key, kind, default=_REQUIRED):
+        """``take`` converted to the field type ``kind`` (a key of
+        ``_COERCE``); a value that does not convert is an error."""
+        value = self.take(key, default)
+        try:
+            return _COERCE.get(kind, lambda v: v)(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"line {self.line}: key {key!r} in section {self.name!r} must be "
+                f"{kind}, got {value!r}") from None
+
     def subsection(self, key, default=_REQUIRED):
         value = self.take(key, default)
         return _Section(value or {}, f"{self.name}.{key}", self.line)
@@ -178,8 +189,7 @@ def _take_fields(cls, sec: _Section, names=None) -> dict:
             default = f.default_factory()
         else:
             default = _REQUIRED
-        value = sec.take(f.name, default)
-        values[f.name] = _COERCE.get(f.type, lambda v: v)(value)
+        values[f.name] = sec.take_as(f.name, f.type, default)
     return values
 
 
@@ -238,7 +248,7 @@ class ExperimentConfig:
                                           "output_dir", "task"))
 
         cont_sec = root.subsection("containers")
-        values["bin_budget"] = int(cont_sec.take("bin_budget"))
+        values["bin_budget"] = cont_sec.take_as("bin_budget", "int")
         grids = values["grids"] = []
         raw_grids = cont_sec.take("grids")
         if not isinstance(raw_grids, list) or not raw_grids:
@@ -246,9 +256,9 @@ class ExperimentConfig:
                 f"line {cont_sec.line}: containers.grids must be a non-empty list")
         for g in raw_grids:
             gsec = _Section(g, "containers.grids[]", cont_sec.line)
-            shape = tuple(int(s) for s in gsec.take("shape"))
+            shape = gsec.take_as("shape", "tuple[int, ...]")
             fd = str(gsec.take("fd"))
-            count = int(gsec.take("count", 1))
+            count = gsec.take_as("count", "int", 1)
             gsec.finish()
             grids.extend(GridSpec(shape=shape, fd=fd) for _ in range(count))
         cont_sec.finish()
@@ -296,6 +306,10 @@ class ExperimentConfig:
             raise ConfigurationError("diversity sign must be +1 or -1")
         if not 0.0 < self.training.validation_split < 1.0:
             raise ConfigurationError("training.validation_split must be in (0, 1)")
+        if not 0.0 <= self.training.dropout < 1.0:
+            raise ConfigurationError("training.dropout must be in [0, 1)")
+        if any(width < 1 for width in self.training.hidden):
+            raise ConfigurationError("training.hidden widths must be >= 1")
         if not 0.0 <= self.search.mutation.probability <= 1.0:
             raise ConfigurationError("search.mutation.probability must be in [0, 1]")
         if self.search.mutation.eta <= 0:

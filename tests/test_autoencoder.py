@@ -1,5 +1,6 @@
 """Loss oracles, analytic-gradient checks, and training behaviour."""
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from mcqd.autoencoder import (
     Adam,
-    DenseNet,
     ModularAutoEncoderEnsemble,
     ObservationScaler,
     TrainingConfig,
@@ -19,9 +19,10 @@ from mcqd.autoencoder import (
     loss_cov,
     loss_outputs,
     loss_recons,
+    net_backward,
+    net_forward,
     save_checkpoint,
     train_ensemble,
-    xavier_uniform_init,
     _sigmoid,
 )
 from mcqd.core import InvalidValueError, StructuralError
@@ -128,9 +129,9 @@ class TestLossOracles:
     def test_recons_simple_case(self):
         # B=1, M=1, x=(1,0), y=(0,0) -> squared L2 norm 1
         ens = build_toy_ensemble(n_modules=1, input_dim=2, hidden=(2,), seed=0)
-        for layer in ens.modules[0].decoder.layers:
-            layer.weights[...] = 0.0
-            layer.bias[...] = -60.0  # sigmoid(-60) == 0 in float64
+        for w, b in ens.nets[0][1]:  # the decoder's layers
+            w[...] = 0.0
+            b[...] = -60.0  # sigmoid(-60) == 0 in float64
         x = np.array([[1.0, 0.0]])
         assert loss_recons(ens, x) == pytest.approx(1.0, abs=1e-12)
 
@@ -138,10 +139,10 @@ class TestLossOracles:
         # y1=(1,0), y2=(0,0) at B=1 -> 0.25
         ens = build_toy_ensemble(n_modules=2, input_dim=2, hidden=(2,), seed=0)
         big = 60.0
-        for layer in ens.modules[0].decoder.layers + ens.modules[1].decoder.layers:
-            layer.weights[...] = 0.0
-            layer.bias[...] = -big
-        ens.modules[0].decoder.layers[-1].bias[...] = np.array([big, -big])
+        for w, b in ens.nets[0][1] + ens.nets[1][1]:  # both decoders
+            w[...] = 0.0
+            b[...] = -big
+        ens.nets[0][1][-1][1][...] = np.array([big, -big])
         x = np.array([[0.3, 0.7]])
         assert loss_outputs(ens, x) == pytest.approx(0.25, abs=1e-12)
 
@@ -151,11 +152,8 @@ class TestLossOracles:
         single = build_toy_ensemble(n_modules=1, seed=1)
         assert loss_outputs(single, x) == 0.0
         clone = build_toy_ensemble(n_modules=2, seed=2)
-        for src, dst in zip(clone.modules[0].encoder.parameters() +
-                            clone.modules[0].decoder.parameters(),
-                            clone.modules[1].encoder.parameters() +
-                            clone.modules[1].decoder.parameters()):
-            dst[...] = src
+        per_module = clone.theta.reshape(2, -1)  # theta is module-major
+        per_module[1] = per_module[0]
         assert loss_outputs(clone, x) == pytest.approx(0.0, abs=1e-30)
         assert loss_cmd(clone, x) == pytest.approx(0.0, abs=1e-12)
 
@@ -188,7 +186,8 @@ class TestLossOracles:
         x = rng.random((7, 6))
         ens = build_toy_ensemble(n_modules=3, seed=7)
         values = (loss_outputs(ens, x), loss_cov(ens, x), loss_cmd(ens, x))
-        ens.modules = [ens.modules[2], ens.modules[0], ens.modules[1]]
+        per_module = ens.theta.reshape(3, -1)  # theta is module-major
+        per_module[...] = per_module[[2, 0, 1]]
         permuted = (loss_outputs(ens, x), loss_cov(ens, x), loss_cmd(ens, x))
         np.testing.assert_allclose(values, permuted, rtol=1e-12)
 
@@ -257,29 +256,27 @@ class TestCombinedLoss:
 # ---------------------------------------------------------------------------
 
 def finite_difference_grads(ensemble, x, h=1e-5):
-    grads = []
-    for p in ensemble.parameters():
-        g = np.zeros_like(p)
-        flat = p.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = combined_loss(ensemble, x)
-            flat[i] = orig - h
-            down = combined_loss(ensemble, x)
-            flat[i] = orig
-            g.ravel()[i] = (up - down) / (2 * h)
-        grads.append(g)
-    return grads
+    """Central differences of combined_loss, laid out like ``theta``."""
+    theta = ensemble.theta
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        up = combined_loss(ensemble, x)
+        theta[i] = orig - h
+        down = combined_loss(ensemble, x)
+        theta[i] = orig
+        grad[i] = (up - down) / (2 * h)
+    return grad
 
 
 def assert_gradients_match(ensemble, x, tol=1e-4):
     loss, analytic = backward(ensemble, x)
     assert np.isfinite(loss)
     numeric = finite_difference_grads(ensemble, x)
-    for a, f in zip(analytic, numeric):
-        rel = np.abs(a - f) / (np.abs(f) + 1e-8)
-        assert rel.max() < tol, f"max rel err {rel.max():.2e}"
+    assert analytic.shape == numeric.shape
+    rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
+    assert rel.max() < tol, f"max rel err {rel.max():.2e}"
 
 
 GRAD_CASES = [(kind, sign) for kind in ("none", "outputs", "cov", "cmd")
@@ -303,23 +300,18 @@ class TestGradients:
         ens_none = build_toy_ensemble(n_modules=2, diversity_kind="none", seed=13)
         _, g_zero = backward(ens_zero, x)
         _, g_none = backward(ens_none, x)
-        for a, b in zip(g_zero, g_none):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(g_zero, g_none)
 
     def test_cloned_modules_are_stationary_for_outputs(self):
         # at the symmetric point the outputs term contributes no gradient
         ens = build_toy_ensemble(n_modules=2, diversity_kind="outputs", seed=14)
-        src = ens.modules[0]
-        dst = ens.modules[1]
-        for a, b in zip(src.encoder.parameters() + src.decoder.parameters(),
-                        dst.encoder.parameters() + dst.decoder.parameters()):
-            b[...] = a
+        per_module = ens.theta.reshape(2, -1)  # theta is module-major
+        per_module[1] = per_module[0]
         x = np.random.default_rng(5).random((5, 6))
         _, g_div = backward(ens, x)
         ens.diversity_kind = "none"
         _, g_rec = backward(ens, x)
-        for a, b in zip(g_div, g_rec):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(g_div, g_rec, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
     def test_backward_loss_is_bitwise_combined_loss(self, kind):
@@ -339,9 +331,10 @@ class TestGradients:
         backward(ens, big, buffers=buffers)  # leaves stale rows behind
         loss, grads = backward(ens, small, buffers=buffers)
         fresh_loss, fresh_grads = backward(ens, small)
+        # two gradient vectors computed independently, not one array twice
+        assert not np.shares_memory(grads, fresh_grads)
         assert loss == fresh_loss
-        for a, b in zip(grads, fresh_grads):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(grads, fresh_grads)
 
     def test_dropout_gradients_consistent_with_masked_forward(self):
         # two calls with the same rng state must agree loss-wise
@@ -381,26 +374,28 @@ class TestSigmoid:
 
 
 class TestDenseNet:
+    """One encoder or decoder: (W, b) views run by net_forward/net_backward."""
+
     def test_xavier_limits_and_zero_bias(self, rng):
-        net = DenseNet.build([4, 2], ["linear"])
-        xavier_uniform_init(net, rng)
-        assert np.all(np.abs(net.layers[0].weights) <= 1.0)  # sqrt(6/6)
-        assert np.all(net.layers[0].bias == 0.0)
+        ens = ModularAutoEncoderEnsemble.build(4, 2, 1, hidden=(), rng=rng)
+        for w, b in ens.nets[0][0] + ens.nets[0][1]:  # 4 -> 2 and 2 -> 4
+            assert np.all(np.abs(w) <= 1.0)  # sqrt(6/6)
+            assert np.all(b == 0.0)
 
     def test_xavier_mean_near_zero(self):
         rng = np.random.default_rng(0)
-        net = DenseNet.build([250, 400], ["linear"])
-        xavier_uniform_init(net, rng)
-        w = net.layers[0].weights.ravel()
+        ens = ModularAutoEncoderEnsemble.build(250, 400, 1, hidden=(), rng=rng)
+        w = ens.nets[0][0][0][0].ravel()  # the encoder's (400, 250) weights
         limit = np.sqrt(6.0 / 650)
         sigma = limit / np.sqrt(3.0) / np.sqrt(w.size)
         assert abs(w.mean()) < 3 * sigma
 
     def test_zero_network_gives_half_latent(self):
         ens = build_toy_ensemble(n_modules=1)
-        for p in ens.modules[0].encoder.parameters():
-            p[...] = 0.0
-        z, _ = ens.modules[0].forward(np.ones(6))
+        for w, b in ens.nets[0][0]:  # the encoder's layers
+            w[...] = 0.0
+            b[...] = 0.0
+        z = ens.encode(np.ones(6), 0)
         np.testing.assert_allclose(z, 0.5)
 
     def test_latent_strictly_inside_unit_interval(self, rng):
@@ -411,35 +406,23 @@ class TestDenseNet:
             assert np.all(z > 0.0) and np.all(z < 1.0)
 
     def test_stop_and_input_grad(self, rng):
-        net = DenseNet.build([4, 3, 2], ["elu", "sigmoid"])
-        xavier_uniform_init(net, rng)
+        ens = ModularAutoEncoderEnsemble.build(4, 2, 1, hidden=(3,), rng=rng)
+        net = ens.nets[0][0]  # 4 -> 3 (ELU) -> 2 (sigmoid)
         x = rng.random((5, 4))
-        out, cache = net.forward(x)
-        head, head_cache = net.forward(x, stop=-1)
+        out, cache = net_forward(net, x)
+        head, head_cache = net_forward(net, x, stop=-1)
         assert len(head_cache) == 1
         np.testing.assert_array_equal(head, cache[1][0])
         g = rng.random(out.shape)
-        full, dx = net.backward(cache, g)
-        part, none = net.backward(cache, g, input_grad=False)
+        full = ens.views(np.full_like(ens.theta, np.nan))[0][0]
+        part = ens.views(np.full_like(ens.theta, np.nan))[0][0]
+        dx = net_backward(net, full, cache, g)
+        none = net_backward(net, part, cache, g, input_grad=False)
         assert dx.shape == x.shape and none is None
         for (w1, b1), (w2, b2) in zip(full, part):
+            assert np.all(np.isfinite(w1)) and np.all(np.isfinite(b1))
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(b1, b2)
-
-    def test_decoder_output_layer_must_be_plain_sigmoid(self):
-        module = build_toy_ensemble(n_modules=1).modules[0]
-        out = module.decoder.layers[-1]
-        out.dropout = 0.1
-        with pytest.raises(StructuralError):
-            ModularAutoEncoderEnsemble([module])
-        out.dropout, out.activation = 0.0, "linear"
-        with pytest.raises(StructuralError):
-            ModularAutoEncoderEnsemble([module])
-
-    def test_forward_rejects_non_finite(self):
-        ens = build_toy_ensemble(n_modules=1)
-        with pytest.raises(InvalidValueError):
-            ens.modules[0].forward(np.array([np.nan] * 6))
 
     def test_forward_deterministic_in_eval_mode(self, rng):
         ens = build_toy_ensemble(n_modules=1, dropout=0.5, seed=21)
@@ -448,6 +431,39 @@ class TestDenseNet:
         z2, y2, *_ = ens.forward_all(x)[:2]
         np.testing.assert_array_equal(z1[0], z2[0])
         np.testing.assert_array_equal(y1[0], y2[0])
+
+
+class TestEnsembleLayout:
+    def test_parameters_are_views_into_theta(self):
+        ens = build_toy_ensemble(n_modules=3, hidden=(4, 3), seed=22)
+        params = ens.parameters()
+        assert all(np.shares_memory(p, ens.theta) for p in params)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]),
+                                      ens.theta)
+        # per module: encoder 6->4->3->2, decoder 2->3->4->6, W then b
+        shapes = [(4, 6), (4,), (3, 4), (3,), (2, 3), (2,),
+                  (3, 2), (3,), (4, 3), (4,), (6, 4), (6,)]
+        assert [p.shape for p in params] == shapes * 3
+
+    def test_clone_copies_theta_once(self):
+        ens = build_toy_ensemble(n_modules=2, dropout=0.3, diversity_kind="cov",
+                                 seed=23)
+        twin = ens.clone()
+        assert not np.shares_memory(twin.theta, ens.theta)
+        np.testing.assert_array_equal(twin.theta, ens.theta)
+        assert (twin.hidden, twin.dropout, twin.diversity_kind) == (
+            ens.hidden, ens.dropout, ens.diversity_kind)
+        twin.theta += 1.0  # the clone's views follow its own vector only
+        np.testing.assert_array_equal(twin.parameters()[0], ens.parameters()[0] + 1.0)
+
+    @pytest.mark.parametrize("dropout", [1.0, -0.5])
+    def test_rejects_dropout_outside_unit_interval(self, dropout):
+        with pytest.raises(StructuralError):
+            build_toy_ensemble(n_modules=1, dropout=dropout)
+
+    def test_rejects_zero_width_hidden_layer(self):
+        with pytest.raises(StructuralError):
+            build_toy_ensemble(n_modules=1, hidden=(3, 0))
 
 
 class TestTraining:
@@ -477,7 +493,8 @@ class TestTraining:
 
     def test_training_is_deterministic_given_seed(self):
         x = np.random.default_rng(4).random((24, 6))
-        cfg = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=8)
+        cfg = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=8,
+                             validation_split=0.25)
         runs = []
         for _ in range(2):
             ens = build_toy_ensemble(n_modules=2, dropout=0.2, seed=32)
@@ -489,8 +506,9 @@ class TestTraining:
     def test_divergence_flagged(self):
         ens = build_toy_ensemble(n_modules=1, seed=33)
         # poison a parameter so the first forward pass already explodes
-        ens.modules[0].decoder.layers[-1].bias[...] = np.nan
-        cfg = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=8)
+        ens.nets[0][1][-1][1][...] = np.nan  # the decoder's output bias
+        cfg = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=8,
+                             validation_split=0.25)
         x = np.random.default_rng(6).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(7))
         assert report.diverged
@@ -498,7 +516,8 @@ class TestTraining:
 
     def test_loss_curves_have_epoch_length(self):
         ens = build_toy_ensemble(n_modules=1, seed=34)
-        cfg = TrainingConfig(epochs=5, learning_rate=0.01, batch_size=8)
+        cfg = TrainingConfig(epochs=5, learning_rate=0.01, batch_size=8,
+                             validation_split=0.25)
         x = np.random.default_rng(8).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(9))
         assert report.epochs_run == 5
@@ -543,7 +562,8 @@ class TestTrainingGolden:
         x = np.random.default_rng(51).random((29, 24))
         # 7 validation rows; 22 training rows in batches of 7, so the
         # trailing single row merges into the batch before it
-        cfg = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=7)
+        cfg = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=7,
+                             validation_split=0.25)
         report = train_ensemble(ens, x, cfg, np.random.default_rng(52))
         assert not report.diverged
         got = (_int64_sha256(ens.parameters()), report.train_losses,
@@ -551,18 +571,103 @@ class TestTrainingGolden:
         assert got == TRAINING_GOLDEN[kind]
 
 
+def reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The former per-array Adam loop, kept as the oracle."""
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        bias1 = 1.0 - b1 ** t
+        bias2 = 1.0 - b2 ** t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
 class TestAdam:
     def test_single_step_matches_reference_formula(self):
         p = np.array([1.0, -2.0])
         g = np.array([0.5, 0.25])
-        opt = Adam([p], lr=0.1)
-        opt.step([p], [g])
+        opt = Adam(p, lr=0.1)
+        opt.step(g)
         # first step: m_hat = g, v_hat = g^2 -> update = lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p, expected, rtol=1e-9)
 
+    def test_flat_step_is_bit_identical_to_per_array_loop(self):
+        ens = build_toy_ensemble(n_modules=3, input_dim=24, hidden=(6, 3), seed=60)
+        rng = np.random.default_rng(61)
+        size = ens.theta.size
+        # gradients spanning nine orders of magnitude, with exact zeros
+        steps = [rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size)
+                 * (rng.random(size) > 0.05) for _ in range(6)]
+        params = [p.copy() for p in ens.parameters()]
+        edges = np.cumsum([p.size for p in params])[:-1]
+        reference_adam(params, [[g.reshape(p.shape) for g, p in
+                                 zip(np.split(step, edges), params)]
+                                for step in steps], lr=0.01)
+        opt = Adam(ens.theta, lr=0.01)
+        for step in steps:
+            opt.step(step)
+        assert len(ens.parameters()) == 3 * 12
+        for got, want in zip(ens.parameters(), params):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# sha256 of the bytes save_checkpoint writes for TestCheckpoint.toy(),
+# recorded before the parameters moved into one vector.
+CHECKPOINT_SHA256 = "36e955fbe32df8c1976bedffe4ba7ea58d5df26734dc9a7f6eebcd790337b2fe"
+
 
 class TestCheckpoint:
+    @staticmethod
+    def toy(hidden=(3,)):
+        ens = build_toy_ensemble(n_modules=2, diversity_kind="cmd", hidden=hidden,
+                                 seed=40)
+        scaler = ObservationScaler(lo=np.array([0.0, -1.0]), hi=np.array([2.0, 1.0]))
+        qt = QuantileTransform.fit(np.random.default_rng(41).normal(size=(50, 2)), 10)
+        return ens, scaler, {1: qt}
+
+    def test_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, *self.toy())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
+
+    def test_load_then_save_gives_the_same_bytes(self, tmp_path):
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_checkpoint(first, *self.toy())
+        save_checkpoint(second, *load_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("edit", ["mixed", "linear_output", "output_dropout"])
+    def test_load_rejects_other_topologies(self, tmp_path, edit):
+        def arrays(hidden):
+            path = tmp_path / f"h{len(hidden)}.npz"
+            save_checkpoint(path, *self.toy(hidden))
+            with np.load(path) as data:
+                return dict(data)
+
+        data = arrays((3,))
+        structure = json.loads(str(data["structure"]))
+        decoder = structure["modules"][1]["decoder"]
+        if edit == "mixed":
+            # module 1 gets two hidden layers, with arrays to match
+            other = arrays((4, 3))
+            structure["modules"][1] = json.loads(str(other["structure"]))["modules"][1]
+            data = {k: v for k, v in data.items() if not k.startswith("m1_")}
+            data.update({k: v for k, v in other.items() if k.startswith("m1_")})
+        elif edit == "linear_output":
+            decoder["activations"][-1] = "linear"
+        else:
+            decoder["dropouts"][-1] = 0.1
+        data["structure"] = np.array(json.dumps(structure, sort_keys=True))
+        path = tmp_path / "edited.npz"
+        np.savez(path, **data)
+        with pytest.raises(StructuralError):
+            load_checkpoint(path)
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         ens = build_toy_ensemble(n_modules=2, diversity_kind="cmd", seed=40)
         scaler = ObservationScaler(lo=np.array([0.0, -1.0]), hi=np.array([2.0, 1.0]))

@@ -58,6 +58,15 @@ class TestRun:
         assert "latent_dim" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mistyped_value_exits_with_message(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG.replace("  batch_size: 20", "  batch_size: ten"))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "batch_size" in err and "line" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_every_replicate_failed(self, config_file, tmp_path, capsys,
                                     monkeypatch):
         import mcqd.runner as runner_mod

@@ -111,6 +111,32 @@ class TestParsing:
             ExperimentConfig.from_yaml(bad)
         assert "eta" in str(err.value)
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("  batch_size: 10", "  batch_size: ten", 11),  # search's first line
+        ("  bin_budget: 72", "  bin_budget: lots", 5),
+        ("count: 2}", "count: two}", 7),
+    ], ids=["search", "containers", "grid"])
+    def test_mistyped_value_names_key_and_line(self, old, new, line):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(GOOD_YAML.replace(old, new))
+        key, value = new.strip(" }").split(": ")
+        message = str(err.value)
+        assert message.startswith(f"line {line}: key {key!r}")
+        assert repr(value) in message
+
+    @pytest.mark.parametrize("dropout", ["1.0", "-0.5"])
+    def test_dropout_outside_unit_interval(self, dropout):
+        bad = GOOD_YAML.replace("  epochs: 2", f"  epochs: 2\n  dropout: {dropout}")
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(bad)
+        assert "dropout" in str(err.value)
+
+    def test_zero_width_hidden_layer(self):
+        bad = GOOD_YAML.replace("  epochs: 2", "  epochs: 2\n  hidden: [8, 0]")
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(bad)
+        assert "hidden" in str(err.value)
+
     def test_retired_n_workers_is_read_and_dropped(self):
         cfg = ExperimentConfig.from_yaml(GOOD_YAML)
         old = ExperimentConfig.from_yaml(

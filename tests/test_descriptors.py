@@ -122,8 +122,9 @@ class TestLearned:
 
     def test_zero_weight_encoder_gives_center(self):
         ex, ens = self.make_extractor()
-        for p in ens.modules[0].encoder.parameters():
-            p[...] = 0.0
+        for w, b in ens.nets[0][0]:  # module 0's encoder layers
+            w[...] = 0.0
+            b[...] = 0.0
         fd = ex.extract(np.random.default_rng(0).random((2, 3)))
         np.testing.assert_allclose(fd, [0.5, 0.5])
 

@@ -181,6 +181,14 @@ class SurrogateWalkerTask(Task):
         at = rows + idx
         return heights[at] * (1.0 - frac) + heights[at + 1] * frac
 
+    @staticmethod
+    def _abs_total(torque):
+        """``np.abs(torque).sum(axis=-1)`` over the four joints, bit for bit:
+        numpy reduces a 4-long last axis left to right, and the explicit adds
+        skip the reduction's per-call overhead."""
+        a = np.abs(torque)
+        return a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3]
+
     def evaluate(self, genome, seed_seq):
         return self.evaluate_many([genome], [seed_seq])[0]
 
@@ -258,8 +266,9 @@ class SurrogateWalkerTask(Task):
                 hip_d, knee_d = qd_new[..., 2 * leg], qd_new[..., 2 * leg + 1]
                 a1 = theta + hip
                 a2 = a1 + knee
+                cos1, cos2 = np.cos(a1), np.cos(a2)
                 foot_x = x + self.THIGH_LEN * np.sin(a1) + self.SHANK_LEN * np.sin(a2)
-                foot_y = y - self.THIGH_LEN * np.cos(a1) - self.SHANK_LEN * np.cos(a2)
+                foot_y = y - self.THIGH_LEN * cos1 - self.SHANK_LEN * cos2
                 ground = self._terrain_height(knots_x, terrain, rows, foot_x)
                 pen = ground - foot_y
                 touching = pen > 0.0
@@ -267,13 +276,13 @@ class SurrogateWalkerTask(Task):
                 support = np.maximum(
                     self.GROUND_SPRING * pen - self.GROUND_DAMPING * vy, 0.0)
                 force_y += np.where(touching, support, 0.0)
-                foot_vx = (self.THIGH_LEN * np.cos(a1) * (omega + hip_d)
-                           + self.SHANK_LEN * np.cos(a2) * (omega + hip_d + knee_d))
+                foot_vx = (self.THIGH_LEN * cos1 * (omega + hip_d)
+                           + self.SHANK_LEN * cos2 * (omega + hip_d + knee_d))
                 traction = np.minimum(np.maximum(-self.TRACTION * foot_vx,
                                                  -self.TRACTION_MAX), self.TRACTION_MAX)
                 force_x += np.where(touching, traction, 0.0)
 
-            any_contact = new_contact.any(axis=-1)
+            any_contact = new_contact[..., 0] | new_contact[..., 1]
             ax = (force_x - self.DRAG * vx) / self.BODY_MASS
             ay = force_y / self.BODY_MASS - self.GRAVITY
             vx_new = vx + self.DT * ax
@@ -300,7 +309,7 @@ class SurrogateWalkerTask(Task):
             qd = np.where(live4, qd_new, qd)
             contact = np.where(live[..., np.newaxis], new_contact, contact)
 
-            torque_total = np.abs(torque).sum(axis=-1)
+            torque_total = self._abs_total(torque)
             stability = self.STABILITY_REWARD * (1.0 - np.abs(theta) / self.FALL_ANGLE)
             reward += np.where(alive,
                                self.PROGRESS_REWARD * self.DT * vx + stability
@@ -313,7 +322,7 @@ class SurrogateWalkerTask(Task):
             reward -= self.FALL_PENALTY * fell
             alive &= ~fell
 
-            airborne = alive & ~contact.any(axis=-1)
+            airborne = alive & ~(contact[..., 0] | contact[..., 1])
             per_step[t, 0] = x
             per_step[t, 1] = theta
             per_step[t, 2] = q[..., 0]

@@ -1,8 +1,17 @@
 """Surrogate walker and analytic toy task."""
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import mcqd
 
 from mcqd.core import StructuralError
 from mcqd.engine import episode_seed_sequence
@@ -129,3 +138,83 @@ def test_walker_golden_bytes(walker):
     for ev in batch:
         digest.update(np.ascontiguousarray(ev.observations, dtype=float).tobytes())
     assert digest.hexdigest() == WALKER_GOLDEN_SHA256
+
+
+# Fitness of the six golden genomes before the controller contractions moved
+# from einsum (which accumulates with FMA) to a stacked matmul; the rewrite may
+# move the last bits only.
+WALKER_GOLDEN_FITNESS_BEFORE_MATMUL = [
+    3.000000000000002, -0.5506919559821498, -100.43465670717498,
+    -3.388994241877646, 3.3923820778659506, 1.3472501206267122,
+]
+
+
+def test_walker_golden_fitness_drift_is_last_bits(walker):
+    rng = np.random.default_rng(2021)
+    genomes = rng.uniform(-1, 1, (6, walker.definition.genome_dim))
+    genomes[0] = 0.0
+    seeds = [episode_seed_sequence(31, 7 * i) for i in range(6)]
+    fitness = [ev.fitness for ev in walker.evaluate_many(genomes, seeds)]
+    np.testing.assert_allclose(fitness, WALKER_GOLDEN_FITNESS_BEFORE_MATMUL,
+                               rtol=0.0, atol=1e-12)
+
+
+def _torque_batches():
+    return st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape + (4,),
+                             elements=st.floats(-1e3, 1e3, allow_subnormal=True)))
+
+
+class TestStepRewrites:
+    """The step loop's explicit forms against the numpy reductions they
+    replace, compared as int64 bit patterns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_torque_batches())
+    def test_abs_total_is_abs_sum(self, torque):
+        got = SurrogateWalkerTask._abs_total(torque)
+        want = np.abs(torque).sum(axis=-1)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.bool_, shape + (2,))))
+    def test_either_contact_is_any(self, contact):
+        np.testing.assert_array_equal(contact[..., 0] | contact[..., 1],
+                                      contact.any(axis=-1))
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from mcqd.engine import episode_seed_sequence
+from mcqd.tasks import make_task
+task = make_task("surrogate_walker", {"episode_steps": 150, "obs_window": 15})
+genomes = np.random.default_rng(77).uniform(-1, 1, (300, task.definition.genome_dim))
+seeds = [episode_seed_sequence(13, i) for i in range(300)]
+batch = task.evaluate_many(genomes, seeds)
+for i in (0, 1, 149, 299):
+    single = task.evaluate(genomes[i], episode_seed_sequence(13, i))
+    if (single.fitness != batch[i].fitness
+            or single.observations.tobytes() != batch[i].observations.tobytes()):
+        sys.exit(f"row {i} differs from its single-row evaluation")
+digest = hashlib.sha256(np.array([ev.fitness for ev in batch]).tobytes())
+for ev in batch:
+    digest.update(ev.observations.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_walker_bytes_independent_of_blas_threads():
+    """Each row of a 300-row batch gets the same bits at one and at two BLAS
+    threads, and the same bits as when it is evaluated alone."""
+    src = str(Path(mcqd.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]

@@ -196,9 +196,9 @@ class SurrogateWalkerTask(Task):
         """Run a batch of evaluations in lockstep.
 
         All dynamics are elementwise over (batch, episode) except the
-        controller contractions, which are independent per batch entry, so
+        controller products, which are one small matmul per batch entry, so
         the results are bit-identical however the batch is sliced (including
-        one-by-one evaluation).
+        one-by-one evaluation) and at one or two BLAS threads.
         """
         d = self.definition
         genomes = np.asarray(genomes, dtype=float)
@@ -207,6 +207,10 @@ class SurrogateWalkerTask(Task):
         b = genomes.shape[0]
         e = d.episodes_per_eval
         w1, b1, w2, b2 = self._unpack_controllers(genomes)
+        # contiguous (batch, in, out) stacks for the per-step matmuls, which
+        # ran about 3x slower over the transposed views
+        w1t = np.ascontiguousarray(w1.transpose(0, 2, 1))
+        w2t = np.ascontiguousarray(w2.transpose(0, 2, 1))
 
         terrains = []
         knots_x = None
@@ -243,10 +247,9 @@ class SurrogateWalkerTask(Task):
             inputs[..., 4:8] = q
             inputs[..., 8:12] = 0.1 * qd
             inputs[..., 12:14] = contact
-            hidden = np.tanh(np.einsum("bei,bhi->beh", inputs, w1)
-                             + b1[:, np.newaxis, :])
+            hidden = np.tanh(np.matmul(inputs, w1t) + b1[:, np.newaxis, :])
             torque = self.TORQUE_MAX * np.tanh(
-                np.einsum("beh,boh->beo", hidden, w2) + b2[:, np.newaxis, :])
+                np.matmul(hidden, w2t) + b2[:, np.newaxis, :])
             torque = torque * alive[..., np.newaxis]
 
             qdd = self.JOINT_GAIN * torque - self.JOINT_DAMPING * qd

@@ -150,12 +150,13 @@ training:
   strategy: none
 """
 
-# sha256 of the run's artifacts, recorded before the descriptor, walker and
-# sigmoid hot loops were vectorised.  The meta header lines carry the config
-# hash and the package version, so a version bump changes these on purpose.
+# sha256 of the run's artifacts, re-recorded when the walker's controller
+# products moved from einsum to a stacked matmul.  The meta header lines carry
+# the config hash and the package version, so a version bump changes these on
+# purpose.
 HARDCODED_WALKER_GOLDEN_SHA256 = {
-    "metrics.csv": "ce39ac929ad2faf7046008afc0a0ed580876c0fddf403cc2448c2703b6b7daf4",
-    "containers.jsonl": "f4169532e5577fc5a2e402949c542931eb0c00f5e56be8b5bde80441a51a7007",
+    "metrics.csv": "31659754e0c575d8d38cdbf197898ea7398ef6c20f60ecd6e50eb20a035f8579",
+    "containers.jsonl": "4c1db975a25c05347e4629ae09acd641f952f326e56b5bc15fd093278f65f78b",
 }
 
 
@@ -188,15 +189,15 @@ training:
 
 # sha256 of the learned run's text artifacts and of its checkpoint arrays
 # (name, dtype, shape and bytes of each, in name order; the .npz container
-# itself stamps its write time), recorded before the ensemble training step
-# was restructured.
+# itself stamps its write time), re-recorded when the walker's controller
+# products moved from einsum to a stacked matmul.
 LEARNED_WALKER_GOLDEN_SHA256 = {
     "metrics.csv":
-        "835603ece70a4719014e7dd88c22e093c250479c8c7c5216d921c390776f9676",
+        "3d3193e8809ff953b6724727b4533a05813f6ab9227f936c2b94c9ab6a75cc39",
     "containers.jsonl":
-        "b787009aefaf5ead9c52e2c3daafd397d041389490b2b3c70f4c18e3c568b0d5",
+        "7d8df072b3822d3b417b32948c5753b8ad1fb73da8d7cbcae8b9f01c2e1cc40f",
     "checkpoint.npz":
-        "7878b9c7bb14c34a0d1b7a57d1186f16dd8317c4422fb2fc0cf730f643c17e43",
+        "d9212a3b547db140ddf2b1308bfc823c70dc8d00a094acb58386a1d0947d83da",
 }
 
 

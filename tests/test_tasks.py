@@ -122,10 +122,10 @@ class TestToyTask:
 
 
 # sha256 of evaluate_many's fitness and observation bytes for six fixed
-# genomes and seeds, recorded before the walker's hot loop was vectorised;
-# any change to the dynamics, the terrain lookup or the observation
-# averaging shows up here.
-WALKER_GOLDEN_SHA256 = "36727a9244311681af928a99c953d08e5d8409506757f09428050cc7fb5f6129"
+# genomes and seeds, re-recorded when the controller products moved from
+# einsum to a stacked matmul; any change to the dynamics, the terrain lookup
+# or the observation averaging shows up here.
+WALKER_GOLDEN_SHA256 = "8762eb04e8e2ed4851a311200faf6b6407b53db6fe711b065ccaae485fbfb4cb"
 
 
 def test_walker_golden_bytes(walker):

@@ -163,12 +163,27 @@ class TrainingSection:
 # ``search.n_workers: 1`` in its config.yaml.
 _RETIRED_KEYS = {SearchSection: ("n_workers",)}
 
+def _to_int(value) -> int:
+    """``int(value)``, except that a boolean or a float with a fractional part
+    is an error rather than silently becoming 1 or a truncated count."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _to_float(value) -> float:
+    """``float(value)``, except that a boolean is an error, not 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 # Field annotation -> conversion of the YAML value.
 _COERCE = {
     "str": str,
-    "int": int,
-    "float": float,
-    "tuple[int, ...]": lambda value: tuple(int(v) for v in value),
+    "int": _to_int,
+    "float": _to_float,
+    "tuple[int, ...]": lambda value: tuple(_to_int(v) for v in value),
     "dict": lambda value: _strip_lines(dict(value or {})),
 }
 

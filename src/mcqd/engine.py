@@ -83,6 +83,14 @@ class ContainerSpec:
     def __post_init__(self):
         if self.fd_type not in FD_TYPES:
             raise ConfigurationError(f"unknown fd type {self.fd_type!r}")
+        if self.fd_type != "hardcoded":
+            return
+        if self.hardcoded is None:
+            raise ConfigurationError("a hardcoded container needs an FD spec")
+        if self.hardcoded.out_dim != len(self.shape):
+            raise ConfigurationError(
+                f"FD spec has {self.hardcoded.out_dim} dims, grid "
+                f"{list(self.shape)} has {len(self.shape)}")
 
 
 def mutate_polynomial(genome: np.ndarray, cfg: MutationSection,
@@ -194,13 +202,6 @@ class Engine:
         for cid, spec in enumerate(container_specs):
             container = GridContainer(cid, spec.shape)
             if spec.fd_type == "hardcoded":
-                if spec.hardcoded is None:
-                    raise ConfigurationError(
-                        f"container {cid} is hardcoded but has no FD spec")
-                if spec.hardcoded.out_dim != len(spec.shape):
-                    raise ConfigurationError(
-                        f"container {cid}: FD spec has {spec.hardcoded.out_dim} "
-                        f"dims, grid has {len(spec.shape)}")
                 container.extractor = HardcodedExtractor(
                     spec.hardcoded,
                     {n: task.definition.channel_index(n)

@@ -48,6 +48,14 @@ OUTPUT_ROOT_ENV = "MCQD_OUTPUT_ROOT"
 def build_engine(config: ExperimentConfig, seed: int) -> Engine:
     """Wire a task and an engine from a validated config."""
     task = make_task(config.task.name, config.task.params)
+    return Engine(task, container_specs(config, task), config.search,
+                  config.training, seed)
+
+
+def container_specs(config: ExperimentConfig, task) -> list[ContainerSpec]:
+    """One spec per grid, the hardcoded ones taking the task's default FD
+    pairs in order.  Its errors need the task's definition but no
+    evaluation, so ``run_experiment`` checks them before writing anything."""
     hardcoded_specs = None
     specs = []
     next_pair = 0
@@ -63,8 +71,7 @@ def build_engine(config: ExperimentConfig, seed: int) -> Engine:
             next_pair += 1
         else:
             specs.append(ContainerSpec(shape=grid.shape, fd_type=grid.fd))
-
-    return Engine(task, specs, config.search, config.training, seed)
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +212,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
     Replicate k runs with seed (config.seed + k) in ``rep_<k>``.  A replicate
     that raises is recorded in a FAILED file and skipped by the aggregate;
     its partial artifacts are kept.  With no successful replicate there is
-    nothing to aggregate, and no aggregate is written.
+    nothing to aggregate, and no aggregate is written.  A config error that
+    depends on the task is raised before the run directory is created.
     """
+    container_specs(config, make_task(config.task.name, config.task.params))
     run_dir = resolve_run_dir(config, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.yaml").write_text(

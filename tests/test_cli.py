@@ -67,6 +67,19 @@ class TestRun:
         assert "batch_size" in err and "line" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_task_dependent_error_exits_before_the_run_directory(self, tmp_path,
+                                                                  capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG.replace("bin_budget: 50", "bin_budget: 25").replace(
+            "{shape: [5, 5], fd: ae, count: 2}", "{shape: [5, 5], fd: hardcoded}").replace(
+            "  strategy: online", "  strategy: none"))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rastrigin_toy" in err and "lacks channel" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_every_replicate_failed(self, config_file, tmp_path, capsys,
                                     monkeypatch):
         import mcqd.runner as runner_mod

@@ -124,6 +124,25 @@ class TestParsing:
         assert message.startswith(f"line {line}: key {key!r}")
         assert repr(value) in message
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("  batch_size: 10", "  batch_size: 10.7", 11),
+        ("  batch_size: 10", "  batch_size: true", 11),
+        ("  epochs: 2", "  epochs: 2.5", 16),  # training's first line
+        ("  epochs: 2", "  learning_rate: true", 16),
+    ], ids=["int-fraction", "int-bool", "epochs-fraction", "float-bool"])
+    def test_bool_or_fraction_is_not_coerced(self, old, new, line):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(GOOD_YAML.replace(old, new))
+        key, value = new.strip().split(": ")
+        assert str(err.value).startswith(f"line {line}: key {key!r}")
+        assert value.capitalize() in str(err.value)
+
+    def test_integral_float_is_an_int(self):
+        cfg = ExperimentConfig.from_yaml(
+            GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10.0"))
+        assert cfg == ExperimentConfig.from_yaml(GOOD_YAML)
+        assert type(cfg.search.batch_size) is int
+
     @pytest.mark.parametrize("dropout", ["1.0", "-0.5"])
     def test_dropout_outside_unit_interval(self, dropout):
         bad = GOOD_YAML.replace("  epochs: 2", f"  epochs: 2\n  dropout: {dropout}")

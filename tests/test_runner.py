@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mcqd.config import ExperimentConfig
+from mcqd.core import ConfigurationError
 from mcqd.runner import (
     build_engine,
     emit_plot_data,
@@ -327,6 +328,29 @@ class TestFailureIsolation:
         assert (result.run_dir / "rep_000" / "FAILED").exists()
         agg = (result.run_dir / "aggregate.csv").read_text().splitlines()[0]
         assert "replicates=1" in agg
+
+
+class TestTaskDependentConfigErrors:
+    """Errors that need the task's definition surface before any run
+    directory exists, not as a FAILED file in every replicate."""
+
+    @pytest.mark.parametrize("task,budget,grid,message", [
+        ("rastrigin_toy", 25, "{shape: [5, 5], fd: hardcoded}", "lacks channel"),
+        ("surrogate_walker", 125, "{shape: [5, 5], fd: hardcoded, count: 5}",
+         "only 4 hardcoded FD pairs"),
+        ("surrogate_walker", 50, "{shape: [5, 5, 2], fd: hardcoded}",
+         "FD spec has 2 dims"),
+    ], ids=["missing-channel", "too-many-grids", "grid-dimension"])
+    def test_raised_before_the_run_directory(self, tmp_path, task, budget, grid,
+                                             message):
+        config = ExperimentConfig.from_yaml(
+            f"case: task-error\ncontainers:\n  bin_budget: {budget}\n"
+            f"  grids:\n    - {grid}\ntask:\n  name: {task}\n"
+            "training:\n  strategy: none\n")
+        with pytest.raises(ConfigurationError) as err:
+            run_experiment(config, tmp_path / "run")
+        assert message in str(err.value)
+        assert not (tmp_path / "run").exists()
 
 
 class TestOutputRoot:

@@ -163,6 +163,7 @@ class TrainingSection:
 # ``search.n_workers: 1`` in its config.yaml.
 _RETIRED_KEYS = {SearchSection: ("n_workers",)}
 
+
 def _to_int(value) -> int:
     """``int(value)``, except that a boolean or a float with a fractional part
     is an error rather than silently becoming 1 or a truncated count."""

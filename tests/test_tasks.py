@@ -128,12 +128,16 @@ class TestToyTask:
 WALKER_GOLDEN_SHA256 = "8762eb04e8e2ed4851a311200faf6b6407b53db6fe711b065ccaae485fbfb4cb"
 
 
-def test_walker_golden_bytes(walker):
+def _golden_batch(walker):
     rng = np.random.default_rng(2021)
     genomes = rng.uniform(-1, 1, (6, walker.definition.genome_dim))
     genomes[0] = 0.0  # the zero controller only settles onto its springs
     seeds = [episode_seed_sequence(31, 7 * i) for i in range(6)]
-    batch = walker.evaluate_many(genomes, seeds)
+    return walker.evaluate_many(genomes, seeds)
+
+
+def test_walker_golden_bytes(walker):
+    batch = _golden_batch(walker)
     digest = hashlib.sha256(np.array([ev.fitness for ev in batch]).tobytes())
     for ev in batch:
         digest.update(np.ascontiguousarray(ev.observations, dtype=float).tobytes())
@@ -150,11 +154,7 @@ WALKER_GOLDEN_FITNESS_BEFORE_MATMUL = [
 
 
 def test_walker_golden_fitness_drift_is_last_bits(walker):
-    rng = np.random.default_rng(2021)
-    genomes = rng.uniform(-1, 1, (6, walker.definition.genome_dim))
-    genomes[0] = 0.0
-    seeds = [episode_seed_sequence(31, 7 * i) for i in range(6)]
-    fitness = [ev.fitness for ev in walker.evaluate_many(genomes, seeds)]
+    fitness = [ev.fitness for ev in _golden_batch(walker)]
     np.testing.assert_allclose(fitness, WALKER_GOLDEN_FITNESS_BEFORE_MATMUL,
                                rtol=0.0, atol=1e-12)
 
@@ -209,10 +209,11 @@ def test_walker_bytes_independent_of_blas_threads():
     """Each row of a 300-row batch gets the same bits at one and at two BLAS
     threads, and the same bits as when it is evaluated alone."""
     src = str(Path(mcqd.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+                   PYTHONPATH=path)
         out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr

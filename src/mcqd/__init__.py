@@ -13,12 +13,9 @@ from .core import (  # noqa: F401
     ConfigurationError,
     DepotContainer,
     EmptyContainerError,
-    Evaluation,
     GridContainer,
     InvalidValueError,
-    Solution,
     StructuralError,
-    bin_index,
 )
 from .engine import (  # noqa: F401
     ContainerSpec,

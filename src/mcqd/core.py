@@ -1,22 +1,15 @@
-"""Domain types shared by the whole toolkit: solutions, grid containers, depot.
+"""Domain types shared by the whole toolkit: grid containers and the depot.
 
-Genomes and observation matrices are plain float64 numpy arrays; the classes
-here only add the bookkeeping the search needs (elite competition per grid
-cell, append-only depot of everything ever accepted).
+The depot is one solution table: every solution any container ever accepted
+is one row of a set of float64 arrays (genome, fitness, observations,
+curiosity, and one FD matrix per container).  A grid container holds no
+solution itself, only the depot row of each cell's elite.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
-
-# Type aliases used across the package.  A genome is a 1-D float array; an
-# observation matrix is (n_channels, n_timepoints), always the same shape
-# within one experiment.
-Genome = np.ndarray
-ObservationMatrix = np.ndarray
-BinIndex = tuple[int, ...]
 
 
 class StructuralError(ValueError):
@@ -35,43 +28,6 @@ class ConfigurationError(ValueError):
     """An experiment configuration is inconsistent or incomplete."""
 
 
-@dataclass
-class Evaluation:
-    """Result of evaluating one genome: episode-averaged fitness and observations."""
-
-    fitness: float
-    observations: ObservationMatrix
-    episode_count: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.fitness):
-            raise InvalidValueError(f"non-finite fitness {self.fitness!r}")
-        if not np.all(np.isfinite(self.observations)):
-            raise InvalidValueError("observation matrix contains non-finite entries")
-
-
-@dataclass
-class Solution:
-    """One evaluated genome, plus its per-container feature descriptors.
-
-    ``descriptors`` maps container id -> FD vector; an entry exists for every
-    container the solution has been tested against.  ``curiosity`` is the
-    selection score maintained by the engine (never below the configured
-    floor).  Genome, evaluation and id are fixed after construction;
-    descriptors are rewritten only when a container reindexes.
-    """
-
-    id: int
-    genome: Genome
-    evaluation: Evaluation
-    descriptors: dict[int, np.ndarray] = field(default_factory=dict)
-    curiosity: float = 1.0
-
-    @property
-    def fitness(self) -> float:
-        return self.evaluation.fitness
-
-
 class AddOutcome(enum.Enum):
     ADDED_TO_EMPTY = "added_to_empty"
     REPLACED_WEAKER = "replaced_weaker"
@@ -82,113 +38,110 @@ class AddOutcome(enum.Enum):
         return self is not AddOutcome.REJECTED
 
 
-def bin_index(fd: np.ndarray, shape: tuple[int, ...], bounds) -> BinIndex:
-    """Discretize an FD vector into a grid cell index.
-
-    ``bounds`` is a per-dimension sequence of (lo, hi).  Each component maps to
-    floor((fd - lo) / (hi - lo) * n_bins), clamped into [0, n_bins - 1]; a
-    value exactly at ``hi`` therefore lands in the last bin instead of
-    erroring (quantile-transformed descriptors emit the closed interval
-    [0, 1]).
-    """
-    fd = np.asarray(fd, dtype=float)
-    if fd.ndim != 1 or fd.shape[0] != len(shape):
-        raise StructuralError(
-            f"descriptor has {fd.shape} components, grid expects {len(shape)}"
-        )
-    if not np.all(np.isfinite(fd)):
-        raise InvalidValueError(f"non-finite descriptor component in {fd!r}")
-    idx = []
-    for k, (n_bins, (lo, hi)) in enumerate(zip(shape, bounds)):
-        if not hi > lo:
-            raise StructuralError(f"degenerate fd bounds [{lo}, {hi}] in dimension {k}")
-        b = int(np.floor((fd[k] - lo) / (hi - lo) * n_bins))
-        idx.append(min(max(b, 0), n_bins - 1))
-    return tuple(idx)
-
-
 class GridContainer:
-    """Fixed-shape grid of elites, one solution per cell, best fitness wins.
+    """Fixed-shape grid of elites, one depot row per cell, best fitness wins.
 
-    Equal fitness keeps the incumbent (deterministic, avoids churn).  The
-    descriptor extractor attached to the container defines its FD space and is
-    swapped atomically by the engine at retrain boundaries.
+    ``grid`` holds each cell's depot row (-1 for an empty cell) and
+    ``order`` the flat indices of the occupied cells in first-fill order; a
+    replaced elite keeps its cell's place.  Equal fitness keeps the incumbent
+    (deterministic, avoids churn).  The descriptor extractor attached to the
+    container defines its FD space over [0, 1] and is swapped atomically by
+    the engine at retrain boundaries.
     """
 
-    def __init__(self, container_id: int, shape, fd_bounds=None, extractor=None):
+    def __init__(self, container_id: int, shape, extractor=None):
         self.container_id = int(container_id)
         self.shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in self.shape):
             raise StructuralError(f"grid shape must be positive, got {self.shape}")
-        if fd_bounds is None:
-            fd_bounds = [(0.0, 1.0)] * len(self.shape)
-        self.fd_bounds = [(float(lo), float(hi)) for lo, hi in fd_bounds]
-        if len(self.fd_bounds) != len(self.shape):
-            raise StructuralError("fd_bounds dimensionality does not match grid shape")
         self.extractor = extractor
-        self.cells: dict[BinIndex, Solution] = {}
+        self.grid = np.full(self.shape, -1, dtype=np.intp)
+        self.order: list[int] = []
 
     @property
     def capacity(self) -> int:
-        return int(np.prod(self.shape))
+        return self.grid.size
 
     @property
     def occupancy(self) -> int:
-        return len(self.cells)
+        return len(self.order)
 
-    def solutions(self) -> list[Solution]:
-        return list(self.cells.values())
+    def rows(self) -> np.ndarray:
+        """Depot rows of the stored elites, in first-fill order."""
+        return self.grid.ravel()[np.array(self.order, dtype=np.intp)]
 
-    def cell_of(self, solution: Solution) -> BinIndex:
-        fd = solution.descriptors.get(self.container_id)
-        if fd is None:
+    def cells(self, fd: np.ndarray) -> np.ndarray:
+        """Flat grid index of each FD row of an (n, dim) matrix.
+
+        Each component maps to floor(fd * n_bins), clamped into
+        [0, n_bins - 1]; a value of exactly 1 therefore lands in the last bin
+        (quantile-transformed descriptors emit the closed interval [0, 1]).
+        """
+        fd = np.asarray(fd, dtype=float)
+        if fd.ndim != 2 or fd.shape[1] != len(self.shape):
             raise StructuralError(
-                f"solution {solution.id} has no descriptor for container "
-                f"{self.container_id}"
-            )
-        return bin_index(fd, self.shape, self.fd_bounds)
+                f"descriptors have shape {fd.shape}, grid expects (n, {len(self.shape)})")
+        if not np.all(np.isfinite(fd)):
+            raise InvalidValueError("non-finite descriptor component")
+        n_bins = np.array(self.shape)
+        idx = np.minimum(np.maximum(np.floor(fd * n_bins), 0), n_bins - 1)
+        return np.ravel_multi_index(tuple(idx.astype(np.intp).T), self.shape)
 
-    def add(self, solution: Solution) -> tuple[AddOutcome, Solution | None]:
-        """Attempt to place a solution; returns the outcome and any evictee."""
-        cell = self.cell_of(solution)
-        incumbent = self.cells.get(cell)
-        if incumbent is None:
-            self.cells[cell] = solution
+    def add(self, cell: int, row: int, fitness) -> tuple[AddOutcome, int | None]:
+        """Offer depot row ``row`` for flat cell ``cell``; ``fitness`` maps
+        rows to fitness.  Returns the outcome and the evicted row, if any."""
+        incumbent = int(self.grid.flat[cell])
+        if incumbent < 0:
+            self.grid.flat[cell] = row
+            self.order.append(cell)
             return AddOutcome.ADDED_TO_EMPTY, None
-        if solution.fitness > incumbent.fitness:
-            self.cells[cell] = solution
+        if fitness[row] > fitness[incumbent]:
+            self.grid.flat[cell] = row
             return AddOutcome.REPLACED_WEAKER, incumbent
         return AddOutcome.REJECTED, None
 
+    def clear(self) -> None:
+        self.grid.fill(-1)
+        self.order.clear()
+
 
 class DepotContainer:
-    """Append-only store of every solution ever accepted by any container.
+    """Append-only table of every solution ever accepted by any container.
 
-    Deduplicated by solution id; this is the training corpus for descriptor
-    learning.  ``added_since_last_training`` drives the retrain schedule and
-    is reset by the engine when a training pass completes.
+    Row r holds one solution: ``ids[r]`` (its evaluation index),
+    ``genomes[r]``, ``fitness[r]``, ``observations[r]`` (channels,
+    timepoints), ``curiosity[r]`` (its selection score, kept by the engine)
+    and ``fds[c][r]``, its FD under container c's current extractor.  This
+    is the training corpus for descriptor learning.
+    ``added_since_last_training`` drives the retrain schedule and is reset by
+    the engine when a training pass completes.
     """
 
-    def __init__(self):
-        self.solutions: list[Solution] = []
-        self._ids: set[int] = set()
+    def __init__(self, genome_dim: int, observation_shape, fd_dims):
+        self.ids = np.empty(0, dtype=np.int64)
+        self.genomes = np.empty((0, genome_dim))
+        self.fitness = np.empty(0)
+        self.observations = np.empty((0, *observation_shape))
+        self.curiosity = np.empty(0)
+        self.fds = [np.empty((0, d)) for d in fd_dims]
         self.added_since_last_training = 0
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.ids)
 
-    def record(self, solution: Solution) -> bool:
-        """Append if unseen; returns True on actual append."""
-        if solution.id in self._ids:
-            return False
-        self._ids.add(solution.id)
-        self.solutions.append(solution)
-        self.added_since_last_training += 1
-        return True
+    def append(self, ids, genomes, fitness, observations, curiosity, fds) -> None:
+        """Append a batch of rows; ``fds`` holds one matrix per container."""
+        self.ids = np.concatenate([self.ids, ids])
+        self.genomes = np.concatenate([self.genomes, genomes])
+        self.fitness = np.concatenate([self.fitness, fitness])
+        self.observations = np.concatenate([self.observations, observations])
+        self.curiosity = np.concatenate([self.curiosity, curiosity])
+        self.fds = [np.concatenate([old, new]) for old, new in zip(self.fds, fds)]
+        self.added_since_last_training += len(ids)
 
     def reset_training_counter(self) -> None:
         self.added_since_last_training = 0
 
     def observation_corpus(self) -> np.ndarray:
-        """Stack all stored observation matrices into (n, channels, timepoints)."""
-        return np.stack([s.evaluation.observations for s in self.solutions])
+        """All stored observation matrices, (n, channels, timepoints)."""
+        return self.observations

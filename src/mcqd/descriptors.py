@@ -1,9 +1,10 @@
-"""Descriptor extraction: observation matrix -> per-container FD vector.
+"""Descriptor extraction: observation matrices -> per-container FD matrix.
 
-Two kinds share one contract (pure function, output components in the closed
-unit interval): hardcoded task descriptors built from channel reductions, and
-learned descriptors read off an encoder's latent space, optionally pushed
-through a quantile transform.  Extractors are immutable snapshots; the engine
+Two kinds share one contract, ``extract_many``: a pure function from an
+(n, channels, timepoints) batch to an (n, out_dim) matrix whose components
+lie in the closed unit interval.  They are hardcoded task descriptors built
+from channel reductions, and learned descriptors read off an encoder's
+latent space, optionally pushed through a quantile transform.  Extractors are immutable snapshots; the engine
 swaps new ones in atomically when the ensemble is retrained.
 """
 from __future__ import annotations
@@ -50,25 +51,7 @@ class HardcodedSpec:
         return len(self.reductions)
 
 
-class DescriptorExtractor:
-    """Base contract: extract() maps one observation matrix to an FD vector."""
-
-    out_dim: int
-
-    def extract(self, observations: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def extract_many(self, observation_list) -> np.ndarray:
-        """Batch variant; returns (n, out_dim).
-
-        Hardcoded batches are bit-identical to per-row extract() calls;
-        learned batches may differ from them in the last ulp, because the
-        encoder's matrix products sum in a batch-size dependent order.
-        """
-        return np.array([self.extract(obs) for obs in observation_list])
-
-
-class HardcodedExtractor(DescriptorExtractor):
+class HardcodedExtractor:
     def __init__(self, spec: HardcodedSpec, channel_index: dict[str, int]):
         self.spec = spec
         self.out_dim = spec.out_dim
@@ -78,10 +61,8 @@ class HardcodedExtractor(DescriptorExtractor):
                 raise ConfigurationError(f"task has no channel named {red.channel!r}")
             self._rows.append(channel_index[red.channel])
 
-    def extract(self, observations: np.ndarray) -> np.ndarray:
-        return self.extract_many([observations])[0]
-
     def extract_many(self, observation_list) -> np.ndarray:
+        """Each row's bits are the same whatever the other rows are."""
         obs = np.asarray(observation_list, dtype=float)
         if obs.ndim != 3:
             raise StructuralError("expected a sequence of (channels, timepoints)")
@@ -103,7 +84,7 @@ class HardcodedExtractor(DescriptorExtractor):
         return np.clip(fd, 0.0, 1.0, out=fd)
 
 
-class LearnedExtractor(DescriptorExtractor):
+class LearnedExtractor:
     """Encoder latent of one ensemble module, with optional quantile transform.
 
     Observations are scaled exactly as during training, flattened
@@ -118,10 +99,10 @@ class LearnedExtractor(DescriptorExtractor):
         self.quantile_transform = quantile_transform
         self.out_dim = ensemble.latent_dim
 
-    def extract(self, observations: np.ndarray) -> np.ndarray:
-        return self.extract_many([observations])[0]
-
     def extract_many(self, observation_list) -> np.ndarray:
+        """Deterministic per batch; a row's last bits may depend on the row
+        count, because the encoder's matrix products sum in a batch-size
+        dependent order."""
         obs = np.asarray(observation_list, dtype=float)
         if obs.ndim != 3:
             raise StructuralError("expected a sequence of (channels, timepoints)")

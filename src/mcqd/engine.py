@@ -36,7 +36,7 @@ from .core import (
     DepotContainer,
     EmptyContainerError,
     GridContainer,
-    Solution,
+    InvalidValueError,
 )
 from .descriptors import HardcodedExtractor, HardcodedSpec, LearnedExtractor
 from .postprocess import QuantileTransform
@@ -122,18 +122,19 @@ def mutate_polynomial(genome: np.ndarray, cfg: MutationSection,
     return np.where(do_mut, mutated, x)
 
 
-def select_curiosity_roulette(container: GridContainer, rng,
-                              floor: float = 0.01) -> Solution:
-    """Pick a stored solution with probability proportional to its curiosity."""
-    solutions = container.solutions()
-    if not solutions:
+def select_curiosity_roulette(container: GridContainer, curiosity: np.ndarray,
+                              rng, floor: float = 0.01) -> int:
+    """Pick a stored elite's depot row with probability proportional to its
+    curiosity (``curiosity`` is indexed by depot row), the elites taken in
+    first-fill order."""
+    rows = container.rows()
+    if not len(rows):
         raise EmptyContainerError(
             f"container {container.container_id} holds no solution")
-    scores = np.array([max(s.curiosity, floor) for s in solutions])
-    cumulative = np.cumsum(scores)
+    cumulative = np.cumsum(np.maximum(curiosity[rows], floor))
     draw = rng.random() * cumulative[-1]
     idx = int(np.searchsorted(cumulative, draw, side="right"))
-    return solutions[min(idx, len(solutions) - 1)]
+    return int(rows[min(idx, len(rows) - 1)])
 
 
 @dataclass
@@ -151,6 +152,14 @@ class BatchStats:
     def attempts(self) -> int:
         return self.adds + self.evictions + self.rejections
 
+    def tally(self, outcome: AddOutcome) -> None:
+        if outcome is AddOutcome.ADDED_TO_EMPTY:
+            self.adds += 1
+        elif outcome is AddOutcome.REPLACED_WEAKER:
+            self.evictions += 1
+        else:
+            self.rejections += 1
+
 
 @dataclass
 class ContainerReindex:
@@ -166,6 +175,8 @@ class RetrainReport:
     message: str = ""
     final_train_loss: float = float("nan")
     final_val_loss: float = float("nan")
+    epochs: int = 0
+    corpus: int = 0  # depot rows trained on
     reindex: list[ContainerReindex] = field(default_factory=list)
 
 
@@ -212,7 +223,9 @@ class Engine:
                 next_module += 1
             self.containers.append(container)
 
-        self.depot = DepotContainer()
+        d = task.definition
+        self.depot = DepotContainer(d.genome_dim, (d.n_obs_channels, d.n_timepoints),
+                                    [len(spec.shape) for spec in container_specs])
         self.ensemble: ModularAutoEncoderEnsemble | None = None
         self.scaler: ObservationScaler | None = None
         self.quantile_transforms: dict[int, QuantileTransform] = {}
@@ -221,8 +234,6 @@ class Engine:
         self._rng_mutation = substream(self.seed, STREAM_MUTATION)
         self.eval_budget_used = 0
         self.total_evaluations = 0
-        self.next_solution_id = 0
-        self._next_eval_index = 0
         self.focus_index = 0
         self.retrain_count = 0
         self.per_container_evals = [0] * len(self.containers)
@@ -238,34 +249,57 @@ class Engine:
     def eval_budget(self) -> int:
         return self.search.evaluation_budget
 
-    def _evaluate_genomes(self, genomes):
-        """Charge evaluation indices and run the task on the whole batch."""
-        base = self._next_eval_index
-        self._next_eval_index += len(genomes)
-        self.total_evaluations += len(genomes)
+    def _evaluate_genomes(self, genomes: np.ndarray):
+        """Run the task on the whole batch and charge its evaluation indices,
+        which become the children's solution ids.  Returns (ids, fitness,
+        observations); non-finite task output raises before anything is
+        committed."""
+        base = self.total_evaluations
         seeds = [episode_seed_sequence(self.seed, base + i)
                  for i in range(len(genomes))]
-        return self.task.evaluate_many(genomes, seeds)
+        fitness, observations = self.task.evaluate_many(genomes, seeds)
+        if not np.all(np.isfinite(fitness)):
+            raise InvalidValueError("task returned a non-finite fitness")
+        if not np.all(np.isfinite(observations)):
+            raise InvalidValueError("task returned non-finite observations")
+        self.total_evaluations += len(genomes)
+        return np.arange(base, base + len(genomes)), fitness, observations
 
-    def _new_solution(self, genome, evaluation) -> Solution:
-        sol = Solution(id=self.next_solution_id, genome=genome,
-                       evaluation=evaluation, curiosity=self.curiosity.initial)
-        self.next_solution_id += 1
-        return sol
+    def _commit(self, ids, genomes, fitness, observations, attempted, parents,
+                stats: BatchStats) -> int:
+        """Insert a batch of evaluated children in iteration order.
 
-    def _attempt(self, container: GridContainer, solution: Solution,
-                 stats: BatchStats | None = None) -> bool:
-        fd = container.extractor.extract(solution.evaluation.observations)
-        solution.descriptors[container.container_id] = fd
-        outcome, _ = container.add(solution)
-        if stats is not None:
-            if outcome is AddOutcome.ADDED_TO_EMPTY:
-                stats.adds += 1
-            elif outcome is AddOutcome.REPLACED_WEAKER:
-                stats.evictions += 1
-            else:
-                stats.rejections += 1
-        return outcome.accepted
+        ``attempted[i]`` lists the indices of the containers child i competes
+        in, ``parents[i]`` is its parent's depot row (-1 for none).  Every
+        container extracts the whole batch once.  A child accepted anywhere
+        takes the next depot row, and the accepted rows are appended in one
+        step at the end.  Returns the number of accepted children.
+        """
+        fds = [c.extractor.extract_many(observations) for c in self.containers]
+        cells = [c.cells(fd).tolist() for c, fd in zip(self.containers, fds)]
+        first_row = len(self.depot)
+        # fitness by depot row, with room for the rows this batch adds
+        row_fitness = np.concatenate([self.depot.fitness, fitness])
+        curiosity = self.depot.curiosity
+        cfg = self.curiosity
+        accepted = []
+        for i, parent in enumerate(parents):
+            row = first_row + len(accepted)
+            row_fitness[row] = fitness[i]
+            hit = False
+            for cidx in attempted[i]:
+                outcome, _ = self.containers[cidx].add(cells[cidx][i], row, row_fitness)
+                stats.tally(outcome)
+                hit |= outcome.accepted
+            if parent >= 0:
+                delta = cfg.success_delta if hit else cfg.failure_delta
+                curiosity[parent] = max(curiosity[parent] + delta, cfg.floor)
+            if hit:
+                accepted.append(i)
+        self.depot.append(ids[accepted], genomes[accepted], fitness[accepted],
+                          observations[accepted], np.full(len(accepted), cfg.initial),
+                          [fd[accepted] for fd in fds])
+        return len(accepted)
 
     def _fit_and_train(self, corpus):
         """Fit scaling and train a candidate ensemble on the corpus.
@@ -319,24 +353,19 @@ class Engine:
             raise RuntimeError("engine already initialized")
         lo, hi = self.task.definition.genome_bounds
         rng = substream(self.seed, STREAM_INIT)
-        genomes = rng.uniform(lo, hi, (self.search.initialization_budget,
-                                       self.task.definition.genome_dim))
-        evaluations = self._evaluate_genomes(list(genomes))
+        n = self.search.initialization_budget
+        genomes = rng.uniform(lo, hi, (n, self.task.definition.genome_dim))
+        ids, fitness, observations = self._evaluate_genomes(genomes)
         if self.module_index:
-            corpus = np.stack([ev.observations for ev in evaluations])
-            candidate, scaler, inputs, report = self._fit_and_train(corpus)
+            candidate, scaler, inputs, report = self._fit_and_train(observations)
             if report.diverged:
                 raise RuntimeError(
                     f"initial descriptor training diverged: {report.message}")
             self.retrain_count += 1
             self._publish_models(candidate, scaler, inputs)
-        for genome, evaluation in zip(genomes, evaluations):
-            sol = self._new_solution(genome, evaluation)
-            accepted = False
-            for container in self.containers:
-                accepted |= self._attempt(container, sol)
-            if accepted:
-                self.depot.record(sol)
+        everywhere = range(len(self.containers))
+        self._commit(ids, genomes, fitness, observations, [everywhere] * n,
+                     [-1] * n, BatchStats(batch_index=0, planned=n, executed=n))
         self.depot.reset_training_counter()
         self.initialized = True
 
@@ -376,43 +405,33 @@ class Engine:
         plan = self._plan_iterations(n)
         for cidx in plan:
             self.per_container_evals[cidx] += 1
-        parents: list[Solution | None] = []
+        parents: list[int] = []  # depot rows, -1 for a random genome
         children = []
         for cidx in plan:
             container = self.containers[cidx]
             if container.occupancy > 0:
-                parent = select_curiosity_roulette(container, self._rng_selection,
-                                                   self.curiosity.floor)
-                base = parent.genome
+                parent = select_curiosity_roulette(
+                    container, self.depot.curiosity, self._rng_selection,
+                    self.curiosity.floor)
+                base = self.depot.genomes[parent]
             else:
-                parent = None
+                parent = -1
                 base = self._rng_selection.uniform(
                     lo, hi, self.task.definition.genome_dim)
             parents.append(parent)
             children.append(mutate_polynomial(base, self.mutation, (lo, hi),
                                               self._rng_mutation))
 
-        evaluations = self._evaluate_genomes(children)
+        genomes = np.array(children)
+        ids, fitness, observations = self._evaluate_genomes(genomes)
         self.eval_budget_used += n
 
-        for cidx, parent, genome, evaluation in zip(plan, parents, children,
-                                                    evaluations):
-            sol = self._new_solution(genome, evaluation)
-            if self.sharing is SharingStrategy.SHARED:
-                attempted = self.containers
-            else:
-                attempted = [self.containers[cidx]]
-            accepted = False
-            for container in attempted:
-                accepted |= self._attempt(container, sol, stats)
-            if parent is not None:
-                delta = (self.curiosity.success_delta if accepted
-                         else self.curiosity.failure_delta)
-                parent.curiosity = max(parent.curiosity + delta,
-                                       self.curiosity.floor)
-            if accepted:
-                self.depot.record(sol)
-                stats.accepted_solutions += 1
+        if self.sharing is SharingStrategy.SHARED:
+            attempted = [range(len(self.containers))] * n
+        else:
+            attempted = [[cidx] for cidx in plan]
+        stats.accepted_solutions = self._commit(ids, genomes, fitness, observations,
+                                                attempted, parents, stats)
         return stats
 
     def maybe_retrain(self) -> RetrainReport | None:
@@ -428,35 +447,40 @@ class Engine:
             return None
         corpus = self.depot.observation_corpus()
         candidate, scaler, inputs, report = self._fit_and_train(corpus)
+        result = RetrainReport(fired=True, diverged=report.diverged,
+                               message=report.message, epochs=report.epochs_run,
+                               corpus=len(corpus))
         if report.diverged:
-            return RetrainReport(fired=True, diverged=True, message=report.message)
+            return result
+        if report.train_losses:
+            result.final_train_loss = report.train_losses[-1]
+            result.final_val_loss = report.val_losses[-1]
         self.retrain_count += 1
         self._publish_models(candidate, scaler, inputs)
-        reindex = self.reindex_all()
+        result.reindex = self.reindex_all()
         self.depot.reset_training_counter()
-        return RetrainReport(
-            fired=True,
-            final_train_loss=report.train_losses[-1] if report.train_losses else float("nan"),
-            final_val_loss=report.val_losses[-1] if report.val_losses else float("nan"),
-            reindex=reindex,
-        )
+        return result
 
     def reindex_all(self) -> list[ContainerReindex]:
         """Recompute learned FDs and rebuild each learned container.
 
-        Elites are drained, their descriptors recomputed under the freshly
-        published extractor, and re-inserted in descending fitness order
-        (ties by insertion id) so collisions deterministically keep the best
-        solution.  Dropped elites stay in the depot.
+        Each learned container's FD matrix is recomputed over the whole depot
+        under its freshly published extractor.  Its elites are drained and
+        re-inserted in descending fitness order (ties by solution id), so
+        collisions deterministically keep the best solution.  Dropped elites
+        stay in the depot.
         """
+        depot = self.depot
         reports = []
         for cid in self.learned_container_ids:
             container = self.containers[cid]
-            elites = container.solutions()
-            container.cells.clear()
-            order = sorted(elites, key=lambda s: (-s.fitness, s.id))
-            for sol in order:
-                self._attempt(container, sol)
+            depot.fds[cid] = container.extractor.extract_many(depot.observations)
+            elites = container.rows()
+            order = elites[np.lexsort((depot.ids[elites], -depot.fitness[elites]))]
+            container.clear()
+            cells = container.cells(depot.fds[cid][order])
+            for cell, row in zip(cells.tolist(), order.tolist()):
+                container.add(cell, row, depot.fitness)
             retained = container.occupancy
             reports.append(ContainerReindex(container_id=cid, retained=retained,
                                             dropped=len(elites) - retained))

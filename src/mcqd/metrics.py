@@ -1,8 +1,9 @@
 """Evaluation metrics over container/depot snapshots.
 
-All functions are pure reads of the search state.  Coverage and QD-score
-come in a base flavour (a solution stored in several containers counts once
-per container) and a unique flavour (distinct solution ids count once);
+All functions are pure reads of the search state: the containers' grids of
+depot rows and the depot's arrays.  Coverage and QD-score come in a base
+flavour (a solution stored in several containers counts once per container)
+and a unique flavour (distinct depot rows count once);
 redundancy measures the capacity eaten by duplicates.  The FD absolute
 correlation quantifies how similar the containers' descriptor spaces are,
 and the KL-coverage compares the binned descriptor distributions of two
@@ -45,9 +46,24 @@ def _total_capacity(containers) -> int:
     return sum(c.capacity for c in containers)
 
 
-def _normalized_fitness(fitness, bounds) -> float:
+def _elite_rows(containers) -> np.ndarray:
+    """Depot rows of every stored entry, container by container, each in
+    first-fill order (a row stored in k containers appears k times)."""
+    return np.concatenate([c.rows() for c in containers])
+
+
+def _normalized_fitness(fitness, bounds) -> np.ndarray:
     lo, hi = bounds
-    return min(max((fitness - lo) / (hi - lo), 0.0), 1.0)
+    return np.minimum(np.maximum((fitness - lo) / (hi - lo), 0.0), 1.0)
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right sum starting from 0.0, the order of a Python loop;
+    ``np.sum`` adds pairwise, which moves the last bit."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 def coverage(containers) -> float:
@@ -55,61 +71,49 @@ def coverage(containers) -> float:
     return 100.0 * sum(c.occupancy for c in containers) / _total_capacity(containers)
 
 
-def qd_score(containers, fitness_bounds) -> float:
+def qd_score(containers, depot, fitness_bounds) -> float:
     """Sum of [0, 1]-normalized fitness over every stored entry."""
     lo, hi = fitness_bounds
     if not hi > lo:
         raise ValueError("fitness bounds must satisfy hi > lo")
-    total = 0.0
-    for c in containers:
-        for sol in c.cells.values():
-            total += _normalized_fitness(sol.fitness, fitness_bounds)
-    return total
+    rows = _elite_rows(containers)
+    return _sum_in_order(_normalized_fitness(depot.fitness[rows], fitness_bounds))
 
 
-def unique_variants(containers, fitness_bounds) -> tuple[float, float]:
+def unique_variants(containers, depot, fitness_bounds) -> tuple[float, float]:
     """(unique QD-score, unique coverage %): duplicates across containers
     count once; the coverage denominator stays the total capacity."""
-    seen = {}
-    for c in containers:
-        for sol in c.cells.values():
-            seen[sol.id] = sol
-    uq = sum(_normalized_fitness(s.fitness, fitness_bounds) for s in seen.values())
-    ucov = 100.0 * len(seen) / _total_capacity(containers)
-    return uq, ucov
+    rows = _elite_rows(containers)
+    _, first = np.unique(rows, return_index=True)
+    unique = rows[np.sort(first)]  # in order of first appearance
+    uq = _sum_in_order(_normalized_fitness(depot.fitness[unique], fitness_bounds))
+    return uq, 100.0 * len(unique) / _total_capacity(containers)
 
 
 def redundancy(containers) -> float:
     """Fraction of total capacity holding duplicate copies: R / S with
-    R = stored entries minus distinct ids and S the summed capacity."""
-    stored = sum(c.occupancy for c in containers)
-    distinct = len({s.id for c in containers for s in c.cells.values()})
-    return (stored - distinct) / _total_capacity(containers)
+    R = stored entries minus distinct depot rows and S the summed capacity."""
+    rows = _elite_rows(containers)
+    return (len(rows) - len(np.unique(rows))) / _total_capacity(containers)
 
 
-def best_fitness(containers) -> float | None:
+def best_fitness(containers, depot) -> float | None:
     """Maximum fitness over all stored solutions, None when all empty."""
-    best = None
-    for c in containers:
-        for sol in c.cells.values():
-            if best is None or sol.fitness > best:
-                best = sol.fitness
-    return best
+    rows = _elite_rows(containers)
+    return float(depot.fitness[rows].max()) if len(rows) else None
 
 
 def fd_abs_correlation(containers, depot) -> float | None:
     """Mean |Pearson r| between all containers' FD dimensions.
 
-    Rows are the depot solutions with every container's current extractor
-    applied to each, so all columns share one basis.  Zero-variance columns
-    are excluded with a warning; with fewer than two rows or columns the
-    metric is undefined and None is returned.
+    Rows are the depot solutions, each container's columns its cached FD
+    matrix under its current extractor, so all columns share one basis.
+    Zero-variance columns are excluded with a warning; with fewer than two
+    rows or columns the metric is undefined and None is returned.
     """
     if len(depot) < 2:
         return None
-    observations = depot.observation_corpus()
-    blocks = [c.extractor.extract_many(observations) for c in containers]
-    fd = np.hstack(blocks)
+    fd = np.hstack([depot.fds[c.container_id] for c in containers])
     if fd.shape[1] < 2:
         return None
     variances = fd.var(axis=0)
@@ -125,28 +129,27 @@ def fd_abs_correlation(containers, depot) -> float | None:
     return float(np.mean(np.abs(corr[off])))
 
 
-def kl_coverage(reference_solutions, compared_solutions, containers,
+def kl_coverage(reference_observations, compared_observations, containers,
                 bins_per_dim: int = 10, mode: str = "marginal",
                 smoothing: float = 1e-9) -> float:
-    """Summed KL divergence between the two sets' binned FD distributions.
+    """Summed KL divergence between two solution sets' binned FD distributions.
 
-    Per container, both sets' FDs are computed with that container's current
+    Each set is given by its (n, channels, timepoints) observations.  Per
+    container, both sets' FDs are computed with that container's current
     extractor and histogrammed over [0, 1]; histograms get additive
     smoothing before normalization, and D_KL(reference || compared) is summed
     over containers.  ``marginal`` histograms each FD dimension separately
     (10 bins per dimension); ``joint`` uses the full n-d histogram.  Keep the
     asymmetry in mind: KLC(A, B) != KLC(B, A) in general.
     """
-    if not reference_solutions or not compared_solutions:
+    if not len(reference_observations) or not len(compared_observations):
         raise ValueError("both solution sets must be non-empty")
     if mode not in ("marginal", "joint"):
         raise ValueError(f"unknown histogram mode {mode!r}")
-    ref_obs = [s.evaluation.observations for s in reference_solutions]
-    cmp_obs = [s.evaluation.observations for s in compared_solutions]
     total = 0.0
     for c in containers:
-        ref_fd = c.extractor.extract_many(ref_obs)
-        cmp_fd = c.extractor.extract_many(cmp_obs)
+        ref_fd = c.extractor.extract_many(reference_observations)
+        cmp_fd = c.extractor.extract_many(compared_observations)
         dims = ref_fd.shape[1]
         edges = np.linspace(0.0, 1.0, bins_per_dim + 1)
         if mode == "marginal":
@@ -171,14 +174,14 @@ def _kl(ref_counts, cmp_counts, smoothing) -> float:
 
 def snapshot(iteration: int, containers, depot, fitness_bounds) -> MetricSnapshot:
     """All per-iteration metrics in one record."""
-    uq, ucov = unique_variants(containers, fitness_bounds)
+    uq, ucov = unique_variants(containers, depot, fitness_bounds)
     return MetricSnapshot(
         iteration=iteration,
         coverage_pct=coverage(containers),
         unique_coverage_pct=ucov,
-        qd_score=qd_score(containers, fitness_bounds),
+        qd_score=qd_score(containers, depot, fitness_bounds),
         unique_qd_score=uq,
-        best_fitness=best_fitness(containers),
+        best_fitness=best_fitness(containers, depot),
         fd_abs_corr=fd_abs_correlation(containers, depot),
         redundancy=redundancy(containers),
         depot_size=len(depot),

@@ -7,8 +7,9 @@ timestamps anywhere):
                      initialization), columns in ``metrics.METRIC_COLUMNS``
                      order, empty field = metric undefined.
 * ``batches.jsonl``  one record per batch: index, evaluations charged,
-                     add/eviction/rejection counts, retrain report,
-                     per-container occupancy.
+                     add/eviction/rejection counts, retrain report (final
+                     train and validation loss, epochs, corpus rows,
+                     reindex counts), per-container occupancy.
 * ``containers.jsonl`` final container snapshots, one record per occupied
                      cell with fields (container_id, bin, solution_id,
                      fitness, fd, genome) in that order.
@@ -84,6 +85,11 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no NaN or infinity; a non-finite value is written as null."""
+    return float(value) if np.isfinite(value) else None
 
 
 def _meta_line(kind: str, config: ExperimentConfig, seed: int | None = None) -> str:
@@ -169,6 +175,10 @@ def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path) -> None:
                 "retrain": None if retrain is None else {
                     "diverged": retrain.diverged,
                     "message": retrain.message,
+                    "train_loss": _finite_or_none(retrain.final_train_loss),
+                    "val_loss": _finite_or_none(retrain.final_val_loss),
+                    "epochs": retrain.epochs,
+                    "corpus": retrain.corpus,
                     "reindex": [{"container_id": r.container_id,
                                  "retained": r.retained, "dropped": r.dropped}
                                 for r in retrain.reindex],
@@ -188,20 +198,23 @@ def write_container_snapshots(engine: Engine, path: Path,
     """One JSON record per occupied cell, in (container, bin) order.
 
     Field order per record: container_id, bin, solution_id, fitness, fd,
-    genome.
+    genome.  Bins come in the grid's C order, which is sorted bin order.
     """
+    depot = engine.depot
     with open(path, "w") as fh:
         fh.write(json.dumps(_json_meta(config, seed)) + "\n")
         for container in engine.containers:
-            for bin_idx in sorted(container.cells):
-                sol = container.cells[bin_idx]
+            cid = container.container_id
+            cells = np.flatnonzero(container.grid >= 0)
+            bins = np.unravel_index(cells, container.shape)
+            for k, row in enumerate(container.grid.ravel()[cells].tolist()):
                 record = {
-                    "container_id": container.container_id,
-                    "bin": list(bin_idx),
-                    "solution_id": sol.id,
-                    "fitness": sol.fitness,
-                    "fd": [float(v) for v in sol.descriptors[container.container_id]],
-                    "genome": [float(v) for v in sol.genome],
+                    "container_id": cid,
+                    "bin": [int(axis[k]) for axis in bins],
+                    "solution_id": int(depot.ids[row]),
+                    "fitness": float(depot.fitness[row]),
+                    "fd": depot.fds[cid][row].tolist(),
+                    "genome": depot.genomes[row].tolist(),
                 }
                 fh.write(json.dumps(record) + "\n")
 

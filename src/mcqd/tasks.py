@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigurationError, Evaluation, StructuralError
+from .core import ConfigurationError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,22 @@ class TaskDefinition:
 
 
 class Task:
+    """``evaluate`` maps one genome to its episode-averaged fitness and
+    (channels, timepoints) observation matrix; ``evaluate_many`` maps a batch
+    to a fitness vector (n,) and an observation array (n, channels,
+    timepoints)."""
+
     definition: TaskDefinition
 
-    def evaluate(self, genome: np.ndarray, seed_seq: np.random.SeedSequence) -> Evaluation:
+    def evaluate(self, genome: np.ndarray,
+                 seed_seq: np.random.SeedSequence) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
-    def evaluate_many(self, genomes, seed_seqs) -> list[Evaluation]:
+    def evaluate_many(self, genomes, seed_seqs) -> tuple[np.ndarray, np.ndarray]:
         """Batch evaluation; must give the same results as one-by-one calls."""
-        return [self.evaluate(g, ss) for g, ss in zip(genomes, seed_seqs)]
+        results = [self.evaluate(g, ss) for g, ss in zip(genomes, seed_seqs)]
+        return (np.array([fitness for fitness, _ in results], dtype=float),
+                np.stack([obs for _, obs in results]).astype(float, copy=False))
 
 
 class SurrogateWalkerTask(Task):
@@ -190,7 +198,8 @@ class SurrogateWalkerTask(Task):
         return a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3]
 
     def evaluate(self, genome, seed_seq):
-        return self.evaluate_many([genome], [seed_seq])[0]
+        fitness, observations = self.evaluate_many([genome], [seed_seq])
+        return float(fitness[0]), observations[0]
 
     def evaluate_many(self, genomes, seed_seqs):
         """Run a batch of evaluations in lockstep.
@@ -235,11 +244,14 @@ class SurrogateWalkerTask(Task):
         reward = np.zeros((b, e))
         contact = np.zeros((b, e, 2), dtype=bool)
 
-        steps = d.episode_steps
-        per_step = np.empty((steps, d.n_obs_channels, b, e))
+        # each step is written into the current window's buffer, which is
+        # averaged into ``windows`` as soon as it is full
+        window = d.obs_averaging_window
+        step_buf = np.empty((window, d.n_obs_channels, b, e))
+        windows = np.empty((d.n_timepoints, d.n_obs_channels, b, e))
         inputs = np.empty((b, e, self.N_INPUTS))
 
-        for t in range(steps):
+        for t in range(d.episode_steps):
             inputs[..., 0] = theta
             inputs[..., 1] = 0.3 * omega
             inputs[..., 2] = 0.3 * vx
@@ -326,33 +338,29 @@ class SurrogateWalkerTask(Task):
             alive &= ~fell
 
             airborne = alive & ~(contact[..., 0] | contact[..., 1])
-            per_step[t, 0] = x
-            per_step[t, 1] = theta
-            per_step[t, 2] = q[..., 0]
-            per_step[t, 3] = q[..., 1]
-            per_step[t, 4] = q[..., 2]
-            per_step[t, 5] = q[..., 3]
-            per_step[t, 6] = torque[..., 0]
-            per_step[t, 7] = torque[..., 1]
-            per_step[t, 8] = torque[..., 2]
-            per_step[t, 9] = torque[..., 3]
-            per_step[t, 10] = torque_total
-            per_step[t, 11] = contact[..., 0]
-            per_step[t, 12] = contact[..., 1]
-            per_step[t, 13] = airborne
+            k, w = divmod(t, window)
+            step = step_buf[w]
+            step[0] = x
+            step[1] = theta
+            step[2] = q[..., 0]
+            step[3] = q[..., 1]
+            step[4] = q[..., 2]
+            step[5] = q[..., 3]
+            step[6] = torque[..., 0]
+            step[7] = torque[..., 1]
+            step[8] = torque[..., 2]
+            step[9] = torque[..., 3]
+            step[10] = torque_total
+            step[11] = contact[..., 0]
+            step[12] = contact[..., 1]
+            step[13] = airborne
+            if w == window - 1:
+                step_buf.mean(axis=0, out=windows[k])
 
-        window = d.obs_averaging_window
-        t_pts = d.n_timepoints
-        # (steps, channels, batch, episodes) -> per-eval episode means
-        windows = per_step.reshape(t_pts, window, d.n_obs_channels, b, e).mean(axis=1)
-        observations = windows.mean(axis=3)  # (timepoints, channels, batch)
+        # (timepoints, channels, batch, episodes) -> per-eval episode means
+        observations = windows.mean(axis=3)
         fitness = reward.mean(axis=1)
-        return [
-            Evaluation(fitness=float(fitness[i]),
-                       observations=np.ascontiguousarray(observations[:, :, i].T),
-                       episode_count=e)
-            for i in range(b)
-        ]
+        return fitness, np.ascontiguousarray(observations.transpose(2, 1, 0))
 
 
 class RastriginToyTask(Task):
@@ -390,7 +398,7 @@ class RastriginToyTask(Task):
         value = 20.0 + np.sum(g ** 2 - 10.0 * np.cos(2.0 * np.pi * g))
         channels = np.array([g[0], g[1], g[0] + g[1], g[0] - g[1]])
         obs = np.repeat(channels[:, np.newaxis], self.definition.n_timepoints, axis=1)
-        return Evaluation(fitness=float(-value), observations=obs, episode_count=1)
+        return float(-value), obs
 
 
 def make_task(name: str, params: dict | None = None) -> Task:

@@ -20,7 +20,7 @@ from mcqd.config import (
     TrainingSection,
     build_preset,
 )
-from mcqd.core import GridContainer, bin_index
+from mcqd.core import GridContainer
 from mcqd.engine import (
     ContainerSpec,
     Engine,
@@ -102,10 +102,8 @@ def run_desk_search(fd_type, sharing, diversity=("none", 1.0, -1), seed=0,
                     "post": engine.containers[r.container_id].occupancy,
                 })
             for c in engine.containers:
-                for cell, sol in c.cells.items():
-                    ok = bin_index(sol.descriptors[c.container_id], c.shape,
-                                   c.fd_bounds) == cell
-                    run.integrity_ok &= ok
+                fd = engine.depot.fds[c.container_id][c.rows()]
+                run.integrity_ok &= np.array_equal(c.cells(fd), c.order)
                 run.integrity_ok &= c.occupancy <= c.capacity
         run.snaps.append(snapshot(i, engine.containers, engine.depot, bounds))
     return run
@@ -262,8 +260,7 @@ def test_c07_kl_coverage_identities():
     container.extractor = PassThroughExtractor([0, 1])
 
     def solutions(points):
-        depot = depot_of(points)
-        return depot.solutions
+        return depot_of(points).observations
 
     rng = np.random.default_rng(2)
     xs = solutions(rng.random((500, 2)))
@@ -329,20 +326,19 @@ def test_c10_reindexing_conservation(desk_battery):
 
 def test_c11_curiosity_roulette():
     """Selection frequencies track score proportions within 2% over 1e5 draws."""
-    from test_core import make_solution
+    from test_core import make_depot, offer
     container = GridContainer(0, (10, 10))
     scores = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
-    sols = []
-    for k, score in enumerate(scores):
-        sol = make_solution(k, 1.0, [0.05 + 0.1 * k, 0.5])
-        sol.curiosity = score
-        container.add(sol)
-        sols.append(sol)
+    depot = make_depot([1.0] * len(scores),
+                       [[[0.05 + 0.1 * k, 0.5] for k in range(len(scores))]],
+                       curiosity=scores)
+    for row in range(len(scores)):
+        offer(container, depot, row)
     rng = np.random.default_rng(4)
-    counts = {s.id: 0 for s in sols}
+    counts = {row: 0 for row in range(len(scores))}
     n = 100_000
     for _ in range(n):
-        counts[select_curiosity_roulette(container, rng).id] += 1
+        counts[select_curiosity_roulette(container, depot.curiosity, rng)] += 1
     total = sum(scores)
     for k, score in enumerate(scores):
         assert abs(counts[k] / n - score / total) <= 0.02

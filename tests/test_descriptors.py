@@ -20,6 +20,11 @@ from mcqd.tasks import make_task
 from conftest import build_toy_ensemble
 
 
+def extract_one(extractor, observations):
+    """The FD of one (channels, timepoints) observation matrix."""
+    return extractor.extract_many(np.asarray(observations)[np.newaxis])[0]
+
+
 class TestHardcoded:
     def setup_method(self):
         self.index = {"disp": 0, "angle": 1}
@@ -28,7 +33,7 @@ class TestHardcoded:
         spec = HardcodedSpec((ChannelReduction("disp", "final", (0.0, 10.0)),))
         ex = HardcodedExtractor(spec, self.index)
         obs = np.array([[0.0, 5.0, 10.0], [0.1, 0.1, 0.1]])
-        assert ex.extract(obs)[0] == 1.0
+        assert extract_one(ex, obs)[0] == 1.0
 
     def test_all_reduction_kinds(self):
         spec = HardcodedSpec((
@@ -39,14 +44,14 @@ class TestHardcoded:
         ))
         ex = HardcodedExtractor(spec, self.index)
         obs = np.array([[1.0, 2.0, 3.0], [-1.0, 1.0, 1.0]])
-        fd = ex.extract(obs)
+        fd = extract_one(ex, obs)
         np.testing.assert_allclose(fd, [2.0 / 4, 3.0 / 4, 1.0 / 2, 2.0 / 3])
 
     def test_clamped_to_unit_interval(self):
         spec = HardcodedSpec((ChannelReduction("disp", "final", (0.0, 1.0)),))
         ex = HardcodedExtractor(spec, self.index)
-        assert ex.extract(np.array([[5.0], [0.0]]))[0] == 1.0
-        assert ex.extract(np.array([[-5.0], [0.0]]))[0] == 0.0
+        assert extract_one(ex, np.array([[5.0], [0.0]]))[0] == 1.0
+        assert extract_one(ex, np.array([[-5.0], [0.0]]))[0] == 0.0
 
     def test_unknown_channel_is_configuration_error(self):
         spec = HardcodedSpec((ChannelReduction("nope", "mean", (0.0, 1.0)),))
@@ -102,7 +107,7 @@ class TestHardcodedBatch:
         ex = HardcodedExtractor(self.SPEC, self.INDEX)
         batch = ex.extract_many(obs)
         assert batch.shape == (len(obs), self.SPEC.out_dim)
-        per_row = np.stack([ex.extract(o) for o in obs])
+        per_row = np.stack([extract_one(ex, o) for o in obs])
         reference = np.stack([_reference_extract(self.SPEC, self.INDEX, o) for o in obs])
         # int64 views compare bits, so a flipped zero sign fails too
         np.testing.assert_array_equal(batch.view(np.int64), per_row.view(np.int64))
@@ -125,26 +130,26 @@ class TestLearned:
         for w, b in ens.nets[0][0]:  # module 0's encoder layers
             w[...] = 0.0
             b[...] = 0.0
-        fd = ex.extract(np.random.default_rng(0).random((2, 3)))
+        fd = extract_one(ex, np.random.default_rng(0).random((2, 3)))
         np.testing.assert_allclose(fd, [0.5, 0.5])
 
     def test_raw_latent_in_open_interval(self):
         ex, _ = self.make_extractor(seed=1)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            fd = ex.extract(rng.random((2, 3)))
+            fd = extract_one(ex, rng.random((2, 3)))
             assert np.all(fd > 0.0) and np.all(fd < 1.0)
 
     def test_deterministic(self):
         ex, _ = self.make_extractor(seed=2)
         obs = np.random.default_rng(2).random((2, 3))
-        np.testing.assert_array_equal(ex.extract(obs), ex.extract(obs))
+        np.testing.assert_array_equal(extract_one(ex, obs), extract_one(ex, obs))
 
     def test_qt_applied_when_configured(self):
         ex, ens = self.make_extractor(with_qt=True, seed=3)
         obs = np.random.default_rng(3).random((2, 3))
-        raw = LearnedExtractor(ens, 0, ex.scaler, None).extract(obs)
-        cooked = ex.extract(obs)
+        raw = extract_one(LearnedExtractor(ens, 0, ex.scaler, None), obs)
+        cooked = extract_one(ex, obs)
         np.testing.assert_array_equal(cooked,
                                       ex.quantile_transform.apply(raw))
 
@@ -157,7 +162,7 @@ class TestLearned:
         many = [rng.random((2, 3)) for _ in range(7)]
         batch = ex.extract_many(many)
         for i, obs in enumerate(many):
-            np.testing.assert_allclose(batch[i], ex.extract(obs),
+            np.testing.assert_allclose(batch[i], extract_one(ex, obs),
                                        rtol=1e-12, atol=1e-14)
         np.testing.assert_array_equal(batch, ex.extract_many(many))
 

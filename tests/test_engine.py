@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mcqd.config import MutationSection, SearchSection, TrainingSection
-from mcqd.core import EmptyContainerError, Evaluation, GridContainer
+from mcqd.core import EmptyContainerError, GridContainer, InvalidValueError
 from mcqd.descriptors import ChannelReduction, HardcodedSpec
 from mcqd.engine import (
     STREAM_MUTATION,
@@ -18,7 +18,7 @@ from mcqd.engine import (
 )
 from mcqd.tasks import Task, TaskDefinition, make_task
 
-from test_core import make_solution
+from test_core import make_depot, offer
 
 
 def polynomial_mutation_cdf(t, x, lo, hi, eta):
@@ -78,53 +78,51 @@ class TestPolynomialMutation:
         assert r1.random() == r2.random()
 
 
+def filled_container(fds, curiosity, shape=(4, 4)):
+    """A container holding depot rows 0..n-1 at the given FDs, each of
+    fitness 1 and the given curiosity."""
+    depot = make_depot([1.0] * len(fds), [fds], curiosity=curiosity)
+    c = GridContainer(0, shape)
+    for row in range(len(fds)):
+        offer(c, depot, row)
+    return c, depot
+
+
 class TestCuriosityRoulette:
     def test_single_solution_always_selected(self):
-        c = GridContainer(0, (4, 4))
-        sol = make_solution(1, 1.0, [0.1, 0.1])
-        c.add(sol)
+        c, depot = filled_container([[0.1, 0.1]], [1.0])
         rng = np.random.default_rng(0)
-        assert all(select_curiosity_roulette(c, rng) is sol for _ in range(20))
+        assert all(select_curiosity_roulette(c, depot.curiosity, rng) == 0
+                   for _ in range(20))
 
     def test_empty_container_raises(self):
         with pytest.raises(EmptyContainerError):
-            select_curiosity_roulette(GridContainer(0, (4, 4)),
+            select_curiosity_roulette(GridContainer(0, (4, 4)), np.empty(0),
                                       np.random.default_rng(0))
 
     def test_three_to_one_ratio(self):
-        c = GridContainer(0, (4, 4))
-        a = make_solution(1, 1.0, [0.1, 0.1])
-        b = make_solution(2, 1.0, [0.9, 0.9])
-        a.curiosity, b.curiosity = 3.0, 1.0
-        c.add(a)
-        c.add(b)
+        c, depot = filled_container([[0.1, 0.1], [0.9, 0.9]], [3.0, 1.0])
         rng = np.random.default_rng(1)
         n = 100_000
-        hits = sum(select_curiosity_roulette(c, rng) is a for _ in range(n))
+        hits = sum(select_curiosity_roulette(c, depot.curiosity, rng) == 0
+                   for _ in range(n))
         assert abs(hits / n - 0.75) < 0.02
 
     def test_uniform_when_scores_equal(self):
         from scipy.stats import chisquare
-        c = GridContainer(0, (10, 10))
-        sols = [make_solution(i, 1.0, [0.05 + 0.1 * i, 0.5]) for i in range(10)]
-        for s in sols:
-            c.add(s)
+        c, depot = filled_container([[0.05 + 0.1 * i, 0.5] for i in range(10)],
+                                    [1.0] * 10, shape=(10, 10))
         rng = np.random.default_rng(2)
         counts = np.zeros(10)
-        index = {s.id: k for k, s in enumerate(sols)}
         for _ in range(100_000):
-            counts[index[select_curiosity_roulette(c, rng).id]] += 1
+            counts[select_curiosity_roulette(c, depot.curiosity, rng)] += 1
         assert chisquare(counts).pvalue > 0.01
 
     def test_floor_keeps_probability_positive(self):
-        c = GridContainer(0, (4, 4))
-        a = make_solution(1, 1.0, [0.1, 0.1])
-        b = make_solution(2, 1.0, [0.9, 0.9])
-        a.curiosity, b.curiosity = 0.0, 100.0  # raw zero would never be drawn
-        c.add(a)
-        c.add(b)
+        # raw zero would never be drawn
+        c, depot = filled_container([[0.1, 0.1], [0.9, 0.9]], [0.0, 100.0])
         rng = np.random.default_rng(3)
-        hits = sum(select_curiosity_roulette(c, rng, floor=1.0) is a
+        hits = sum(select_curiosity_roulette(c, depot.curiosity, rng, floor=1.0) == 0
                    for _ in range(1000))
         assert hits > 0
 
@@ -145,17 +143,30 @@ class LineTask(Task):
 
     def evaluate(self, genome, seed_seq):
         g = float(genome[0])
-        return Evaluation(fitness=g, observations=np.full((1, 4), g),
-                          episode_count=1)
+        return g, np.full((1, 4), g)
 
 
-def line_engine(container_specs=None, eval_budget=100, seed=11):
+class PoisonedLineTask(LineTask):
+    """LineTask whose output turns non-finite once ``poison`` names a part."""
+
+    poison = None  # "fitness" or "observations"
+
+    def evaluate(self, genome, seed_seq):
+        fitness, obs = super().evaluate(genome, seed_seq)
+        if self.poison == "fitness":
+            fitness = float("nan")
+        elif self.poison == "observations":
+            obs[0, -1] = np.inf
+        return fitness, obs
+
+
+def line_engine(container_specs=None, eval_budget=100, seed=11, task=None):
     spec = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
     if container_specs is None:
         container_specs = [ContainerSpec(shape=(1,), fd_type="hardcoded",
                                          hardcoded=spec)]
     return Engine(
-        task=LineTask(),
+        task=LineTask() if task is None else task,
         container_specs=container_specs,
         search=SearchSection(sharing=SharingStrategy.NON_SHARED,
                              initialization_budget=1,
@@ -163,6 +174,48 @@ def line_engine(container_specs=None, eval_budget=100, seed=11):
         training=TrainingSection(strategy=TrainingStrategy.NONE),
         seed=seed,
     )
+
+
+def one_cell_specs(n):
+    spec = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
+    return [ContainerSpec(shape=(1,), fd_type="hardcoded", hardcoded=spec)
+            for _ in range(n)]
+
+
+class TestNonFiniteTaskOutput:
+    """A non-finite fitness or observation raises where the engine receives
+    the batch, before anything is committed."""
+
+    @pytest.mark.parametrize("poison", ["fitness", "observations"])
+    def test_initialize_raises_and_commits_nothing(self, poison):
+        task = PoisonedLineTask()
+        task.poison = poison
+        engine = line_engine(task=task)
+        with pytest.raises(InvalidValueError):
+            engine.initialize()
+        assert len(engine.depot) == 0
+        assert engine.containers[0].occupancy == 0
+        assert not engine.initialized
+
+    @pytest.mark.parametrize("poison", ["fitness", "observations"])
+    def test_run_batch_raises_and_commits_nothing(self, poison):
+        task = PoisonedLineTask()
+        engine = line_engine(container_specs=one_cell_specs(2), task=task)
+        engine.initialize()
+        engine.run_batch(4, 0)
+
+        def state():
+            d = engine.depot
+            return (engine_fingerprint(engine), d.curiosity.tolist(),
+                    [fd.tolist() for fd in d.fds], d.observations.tolist(),
+                    d.added_since_last_training,
+                    [(c.grid.tolist(), list(c.order)) for c in engine.containers])
+
+        before = state()
+        task.poison = poison
+        with pytest.raises(InvalidValueError):
+            engine.run_batch(4, 1)
+        assert state() == before
 
 
 class TestBookkeepingOracle:
@@ -206,19 +259,20 @@ class TestBookkeepingOracle:
             elite_curiosity = 1.0 if replaced else parent_curiosity
 
             engine.run_batch(4, batch)
-            stored = engine.containers[0].cells[(0,)]
-            assert stored.fitness == pytest.approx(elite_gene, abs=1e-12)
-            assert stored.curiosity == pytest.approx(elite_curiosity, abs=1e-12)
+            stored = engine.containers[0].grid[0]
+            assert engine.depot.fitness[stored] == pytest.approx(elite_gene, abs=1e-12)
+            assert engine.depot.curiosity[stored] == pytest.approx(elite_curiosity,
+                                                                   abs=1e-12)
             assert len(engine.depot) == depot_size
 
     def test_rejected_everywhere_decrements_with_floor(self):
         engine = line_engine(seed=12)
         engine.initialize()
-        elite = engine.containers[0].cells[(0,)]
-        elite.evaluation.fitness = 2.0  # unbeatable: every offspring rejected
+        elite = engine.containers[0].grid[0]
+        engine.depot.fitness[elite] = 2.0  # unbeatable: every offspring rejected
         engine.run_batch(6, 0)
         # 1.0 -> 0.5 -> 0.01 (floor) and stays there
-        assert elite.curiosity == pytest.approx(0.01)
+        assert engine.depot.curiosity[elite] == pytest.approx(0.01)
         assert len(engine.depot) == 1
 
 
@@ -260,14 +314,14 @@ def toy_engine(sharing=SharingStrategy.SHARED, learned=False,
 
 
 def engine_fingerprint(engine):
+    d = engine.depot
     cells = []
     for c in engine.containers:
-        for bin_idx in sorted(c.cells):
-            s = c.cells[bin_idx]
-            cells.append((c.container_id, bin_idx, s.id, s.fitness, s.curiosity,
-                          tuple(s.genome)))
-    depot = [(s.id, s.fitness) for s in engine.depot.solutions]
-    return cells, depot
+        for cell in np.flatnonzero(c.grid >= 0):
+            row = c.grid.flat[cell]
+            cells.append((c.container_id, np.unravel_index(cell, c.shape), d.ids[row],
+                          d.fitness[row], d.curiosity[row], tuple(d.genomes[row])))
+    return cells, list(zip(d.ids.tolist(), d.fitness.tolist()))
 
 
 class TestEngineLifecycle:
@@ -279,6 +333,20 @@ class TestEngineLifecycle:
         assert len(engine.depot) <= 30
         assert engine.depot.added_since_last_training == 0
         assert engine.total_evaluations == 30
+
+    def test_child_accepted_by_two_containers_is_one_depot_row(self):
+        engine = line_engine(container_specs=one_cell_specs(2))
+        engine.initialize()  # the initial genome fills both empty containers
+        assert len(engine.depot) == 1
+        assert [int(c.grid[0]) for c in engine.containers] == [0, 0]
+
+        shared = toy_engine(sharing=SharingStrategy.SHARED)
+        shared.initialize()
+        before = len(shared.depot)
+        stats = shared.run_batch(25, 0)
+        assert len(shared.depot) - before == stats.accepted_solutions
+        assert stats.accepted_solutions <= stats.adds + stats.evictions
+        np.testing.assert_array_equal(shared.depot.ids, np.unique(shared.depot.ids))
 
     def test_initialize_twice_rejected(self):
         engine = toy_engine()
@@ -342,11 +410,7 @@ class TestEngineLifecycle:
 
     def test_non_shared_four_containers_split_thousand(self):
         # the canonical split: batch of 1000 over 4 containers -> 250 each
-        spec = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
-        engine = line_engine(
-            container_specs=[ContainerSpec(shape=(1,), fd_type="hardcoded",
-                                           hardcoded=spec) for _ in range(4)],
-            eval_budget=1000)
+        engine = line_engine(container_specs=one_cell_specs(4), eval_budget=1000)
         engine.initialize()
         engine.run_batch(1000, 0)
         assert engine.per_container_evals == [250, 250, 250, 250]
@@ -354,8 +418,8 @@ class TestEngineLifecycle:
     def test_empty_container_falls_back_to_random_genome(self):
         engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
         engine.initialize()
-        engine.containers[0].cells.clear()
-        engine.containers[1].cells.clear()
+        engine.containers[0].clear()
+        engine.containers[1].clear()
         stats = engine.run_batch(10, 0)
         assert stats.executed == 10
         assert engine.containers[0].occupancy + engine.containers[1].occupancy > 0
@@ -366,8 +430,7 @@ class TestEngineLifecycle:
         for i in range(5):
             engine.run_batch(30, i)
         for c in engine.containers:
-            for s in c.cells.values():
-                assert s.curiosity >= engine.curiosity.floor
+            assert np.all(engine.depot.curiosity[c.rows()] >= engine.curiosity.floor)
 
 
 class TestRetraining:
@@ -427,18 +490,16 @@ class TestRetraining:
         class CollapseExtractor:
             out_dim = 2
 
-            def extract(self, observations):
-                return np.array([0.5, 0.5])
-
             def extract_many(self, obs_list):
                 return np.tile([0.5, 0.5], (len(obs_list), 1))
 
-        best = max(s.fitness for s in engine.containers[0].cells.values())
+        best = engine.depot.fitness[engine.containers[0].rows()].max()
         engine.containers[0].extractor = CollapseExtractor()
         reports = engine.reindex_all()
         assert engine.containers[0].occupancy == 1
-        survivor = next(iter(engine.containers[0].cells.values()))
-        assert survivor.fitness == best
+        survivor = engine.containers[0].rows()[0]
+        assert engine.depot.fitness[survivor] == best
+        np.testing.assert_array_equal(engine.depot.fds[0], 0.5)
         r0 = [r for r in reports if r.container_id == 0][0]
         assert r0.retained == 1
 
@@ -470,7 +531,6 @@ class TestRetraining:
             engine.maybe_retrain()
         for c in engine.containers:
             assert c.occupancy <= c.capacity
-            for bin_idx, sol in c.cells.items():
-                from mcqd.core import bin_index
-                assert bin_index(sol.descriptors[c.container_id], c.shape,
-                                 c.fd_bounds) == bin_idx
+            stored = c.rows()
+            np.testing.assert_array_equal(
+                c.cells(engine.depot.fds[c.container_id][stored]), c.order)

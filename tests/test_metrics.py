@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mcqd.core import DepotContainer, GridContainer
+from mcqd.core import GridContainer
 from mcqd.metrics import (
     METRIC_COLUMNS,
     best_fitness,
@@ -15,19 +15,26 @@ from mcqd.metrics import (
     unique_variants,
 )
 
-from test_core import make_solution
+from test_core import make_depot, offer
 
 BOUNDS = (0.0, 10.0)
 
 
-def fill(container, entries, container_id=None):
-    """entries: list of (id, fitness, fd)."""
-    cid = container.container_id if container_id is None else container_id
-    for sol_id, fitness, fd in entries:
-        sol = make_solution(sol_id, fitness, fd, container_id=cid)
-        outcome, _ = container.add(sol)
-        assert outcome.accepted
-    return container
+def fill(containers, entries):
+    """entries: one (fitness, {container_id: fd}) per depot row; each row is
+    offered to every container it has an FD for, and must be accepted.
+    Returns the depot."""
+    n = len(entries)
+    fds = [np.full((n, len(c.shape)), 0.5) for c in containers]
+    for row, (_, placed) in enumerate(entries):
+        for cid, fd in placed.items():
+            fds[cid][row] = fd
+    depot = make_depot([fitness for fitness, _ in entries], fds)
+    for row, (_, placed) in enumerate(entries):
+        for cid in placed:
+            outcome, _ = offer(containers[cid], depot, row)
+            assert outcome.accepted
+    return depot
 
 
 class PassThroughExtractor:
@@ -37,109 +44,117 @@ class PassThroughExtractor:
         self.rows = rows
         self.out_dim = len(rows)
 
-    def extract(self, observations):
-        return np.asarray(observations)[self.rows, 0]
-
-    def extract_many(self, obs_list):
-        return np.array([self.extract(o) for o in obs_list])
+    def extract_many(self, observations):
+        return np.asarray(observations)[:, self.rows, 0]
 
 
-def depot_of(points):
-    """Depot whose solutions carry (2, 1) observation matrices."""
-    depot = DepotContainer()
-    for i, (a, b) in enumerate(points):
-        sol = make_solution(i, 1.0, [0.5, 0.5])
-        sol.evaluation.observations = np.array([[a], [b]])
-        depot.record(sol)
-    return depot
+def depot_of(points, extractors=(PassThroughExtractor([0, 1]),), fitness=None):
+    """Depot whose row r carries the (k, 1) observation matrix ``points[r]``
+    and, per extractor, the FD that extractor reads from it."""
+    obs = np.asarray(points, dtype=float)[:, :, np.newaxis]
+    return make_depot(np.ones(len(obs)) if fitness is None else fitness,
+                      [ex.extract_many(obs) for ex in extractors], observations=obs)
 
 
 class TestCoverageAndScores:
     def test_empty_everything(self):
         cs = [GridContainer(0, (10, 10)), GridContainer(1, (5, 5))]
+        depot = make_depot([], [np.empty((0, 2))] * 2)
         assert coverage(cs) == 0.0
-        assert qd_score(cs, BOUNDS) == 0.0
-        assert best_fitness(cs) is None
+        assert qd_score(cs, depot, BOUNDS) == 0.0
+        assert best_fitness(cs, depot) is None
 
     def test_full_coverage(self):
         c = GridContainer(0, (2, 2))
-        fill(c, [(0, 1.0, [0.1, 0.1]), (1, 1.0, [0.9, 0.1]),
-                 (2, 1.0, [0.1, 0.9]), (3, 1.0, [0.9, 0.9])])
+        fill([c], [(1.0, {0: [0.1, 0.1]}), (1.0, {0: [0.9, 0.1]}),
+                   (1.0, {0: [0.1, 0.9]}), (1.0, {0: [0.9, 0.9]})])
         assert coverage([c]) == 100.0
 
     def test_direct_count(self):
         c = GridContainer(0, (10, 10))
         rng = np.random.default_rng(0)
         taken = set()
-        i = 0
+        entries = []
         while len(taken) < 37:
             fd = rng.random(2)
             cell = tuple((fd * 10).astype(int))
             if cell not in taken:
                 taken.add(cell)
-                fill(c, [(i, 1.0, fd)])
-                i += 1
+                entries.append((1.0, {0: fd}))
+        fill([c], entries)
         assert coverage([c]) == 37.0
 
     def test_qd_score_normalization(self):
         c = GridContainer(0, (10, 10))
-        fill(c, [(i, 10.0, [0.05 + 0.1 * i, 0.5]) for i in range(10)])
-        assert qd_score([c], BOUNDS) == pytest.approx(10.0)
+        depot = fill([c], [(10.0, {0: [0.05 + 0.1 * i, 0.5]}) for i in range(10)])
+        assert qd_score([c], depot, BOUNDS) == pytest.approx(10.0)
         c2 = GridContainer(0, (10, 10))
-        fill(c2, [(i, 5.0, [0.05 + 0.1 * i, 0.5]) for i in range(3)])
-        assert qd_score([c2], BOUNDS) == pytest.approx(1.5)
+        depot2 = fill([c2], [(5.0, {0: [0.05 + 0.1 * i, 0.5]}) for i in range(3)])
+        assert qd_score([c2], depot2, BOUNDS) == pytest.approx(1.5)
 
     def test_qd_score_clamps_out_of_bounds_fitness(self):
         c = GridContainer(0, (10, 10))
-        fill(c, [(0, 99.0, [0.1, 0.1]), (1, -99.0, [0.9, 0.9])])
-        assert qd_score([c], BOUNDS) == pytest.approx(1.0)
+        depot = fill([c], [(99.0, {0: [0.1, 0.1]}), (-99.0, {0: [0.9, 0.9]})])
+        assert qd_score([c], depot, BOUNDS) == pytest.approx(1.0)
+
+    def test_sums_run_left_to_right_in_first_fill_order(self):
+        # the metric log's bits depend on the summation order: entries are
+        # added container by container, each in first-fill order, from 0.0
+        cs = [GridContainer(0, (10, 10)), GridContainer(1, (10, 10))]
+        rng = np.random.default_rng(6)
+        entries = [(float(f), {k % 2: [0.05 + 0.1 * (k // 2), 0.5]})
+                   for k, f in enumerate(rng.uniform(0.0, 10.0, 20))]
+        entries[7] = (entries[7][0], {0: [0.95, 0.95], 1: [0.95, 0.95]})
+        depot = fill(cs, entries)
+        expected = 0.0
+        for c in cs:
+            for row in c.rows():
+                expected += float(depot.fitness[row]) / 10.0
+        assert qd_score(cs, depot, BOUNDS) == expected
+        uq, _ = unique_variants(cs, depot, BOUNDS)
+        seen = dict.fromkeys(int(r) for c in cs for r in c.rows())
+        assert uq == sum(float(depot.fitness[r]) / 10.0 for r in seen)
 
 
 class TestUniqueAndRedundancy:
     def make_pair(self, share):
-        c0 = GridContainer(0, (10, 10))
-        c1 = GridContainer(1, (10, 10))
-        fill(c0, [(0, 5.0, [0.1, 0.1]), (1, 7.0, [0.9, 0.9])])
+        cs = [GridContainer(0, (10, 10)), GridContainer(1, (10, 10))]
+        entries = [(5.0, {0: [0.1, 0.1]}), (7.0, {0: [0.9, 0.9]})]
         if share:
-            shared = make_solution(0, 5.0, [0.3, 0.3], container_id=1)
-            c1.add(shared)
+            entries[0][1][1] = [0.3, 0.3]
         else:
-            fill(c1, [(2, 5.0, [0.3, 0.3])], container_id=1)
-        return [c0, c1]
+            entries.append((5.0, {1: [0.3, 0.3]}))
+        return cs, fill(cs, entries)
 
     def test_single_container_unique_equals_base(self):
         c = GridContainer(0, (10, 10))
-        fill(c, [(i, 4.0, [0.05 + 0.1 * i, 0.5]) for i in range(7)])
-        uq, ucov = unique_variants([c], BOUNDS)
-        assert uq == qd_score([c], BOUNDS)
+        depot = fill([c], [(4.0, {0: [0.05 + 0.1 * i, 0.5]}) for i in range(7)])
+        uq, ucov = unique_variants([c], depot, BOUNDS)
+        assert uq == qd_score([c], depot, BOUNDS)
         assert ucov == coverage([c])
         assert redundancy([c]) == 0.0
 
     def test_shared_solution_counted_once(self):
-        cs = self.make_pair(share=True)
-        uq, ucov = unique_variants(cs, BOUNDS)
+        cs, depot = self.make_pair(share=True)
+        uq, ucov = unique_variants(cs, depot, BOUNDS)
         assert uq == pytest.approx(0.5 + 0.7)
-        assert qd_score(cs, BOUNDS) == pytest.approx(0.5 + 0.7 + 0.5)
+        assert qd_score(cs, depot, BOUNDS) == pytest.approx(0.5 + 0.7 + 0.5)
         assert ucov == pytest.approx(100.0 * 2 / 200)
         assert coverage(cs) == pytest.approx(100.0 * 3 / 200)
         assert redundancy(cs) == pytest.approx(1 / 200)
 
     def test_disjoint_contents_not_redundant(self):
-        cs = self.make_pair(share=False)
-        uq, ucov = unique_variants(cs, BOUNDS)
-        assert uq == qd_score(cs, BOUNDS)
+        cs, depot = self.make_pair(share=False)
+        uq, ucov = unique_variants(cs, depot, BOUNDS)
+        assert uq == qd_score(cs, depot, BOUNDS)
         assert ucov == coverage(cs)
         assert redundancy(cs) == 0.0
 
     def test_one_solution_in_four_containers(self):
-        containers = []
-        for cid in range(4):
-            c = GridContainer(cid, (10, 10))
-            sol = make_solution(0, 5.0, [0.5, 0.5], container_id=cid)
-            c.add(sol)
-            containers.append(c)
+        containers = [GridContainer(cid, (10, 10)) for cid in range(4)]
+        depot = fill(containers, [(5.0, {cid: [0.5, 0.5] for cid in range(4)})])
         assert redundancy(containers) == pytest.approx(3 / 400)
-        _, ucov = unique_variants(containers, BOUNDS)
+        _, ucov = unique_variants(containers, depot, BOUNDS)
         assert ucov == pytest.approx(100.0 / 400)
         assert coverage(containers) == pytest.approx(400.0 / 400)
 
@@ -147,14 +162,13 @@ class TestUniqueAndRedundancy:
 class TestBestFitness:
     def test_single(self):
         c = GridContainer(0, (4, 4))
-        fill(c, [(0, 7.0, [0.5, 0.5])])
-        assert best_fitness([c]) == 7.0
+        depot = fill([c], [(7.0, {0: [0.5, 0.5]})])
+        assert best_fitness([c], depot) == 7.0
 
     def test_max_over_containers(self):
-        c0, c1 = GridContainer(0, (4, 4)), GridContainer(1, (4, 4))
-        fill(c0, [(0, 3.0, [0.5, 0.5])])
-        fill(c1, [(1, 9.0, [0.5, 0.5])], container_id=1)
-        assert best_fitness([c0, c1]) == 9.0
+        cs = [GridContainer(0, (4, 4)), GridContainer(1, (4, 4))]
+        depot = fill(cs, [(3.0, {0: [0.5, 0.5]}), (9.0, {1: [0.5, 0.5]})])
+        assert best_fitness(cs, depot) == 9.0
 
 
 class TestFdAbsCorrelation:
@@ -162,25 +176,21 @@ class TestFdAbsCorrelation:
         rng = np.random.default_rng(0)
         depot = depot_of(np.column_stack([rng.random(50)] * 2))
         c = GridContainer(0, (4, 4))
-        c.extractor = PassThroughExtractor([0, 1])
         assert fd_abs_correlation([c], depot) == pytest.approx(1.0)
 
     def test_independent_columns_near_zero(self):
         rng = np.random.default_rng(1)
         depot = depot_of(rng.random((10_000, 2)))
         c = GridContainer(0, (4, 4))
-        c.extractor = PassThroughExtractor([0, 1])
         assert fd_abs_correlation([c], depot) < 0.05
 
     def test_zero_variance_column_excluded(self, caplog):
         rng = np.random.default_rng(2)
         pts = rng.random((100, 2))
         pts[:, 1] = 0.7
-        depot = depot_of(pts)
+        depot = depot_of(pts, (PassThroughExtractor([0, 1]), PassThroughExtractor([0])))
         c0 = GridContainer(0, (4, 4))
-        c0.extractor = PassThroughExtractor([0, 1])
-        c1 = GridContainer(1, (4, 4))
-        c1.extractor = PassThroughExtractor([0])
+        c1 = GridContainer(1, (4,))
         with caplog.at_level("WARNING"):
             value = fd_abs_correlation([c0, c1], depot)
         assert value == pytest.approx(1.0)  # the two surviving columns are copies
@@ -188,7 +198,6 @@ class TestFdAbsCorrelation:
 
     def test_undefined_cases_return_none(self):
         c = GridContainer(0, (4, 4))
-        c.extractor = PassThroughExtractor([0, 1])
         assert fd_abs_correlation([c], depot_of([(0.1, 0.2)])) is None
 
 
@@ -199,12 +208,8 @@ class TestKlCoverage:
         return c
 
     def solutions(self, points):
-        sols = []
-        for i, (a, b) in enumerate(points):
-            s = make_solution(1000 + i, 1.0, [0.5, 0.5])
-            s.evaluation.observations = np.array([[a], [b]])
-            sols.append(s)
-        return sols
+        """The (n, 2, 1) observations of a solution set."""
+        return np.asarray(points, dtype=float)[:, :, np.newaxis]
 
     def test_identical_sets_are_zero(self):
         c = self.make_container()
@@ -240,7 +245,7 @@ class TestKlCoverage:
         xs = self.solutions(np.random.default_rng(4).random((50, 2)))
         assert kl_coverage(xs, xs, [c], mode="joint") <= 1e-6
         with pytest.raises(ValueError):
-            kl_coverage([], xs, [c])
+            kl_coverage(xs[:0], xs, [c])
         with pytest.raises(ValueError):
             kl_coverage(xs, xs, [c], mode="diagonal")
 
@@ -254,10 +259,11 @@ class TestBestFitnessDepotCrossCheck:
         engine.initialize()
         for i in range(3):
             engine.run_batch(30, i)
-        stored_ids = {s.id for c in engine.containers for s in c.cells.values()}
-        oracle = max(s.fitness for s in engine.depot.solutions
-                     if s.id in stored_ids)
-        assert best_fitness(engine.containers) == oracle
+        depot = engine.depot
+        stored_ids = {int(depot.ids[r]) for c in engine.containers for r in c.rows()}
+        oracle = max(f for i, f in zip(depot.ids.tolist(), depot.fitness.tolist())
+                     if i in stored_ids)
+        assert best_fitness(engine.containers, depot) == oracle
 
 
 class TestToyTaskClosedFormCorrelation:
@@ -268,13 +274,11 @@ class TestToyTaskClosedFormCorrelation:
         from mcqd.tasks import RastriginToyTask
         task = RastriginToyTask()
         rng = np.random.default_rng(11)
-        depot = DepotContainer()
-        for i, genome in enumerate(rng.uniform(-5.12, 5.12, (20_000, 2))):
-            ev = task.evaluate(genome, None)
-            depot.record(make_solution(i, ev.fitness, [0.5, 0.5]))
-            depot.solutions[-1].evaluation = ev
-        c = GridContainer(0, (4, 4))
-        c.extractor = PassThroughExtractor([0, 1, 2, 3])
+        genomes = rng.uniform(-5.12, 5.12, (20_000, 2))
+        fitness, obs = task.evaluate_many(genomes, [None] * len(genomes))
+        depot = make_depot(fitness, [PassThroughExtractor([0, 1, 2, 3]).extract_many(obs)],
+                           observations=obs)
+        c = GridContainer(0, (4, 4, 4, 4))
         expected = 4.0 / (6.0 * np.sqrt(2.0))
         assert fd_abs_correlation([c], depot) == pytest.approx(expected, abs=0.01)
 
@@ -282,9 +286,11 @@ class TestToyTaskClosedFormCorrelation:
 class TestSnapshot:
     def test_snapshot_fields_and_order(self):
         c = GridContainer(0, (10, 10))
-        c.extractor = PassThroughExtractor([0, 1])
-        fill(c, [(0, 5.0, [0.1, 0.1]), (1, 7.0, [0.9, 0.9])])
-        depot = depot_of(np.random.default_rng(5).random((20, 2)))
+        points = np.random.default_rng(5).random((20, 2))
+        points[:2] = [[0.1, 0.1], [0.9, 0.9]]
+        depot = depot_of(points, fitness=[5.0, 7.0] + [1.0] * 18)
+        for row in (0, 1):
+            offer(c, depot, row)
         snap = snapshot(3, [c], depot, BOUNDS)
         assert snap.iteration == 3
         assert snap.coverage_pct == 2.0

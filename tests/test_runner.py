@@ -94,6 +94,47 @@ class TestArtifacts:
         for r in records:
             assert r["adds"] + r["evictions"] + r["rejections"] > 0
             assert len(r["occupancy"]) == 2
+        depot_size = read_metrics_csv(result.run_dir / "rep_000" / "metrics.csv")
+        for r in records:
+            if r["retrain"] is None:
+                continue
+            assert list(r["retrain"]) == ["diverged", "message", "train_loss", "val_loss",
+                                          "epochs", "corpus", "reindex"]
+            assert not r["retrain"]["diverged"]
+            assert r["retrain"]["epochs"] == 2
+            assert r["retrain"]["corpus"] == depot_size[r["batch"]]["depot_size"]
+            for key in ("train_loss", "val_loss"):
+                assert isinstance(r["retrain"][key], float)
+                assert 0.0 < r["retrain"][key] < float("inf")
+
+    def test_diverged_retrain_logs_null_losses(self, tmp_path, monkeypatch):
+        import mcqd.engine as engine_mod
+        from mcqd.autoencoder import TrainReport
+
+        real = engine_mod.train_ensemble
+        calls = {"n": 0}
+
+        def diverges_after_initial(ensemble, inputs, cfg, rng):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return real(ensemble, inputs, cfg, rng)
+            return TrainReport(train_losses=[0.5], diverged=True,
+                               message="non-finite training loss at epoch 1")
+
+        monkeypatch.setattr(engine_mod, "train_ensemble", diverges_after_initial)
+        config = ExperimentConfig.from_yaml(TOY_YAML.replace("replicates: 2",
+                                                             "replicates: 1"))
+        result = run_experiment(config, tmp_path / "diverged")
+        assert not result.failed
+        text = (result.run_dir / "rep_000" / "batches.jsonl").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        retrains = [json.loads(ln)["retrain"] for ln in text.splitlines()[1:]]
+        retrains = [r for r in retrains if r is not None]
+        assert retrains
+        for r in retrains:
+            assert r["diverged"] and r["reindex"] == []
+            assert r["train_loss"] is None and r["val_loss"] is None
+            assert r["epochs"] == 1 and r["corpus"] > 0
 
     def test_container_snapshot_fields(self, toy_run):
         _, result = toy_run
@@ -190,13 +231,15 @@ training:
 
 # sha256 of the learned run's text artifacts and of its checkpoint arrays
 # (name, dtype, shape and bytes of each, in name order; the .npz container
-# itself stamps its write time), re-recorded when the walker's controller
-# products moved from einsum to a stacked matmul.
+# itself stamps its write time).  ``containers.jsonl`` was re-recorded when
+# learned FDs came to be extracted once per batch and once over the whole
+# depot after a retrain, instead of one row at a time: its FDs moved in the
+# last bits.
 LEARNED_WALKER_GOLDEN_SHA256 = {
     "metrics.csv":
         "3d3193e8809ff953b6724727b4533a05813f6ab9227f936c2b94c9ab6a75cc39",
     "containers.jsonl":
-        "7d8df072b3822d3b417b32948c5753b8ad1fb73da8d7cbcae8b9f01c2e1cc40f",
+        "4dbb1e0f25f58443493cd6de3230771b39e4cd0004101d87f4ea5597a340ad4c",
     "checkpoint.npz":
         "d9212a3b547db140ddf2b1308bfc823c70dc8d00a094acb58386a1d0947d83da",
 }

@@ -29,9 +29,13 @@ class TestWalker:
         d = walker.definition
         assert d.n_timepoints == 10
         assert d.episode_steps == d.n_timepoints * d.obs_averaging_window
-        ev = walker.evaluate(np.zeros(d.genome_dim), episode_seed_sequence(0, 0))
-        assert ev.observations.shape == (d.n_obs_channels, d.n_timepoints)
-        assert ev.episode_count == d.episodes_per_eval
+        fitness, obs = walker.evaluate(np.zeros(d.genome_dim), episode_seed_sequence(0, 0))
+        assert isinstance(fitness, float)
+        assert obs.shape == (d.n_obs_channels, d.n_timepoints)
+        fitness, obs = walker.evaluate_many(np.zeros((3, d.genome_dim)),
+                                            [episode_seed_sequence(0, i) for i in range(3)])
+        assert fitness.shape == (3,)
+        assert obs.shape == (3, d.n_obs_channels, d.n_timepoints)
 
     def test_full_scale_shape_recipe(self):
         task = make_task("surrogate_walker",
@@ -42,41 +46,41 @@ class TestWalker:
         task = make_task("surrogate_walker",
                          {"episode_steps": 150, "obs_window": 15,
                           "terrain_roughness": 0.0})
-        ev = task.evaluate(np.zeros(task.definition.genome_dim),
-                           episode_seed_sequence(1, 0))
-        displacement = ev.observations[0, -1]
+        _, obs = task.evaluate(np.zeros(task.definition.genome_dim),
+                               episode_seed_sequence(1, 0))
+        displacement = obs[0, -1]
         assert abs(displacement) < 0.01 * SurrogateWalkerTask.ARENA_LENGTH
 
     def test_deterministic_per_seed(self, walker):
         g = np.random.default_rng(3).uniform(-1, 1, walker.definition.genome_dim)
         a = walker.evaluate(g, episode_seed_sequence(7, 5))
         b = walker.evaluate(g, episode_seed_sequence(7, 5))
-        assert a.fitness == b.fitness
-        np.testing.assert_array_equal(a.observations, b.observations)
+        assert a[0] == b[0]
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_different_substreams_differ(self, walker):
         rng = np.random.default_rng(4)
         g = rng.uniform(-1, 1, walker.definition.genome_dim)
-        a = walker.evaluate(g, episode_seed_sequence(7, 500))
-        b = walker.evaluate(g, episode_seed_sequence(7, 501))
-        assert a.fitness != b.fitness
+        a, _ = walker.evaluate(g, episode_seed_sequence(7, 500))
+        b, _ = walker.evaluate(g, episode_seed_sequence(7, 501))
+        assert a != b
 
     def test_batch_matches_single(self, walker):
         rng = np.random.default_rng(5)
         genomes = rng.uniform(-1, 1, (6, walker.definition.genome_dim))
         seeds = [episode_seed_sequence(9, i) for i in range(6)]
-        batch = walker.evaluate_many(genomes, seeds)
+        fitness, obs = walker.evaluate_many(genomes, seeds)
         for i in range(6):
-            single = walker.evaluate(genomes[i], episode_seed_sequence(9, i))
-            assert single.fitness == batch[i].fitness
-            np.testing.assert_array_equal(single.observations,
-                                          batch[i].observations)
+            single_fitness, single_obs = walker.evaluate(genomes[i],
+                                                         episode_seed_sequence(9, i))
+            assert single_fitness == fitness[i]
+            np.testing.assert_array_equal(single_obs, obs[i])
 
     def test_observations_finite_and_genome_checked(self, walker):
         rng = np.random.default_rng(6)
         g = rng.uniform(-1, 1, walker.definition.genome_dim)
-        ev = walker.evaluate(g, episode_seed_sequence(0, 1))
-        assert np.all(np.isfinite(ev.observations))
+        _, obs = walker.evaluate(g, episode_seed_sequence(0, 1))
+        assert np.all(np.isfinite(obs))
         with pytest.raises(StructuralError):
             walker.evaluate(np.zeros(3), episode_seed_sequence(0, 0))
 
@@ -94,13 +98,12 @@ class TestWalker:
 class TestToyTask:
     def test_global_optimum(self):
         task = RastriginToyTask()
-        ev = task.evaluate(np.zeros(2), None)
-        assert ev.fitness == pytest.approx(0.0, abs=1e-12)
+        fitness, _ = task.evaluate(np.zeros(2), None)
+        assert fitness == pytest.approx(0.0, abs=1e-12)
 
     def test_observation_structure(self):
         task = RastriginToyTask()
-        ev = task.evaluate(np.array([1.5, -0.5]), None)
-        obs = ev.observations
+        _, obs = task.evaluate(np.array([1.5, -0.5]), None)
         assert obs.shape == (4, 10)
         np.testing.assert_allclose(obs[2], obs[0] + obs[1])
         np.testing.assert_allclose(obs[3], obs[0] - obs[1])
@@ -108,17 +111,17 @@ class TestToyTask:
 
     def test_symmetric_genomes_mirror(self):
         task = RastriginToyTask()
-        a = task.evaluate(np.array([0.7, -1.2]), None)
-        b = task.evaluate(np.array([-1.2, 0.7]), None)
-        assert a.fitness == pytest.approx(b.fitness, abs=1e-12)
-        np.testing.assert_allclose(a.observations[0], b.observations[1])
-        np.testing.assert_allclose(a.observations[3], -b.observations[3])
+        a_fitness, a = task.evaluate(np.array([0.7, -1.2]), None)
+        b_fitness, b = task.evaluate(np.array([-1.2, 0.7]), None)
+        assert a_fitness == pytest.approx(b_fitness, abs=1e-12)
+        np.testing.assert_allclose(a[0], b[1])
+        np.testing.assert_allclose(a[3], -b[3])
 
     def test_known_rastrigin_value(self):
         task = RastriginToyTask()
         # f(1, 0) = 1 for the standard parameters
-        ev = task.evaluate(np.array([1.0, 0.0]), None)
-        assert ev.fitness == pytest.approx(-1.0, abs=1e-9)
+        fitness, _ = task.evaluate(np.array([1.0, 0.0]), None)
+        assert fitness == pytest.approx(-1.0, abs=1e-9)
 
 
 # sha256 of evaluate_many's fitness and observation bytes for six fixed
@@ -137,10 +140,10 @@ def _golden_batch(walker):
 
 
 def test_walker_golden_bytes(walker):
-    batch = _golden_batch(walker)
-    digest = hashlib.sha256(np.array([ev.fitness for ev in batch]).tobytes())
-    for ev in batch:
-        digest.update(np.ascontiguousarray(ev.observations, dtype=float).tobytes())
+    fitness, obs = _golden_batch(walker)
+    digest = hashlib.sha256(fitness.tobytes())
+    for row in obs:
+        digest.update(np.ascontiguousarray(row, dtype=float).tobytes())
     assert digest.hexdigest() == WALKER_GOLDEN_SHA256
 
 
@@ -154,7 +157,7 @@ WALKER_GOLDEN_FITNESS_BEFORE_MATMUL = [
 
 
 def test_walker_golden_fitness_drift_is_last_bits(walker):
-    fitness = [ev.fitness for ev in _golden_batch(walker)]
+    fitness, _ = _golden_batch(walker)
     np.testing.assert_allclose(fitness, WALKER_GOLDEN_FITNESS_BEFORE_MATMUL,
                                rtol=0.0, atol=1e-12)
 
@@ -192,15 +195,14 @@ from mcqd.tasks import make_task
 task = make_task("surrogate_walker", {"episode_steps": 150, "obs_window": 15})
 genomes = np.random.default_rng(77).uniform(-1, 1, (300, task.definition.genome_dim))
 seeds = [episode_seed_sequence(13, i) for i in range(300)]
-batch = task.evaluate_many(genomes, seeds)
+fitness, obs = task.evaluate_many(genomes, seeds)
 for i in (0, 1, 149, 299):
-    single = task.evaluate(genomes[i], episode_seed_sequence(13, i))
-    if (single.fitness != batch[i].fitness
-            or single.observations.tobytes() != batch[i].observations.tobytes()):
+    single_fitness, single_obs = task.evaluate(genomes[i], episode_seed_sequence(13, i))
+    if single_fitness != fitness[i] or single_obs.tobytes() != obs[i].tobytes():
         sys.exit(f"row {i} differs from its single-row evaluation")
-digest = hashlib.sha256(np.array([ev.fitness for ev in batch]).tobytes())
-for ev in batch:
-    digest.update(ev.observations.tobytes())
+digest = hashlib.sha256(fitness.tobytes())
+for row in obs:
+    digest.update(row.tobytes())
 print(digest.hexdigest())
 """
 
@@ -219,3 +221,19 @@ def test_walker_bytes_independent_of_blas_threads():
         assert out.returncode == 0, out.stderr
         digests.append(out.stdout.strip())
     assert digests[0] == digests[1]
+
+
+def test_walker_holds_one_observation_window_not_the_episode(walker):
+    """A 500-genome batch (the benchmarks' initial collection) keeps one
+    window of steps, not all of them: storing every step of it took 42 MB."""
+    import tracemalloc
+
+    genomes = np.random.default_rng(8).uniform(-1, 1, (500, walker.definition.genome_dim))
+    seeds = [episode_seed_sequence(1, i) for i in range(500)]
+    tracemalloc.start()
+    try:
+        walker.evaluate_many(genomes, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"

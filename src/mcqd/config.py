@@ -326,6 +326,14 @@ class ExperimentConfig:
             raise ConfigurationError("training.dropout must be in [0, 1)")
         if any(width < 1 for width in self.training.hidden):
             raise ConfigurationError("training.hidden widths must be >= 1")
+        if self.training.batch_size < 1:
+            raise ConfigurationError("training.batch_size must be >= 1")
+        if self.training.quantiles < 2:
+            raise ConfigurationError("training.quantiles must be >= 2")
+        if self.training.learning_rate < 0:
+            raise ConfigurationError("training.learning_rate must be >= 0")
+        if self.search.curiosity.floor <= 0:
+            raise ConfigurationError("search.curiosity.floor must be positive")
         if not 0.0 <= self.search.mutation.probability <= 1.0:
             raise ConfigurationError("search.mutation.probability must be in [0, 1]")
         if self.search.mutation.eta <= 0:

@@ -52,14 +52,17 @@ class HardcodedSpec:
 
 
 class HardcodedExtractor:
-    def __init__(self, spec: HardcodedSpec, channel_index: dict[str, int]):
+    """A ``HardcodedSpec`` over observations whose channels are named, in
+    order, by ``channel_names``."""
+
+    def __init__(self, spec: HardcodedSpec, channel_names):
         self.spec = spec
         self.out_dim = spec.out_dim
         self._rows = []
         for red in spec.reductions:
-            if red.channel not in channel_index:
+            if red.channel not in channel_names:
                 raise ConfigurationError(f"task has no channel named {red.channel!r}")
-            self._rows.append(channel_index[red.channel])
+            self._rows.append(channel_names.index(red.channel))
 
     def extract_many(self, observation_list) -> np.ndarray:
         """Each row's bits are the same whatever the other rows are."""
@@ -112,31 +115,3 @@ class LearnedExtractor:
             return self.quantile_transform.apply(z)
         return z
 
-
-# Default hardcoded FD pairs for the locomotion surrogate, mirroring the
-# usual hand-designed characterization: how far and how upright the walker
-# went, how hard it worked and how much it jumped, and the two legs' joint
-# postures.
-_WALKER_PAIRS = (
-    (("displacement", "final"), ("body_angle", "mean")),
-    (("torque_total", "mean_abs"), ("airborne", "mean")),
-    (("hip1", "mean"), ("knee1", "mean")),
-    (("hip2", "mean"), ("knee2", "mean")),
-)
-
-
-def fd_pairs_default(task) -> list[HardcodedSpec]:
-    """The four 2-D hardcoded FD specs for a walker-style task."""
-    specs = []
-    catalog = task.definition.channel_fd_bounds
-    for pair in _WALKER_PAIRS:
-        reductions = []
-        for channel, kind in pair:
-            if channel not in catalog:
-                raise ConfigurationError(
-                    f"task {task.definition.name!r} lacks channel {channel!r} "
-                    "needed by the default FD pairs"
-                )
-            reductions.append(ChannelReduction(channel, kind, catalog[channel]))
-        specs.append(HardcodedSpec(tuple(reductions)))
-    return specs

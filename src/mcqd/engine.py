@@ -93,20 +93,24 @@ class ContainerSpec:
                 f"{list(self.shape)} has {len(self.shape)}")
 
 
-def mutate_polynomial(genome: np.ndarray, cfg: MutationSection,
+def mutate_polynomial(genomes: np.ndarray, cfg: MutationSection,
                       bounds: tuple[float, float], rng) -> np.ndarray:
     """Bounded polynomial mutation with crowding index eta.
 
-    Each gene mutates independently with probability ``cfg.probability``;
-    the perturbation follows the bounded polynomial distribution and the
-    result is clipped back into ``bounds``.  RNG consumption is constant (two
-    draws per gene) so downstream draws do not depend on which genes fired.
+    ``genomes`` is one genome (g,) or a stack (..., g).  Each gene mutates
+    independently with probability ``cfg.probability``; the perturbation
+    follows the bounded polynomial distribution and the result is clipped
+    back into ``bounds``.  RNG consumption is constant (two draws per gene)
+    so downstream draws do not depend on which genes fired, and each genome
+    takes its mutation mask and then its ``u``, so a stack gets the same
+    bits as one call per genome in order.
     """
     lo, hi = bounds
-    x = np.asarray(genome, dtype=float)
+    x = np.asarray(genomes, dtype=float)
     span = hi - lo
-    do_mut = rng.random(x.shape) < cfg.probability
-    u = rng.random(x.shape)
+    draws = rng.random((*x.shape[:-1], 2, x.shape[-1]))
+    do_mut = draws[..., 0, :] < cfg.probability
+    u = draws[..., 1, :]
     delta_1 = (x - lo) / span
     delta_2 = (hi - x) / span
     mut_pow = 1.0 / (cfg.eta + 1.0)
@@ -198,32 +202,22 @@ class Engine:
             batch_size=training.batch_size,
             validation_split=training.validation_split)
 
-        learned = [s for s in container_specs if s.fd_type != "hardcoded"]
-        if learned and self.training_strategy is TrainingStrategy.NONE:
+        self._specs = list(container_specs)
+        # learned[k] is the container that ensemble module k describes
+        self.learned = [cid for cid, spec in enumerate(container_specs)
+                        if spec.fd_type != "hardcoded"]
+        if self.learned and self.training_strategy is TrainingStrategy.NONE:
             raise ConfigurationError("learned descriptors require a training strategy")
-        if not learned and self.training_strategy is not TrainingStrategy.NONE:
+        if not self.learned and self.training_strategy is not TrainingStrategy.NONE:
             raise ConfigurationError("hardcoded-only experiments must use training: none")
-        if any(len(spec.shape) != training.latent_dim for spec in learned):
+        if any(len(self._specs[cid].shape) != training.latent_dim for cid in self.learned):
             raise ConfigurationError(
                 "learned container grids must match the latent dimensionality")
-        self._specs = list(container_specs)
-        self.containers: list[GridContainer] = []
-        self.module_index: dict[int, int] = {}  # container id -> ensemble module
-        next_module = 0
-        for cid, spec in enumerate(container_specs):
-            container = GridContainer(cid, spec.shape)
-            if spec.fd_type == "hardcoded":
-                container.extractor = HardcodedExtractor(
-                    spec.hardcoded,
-                    {n: task.definition.channel_index(n)
-                     for n in task.definition.channel_names},
-                )
-            else:
-                self.module_index[cid] = next_module
-                next_module += 1
-            self.containers.append(container)
-
         d = task.definition
+        self.containers = [
+            GridContainer(cid, spec.shape, None if spec.fd_type != "hardcoded"
+                          else HardcodedExtractor(spec.hardcoded, d.channel_names))
+            for cid, spec in enumerate(container_specs)]
         self.depot = DepotContainer(d.genome_dim, (d.n_obs_channels, d.n_timepoints),
                                     [len(spec.shape) for spec in container_specs])
         self.ensemble: ModularAutoEncoderEnsemble | None = None
@@ -240,10 +234,6 @@ class Engine:
         self.initialized = False
 
     # -- helpers ----------------------------------------------------------
-
-    @property
-    def learned_container_ids(self) -> list[int]:
-        return sorted(self.module_index)
 
     @property
     def eval_budget(self) -> int:
@@ -301,12 +291,13 @@ class Engine:
                           [fd[accepted] for fd in fds])
         return len(accepted)
 
-    def _fit_and_train(self, corpus):
-        """Fit scaling and train a candidate ensemble on the corpus.
-
-        A fresh Xavier-initialized ensemble is built on the first pass; later
-        passes warm-start from the current parameters.  Returns (candidate,
-        scaler, scaled inputs, train report); nothing is published here.
+    def _train(self, corpus):
+        """Fit the scaling and train the ensemble (built fresh on the first
+        pass, else a warm-started copy) on ``corpus``.  Unless training
+        diverged, publish the ensemble, scaler, quantile transforms and
+        extractors.  Returns the train report and, unless training diverged,
+        each learned container's FD matrix of the corpus, in ``learned``
+        order, taken from the encoding its quantile transform is fit on.
         """
         rng = substream(self.seed, STREAM_TRAINING, self.retrain_count)
         scaler = ObservationScaler.fit(corpus)
@@ -316,7 +307,7 @@ class Engine:
             candidate = ModularAutoEncoderEnsemble.build(
                 input_dim=inputs.shape[1],
                 latent_dim=t.latent_dim,
-                n_modules=len(self.module_index),
+                n_modules=len(self.learned),
                 hidden=t.hidden,
                 dropout=t.dropout,
                 diversity_kind=t.diversity.kind,
@@ -327,22 +318,24 @@ class Engine:
         else:
             candidate = self.ensemble.clone()
         report = train_ensemble(candidate, inputs, self._train_config, rng)
-        return candidate, scaler, inputs, report
-
-    def _publish_models(self, ensemble, scaler, inputs) -> None:
-        self.ensemble = ensemble
+        if report.diverged:
+            return report, None
+        self.retrain_count += 1
+        self.ensemble = candidate
         self.scaler = scaler
         self.quantile_transforms = {}
-        for cid in self.learned_container_ids:
-            spec = self._specs[cid]
+        fds = []
+        for module, cid in enumerate(self.learned):
+            fd = candidate.encode(inputs, module)
             qt = None
-            if spec.fd_type == "ae_qt":
-                latents = ensemble.encode(inputs, self.module_index[cid])
-                qt = QuantileTransform.fit(
-                    latents, min(self.training.quantiles, latents.shape[0]))
+            if self._specs[cid].fd_type == "ae_qt":
+                qt = QuantileTransform.fit(fd, self.training.quantiles)
                 self.quantile_transforms[cid] = qt
-            self.containers[cid].extractor = LearnedExtractor(
-                ensemble, self.module_index[cid], scaler, qt)
+                fd = qt.apply(fd)
+            self.containers[cid].extractor = LearnedExtractor(candidate, module,
+                                                              scaler, qt)
+            fds.append(fd)
+        return report, fds
 
     # -- lifecycle --------------------------------------------------------
 
@@ -356,13 +349,11 @@ class Engine:
         n = self.search.initialization_budget
         genomes = rng.uniform(lo, hi, (n, self.task.definition.genome_dim))
         ids, fitness, observations = self._evaluate_genomes(genomes)
-        if self.module_index:
-            candidate, scaler, inputs, report = self._fit_and_train(observations)
+        if self.learned:
+            report, _ = self._train(observations)
             if report.diverged:
                 raise RuntimeError(
                     f"initial descriptor training diverged: {report.message}")
-            self.retrain_count += 1
-            self._publish_models(candidate, scaler, inputs)
         everywhere = range(len(self.containers))
         self._commit(ids, genomes, fitness, observations, [everywhere] * n,
                      [-1] * n, BatchStats(batch_index=0, planned=n, executed=n))
@@ -402,27 +393,25 @@ class Engine:
             return stats
 
         lo, hi = self.task.definition.genome_bounds
+        genome_dim = self.task.definition.genome_dim
         plan = self._plan_iterations(n)
         for cidx in plan:
             self.per_container_evals[cidx] += 1
         parents: list[int] = []  # depot rows, -1 for a random genome
-        children = []
-        for cidx in plan:
+        bases = np.empty((n, genome_dim))
+        for i, cidx in enumerate(plan):
             container = self.containers[cidx]
             if container.occupancy > 0:
                 parent = select_curiosity_roulette(
                     container, self.depot.curiosity, self._rng_selection,
                     self.curiosity.floor)
-                base = self.depot.genomes[parent]
+                bases[i] = self.depot.genomes[parent]
             else:
                 parent = -1
-                base = self._rng_selection.uniform(
-                    lo, hi, self.task.definition.genome_dim)
+                bases[i] = self._rng_selection.uniform(lo, hi, genome_dim)
             parents.append(parent)
-            children.append(mutate_polynomial(base, self.mutation, (lo, hi),
-                                              self._rng_mutation))
 
-        genomes = np.array(children)
+        genomes = mutate_polynomial(bases, self.mutation, (lo, hi), self._rng_mutation)
         ids, fitness, observations = self._evaluate_genomes(genomes)
         self.eval_budget_used += n
 
@@ -437,16 +426,19 @@ class Engine:
     def maybe_retrain(self) -> RetrainReport | None:
         """Retrain descriptors when the depot grew enough; None means no-op.
 
-        The pre-trained strategy never retrains after initialization.  On
-        training divergence the previous models are kept, the report is
-        flagged, and the depot counter is left untouched.
+        The pre-trained strategy never retrains after initialization.  The
+        depot counter is reset after every attempt, so the next one waits a
+        full ``training.period``.  On training divergence the previous models
+        are kept and the report is flagged; otherwise the depot takes the new
+        FD matrices and the learned containers are rebuilt from them.
         """
         if self.training_strategy is not TrainingStrategy.ONLINE:
             return None
         if self.depot.added_since_last_training < self.training.period:
             return None
         corpus = self.depot.observation_corpus()
-        candidate, scaler, inputs, report = self._fit_and_train(corpus)
+        report, fds = self._train(corpus)
+        self.depot.reset_training_counter()
         result = RetrainReport(fired=True, diverged=report.diverged,
                                message=report.message, epochs=report.epochs_run,
                                corpus=len(corpus))
@@ -455,26 +447,23 @@ class Engine:
         if report.train_losses:
             result.final_train_loss = report.train_losses[-1]
             result.final_val_loss = report.val_losses[-1]
-        self.retrain_count += 1
-        self._publish_models(candidate, scaler, inputs)
+        for cid, fd in zip(self.learned, fds):
+            self.depot.fds[cid] = fd
         result.reindex = self.reindex_all()
-        self.depot.reset_training_counter()
         return result
 
     def reindex_all(self) -> list[ContainerReindex]:
-        """Recompute learned FDs and rebuild each learned container.
+        """Rebuild each learned container from the depot's FD matrix.
 
-        Each learned container's FD matrix is recomputed over the whole depot
-        under its freshly published extractor.  Its elites are drained and
-        re-inserted in descending fitness order (ties by solution id), so
-        collisions deterministically keep the best solution.  Dropped elites
-        stay in the depot.
+        Each learned container's elites are drained and re-inserted at their
+        rows of ``depot.fds`` in descending fitness order (ties by solution
+        id), so collisions deterministically keep the best solution.  Dropped
+        elites stay in the depot.
         """
         depot = self.depot
         reports = []
-        for cid in self.learned_container_ids:
+        for cid in self.learned:
             container = self.containers[cid]
-            depot.fds[cid] = container.extractor.extract_many(depot.observations)
             elites = container.rows()
             order = elites[np.lexsort((depot.ids[elites], -depot.fitness[elites]))]
             container.clear()

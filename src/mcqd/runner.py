@@ -36,7 +36,6 @@ from . import __version__
 from .autoencoder import save_checkpoint
 from .config import ExperimentConfig
 from .core import ConfigurationError
-from .descriptors import fd_pairs_default
 from .engine import ContainerSpec, Engine
 from .metrics import METRIC_COLUMNS, snapshot
 from .tasks import make_task
@@ -54,25 +53,19 @@ def build_engine(config: ExperimentConfig, seed: int) -> Engine:
 
 
 def container_specs(config: ExperimentConfig, task) -> list[ContainerSpec]:
-    """One spec per grid, the hardcoded ones taking the task's default FD
+    """One spec per grid, the hardcoded ones taking the task's declared FD
     pairs in order.  Its errors need the task's definition but no
     evaluation, so ``run_experiment`` checks them before writing anything."""
-    hardcoded_specs = None
-    specs = []
-    next_pair = 0
-    for grid in config.grids:
-        if grid.fd == "hardcoded":
-            if hardcoded_specs is None:
-                hardcoded_specs = fd_pairs_default(task)
-            if next_pair >= len(hardcoded_specs):
-                raise ConfigurationError(
-                    f"only {len(hardcoded_specs)} hardcoded FD pairs are defined")
-            specs.append(ContainerSpec(shape=grid.shape, fd_type="hardcoded",
-                                       hardcoded=hardcoded_specs[next_pair]))
-            next_pair += 1
-        else:
-            specs.append(ContainerSpec(shape=grid.shape, fd_type=grid.fd))
-    return specs
+    d = task.definition
+    wanted = sum(grid.fd == "hardcoded" for grid in config.grids)
+    if wanted > len(d.hardcoded_fds):
+        raise ConfigurationError(
+            f"task {d.name!r} declares only {len(d.hardcoded_fds)} hardcoded FD "
+            f"pairs, the config has {wanted} hardcoded grids")
+    pairs = iter(d.hardcoded_fds)
+    return [ContainerSpec(shape=grid.shape, fd_type=grid.fd,
+                          hardcoded=next(pairs) if grid.fd == "hardcoded" else None)
+            for grid in config.grids]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ deterministic given (genome, seed sequence).
 """
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigurationError, StructuralError
+from .descriptors import ChannelReduction, HardcodedSpec
 
 
 @dataclass(frozen=True)
@@ -34,18 +36,12 @@ class TaskDefinition:
     episodes_per_eval: int
     fitness_bounds: tuple[float, float]
     channel_names: tuple[str, ...]
-    # per-channel normalization bounds used by hardcoded descriptors
-    channel_fd_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
+    # the hand-designed FDs that hardcoded grids take, in order
+    hardcoded_fds: tuple[HardcodedSpec, ...] = ()
 
     @property
     def episode_steps(self) -> int:
         return self.n_timepoints * self.obs_averaging_window
-
-    def channel_index(self, name: str) -> int:
-        try:
-            return self.channel_names.index(name)
-        except ValueError:
-            raise ConfigurationError(f"task {self.name!r} has no channel {name!r}")
 
 
 class Task:
@@ -127,19 +123,21 @@ class SurrogateWalkerTask(Task):
             )
         self.terrain_roughness = float(terrain_roughness)
         genome_dim = (self.N_INPUTS + 1) * self.N_HIDDEN + (self.N_HIDDEN + 1) * self.N_TORQUES
-        bounds = {
-            "displacement": (-5.0, 25.0),
-            "body_angle": (-self.FALL_ANGLE, self.FALL_ANGLE),
-            "hip1": (-self.JOINT_LIMIT, self.JOINT_LIMIT),
-            "knee1": (-self.JOINT_LIMIT, self.JOINT_LIMIT),
-            "hip2": (-self.JOINT_LIMIT, self.JOINT_LIMIT),
-            "knee2": (-self.JOINT_LIMIT, self.JOINT_LIMIT),
-            "torque_hip1": (-1.0, 1.0), "torque_knee1": (-1.0, 1.0),
-            "torque_hip2": (-1.0, 1.0), "torque_knee2": (-1.0, 1.0),
-            "torque_total": (0.0, 4.0),
-            "contact1": (0.0, 1.0), "contact2": (0.0, 1.0),
-            "airborne": (0.0, 1.0),
-        }
+        # the usual hand-designed characterization: how far and how upright
+        # the walker went, how hard it worked and how much it jumped, and the
+        # two legs' joint postures
+        angle = (-self.FALL_ANGLE, self.FALL_ANGLE)
+        joint = (-self.JOINT_LIMIT, self.JOINT_LIMIT)
+        hardcoded_fds = tuple(HardcodedSpec(pair) for pair in (
+            (ChannelReduction("displacement", "final", (-5.0, 25.0)),
+             ChannelReduction("body_angle", "mean", angle)),
+            (ChannelReduction("torque_total", "mean_abs", (0.0, 4.0)),
+             ChannelReduction("airborne", "mean", (0.0, 1.0))),
+            (ChannelReduction("hip1", "mean", joint),
+             ChannelReduction("knee1", "mean", joint)),
+            (ChannelReduction("hip2", "mean", joint),
+             ChannelReduction("knee2", "mean", joint)),
+        ))
         self.definition = TaskDefinition(
             name="surrogate_walker",
             genome_dim=genome_dim,
@@ -150,7 +148,7 @@ class SurrogateWalkerTask(Task):
             episodes_per_eval=episodes_per_eval,
             fitness_bounds=(-120.0, 40.0),
             channel_names=self.CHANNELS,
-            channel_fd_bounds=bounds,
+            hardcoded_fds=hardcoded_fds,
         )
 
     def _unpack_controllers(self, genomes):
@@ -385,10 +383,6 @@ class RastriginToyTask(Task):
             episodes_per_eval=1,
             fitness_bounds=(-85.0, 0.0),
             channel_names=self.CHANNELS,
-            channel_fd_bounds={
-                "g1": (-lim, lim), "g2": (-lim, lim),
-                "g_sum": (-2 * lim, 2 * lim), "g_diff": (-2 * lim, 2 * lim),
-            },
         )
 
     def evaluate(self, genome, seed_seq):
@@ -401,11 +395,30 @@ class RastriginToyTask(Task):
         return float(-value), obs
 
 
+_TASKS = {"surrogate_walker": SurrogateWalkerTask, "rastrigin_toy": RastriginToyTask}
+
+# Parameters that size arrays or divide step counts.
+_COUNT_PARAMS = ("episode_steps", "obs_window", "episodes_per_eval", "n_timepoints")
+
+
 def make_task(name: str, params: dict | None = None) -> Task:
-    """Instantiate a task by registry name with its namespaced parameters."""
+    """Instantiate a task by registry name with its namespaced parameters.
+
+    An unknown parameter, or a count parameter that is not a positive
+    integer, is a ``ConfigurationError`` naming the task and the key.
+    """
     params = dict(params or {})
-    if name == "surrogate_walker":
-        return SurrogateWalkerTask(**params)
-    if name == "rastrigin_toy":
-        return RastriginToyTask(**params)
-    raise ConfigurationError(f"unknown task {name!r}")
+    if name not in _TASKS:
+        raise ConfigurationError(f"unknown task {name!r}")
+    accepted = inspect.signature(_TASKS[name]).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"task {name!r} has no parameter(s) {unknown}; it takes {sorted(accepted)}")
+    for key in _COUNT_PARAMS:
+        value = params.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigurationError(
+                f"task {name!r} parameter {key!r} must be a positive integer, "
+                f"got {value!r}")
+    return _TASKS[name](**params)

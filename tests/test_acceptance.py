@@ -68,8 +68,7 @@ def run_desk_search(fd_type, sharing, diversity=("none", 1.0, -1), seed=0,
                     n_containers=4, hardcoded=None):
     task = make_task("surrogate_walker", {"episode_steps": 150, "obs_window": 15})
     if fd_type == "hardcoded":
-        from mcqd.descriptors import fd_pairs_default
-        pairs = fd_pairs_default(task)
+        pairs = task.definition.hardcoded_fds
         specs = [ContainerSpec(shape=(10, 10), fd_type="hardcoded",
                                hardcoded=pairs[i]) for i in range(n_containers)]
         strategy = TrainingStrategy.NONE

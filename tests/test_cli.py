@@ -76,8 +76,23 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "rastrigin_toy" in err and "lacks channel" in err
+        assert "rastrigin_toy" in err and "only 0 hardcoded FD pairs" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params,key", [
+        ("{episode_step: 150}", "episode_step"),
+        ("{n_timepoints: 0}", "n_timepoints"),
+    ], ids=["unknown", "zero"])
+    def test_bad_task_parameter_exits_before_the_run_directory(self, tmp_path,
+                                                               capsys, params, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG.replace("  name: rastrigin_toy",
+                                      f"  name: rastrigin_toy\n  params: {params}"))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rastrigin_toy" in err and key in err and "Traceback" not in err
         assert not out.exists()
 
     def test_every_replicate_failed(self, config_file, tmp_path, capsys,

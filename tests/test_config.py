@@ -156,6 +156,24 @@ class TestParsing:
             ExperimentConfig.from_yaml(bad)
         assert "hidden" in str(err.value)
 
+    @pytest.mark.parametrize("section,key,bad,edge", [
+        ("training", "batch_size", "0", "1"),
+        ("training", "quantiles", "1", "2"),
+        ("training", "learning_rate", "-0.01", "0.0"),
+        ("curiosity", "floor", "0.0", "1.0e-9"),
+    ], ids=["training-batch-size", "quantiles", "learning-rate", "curiosity-floor"])
+    def test_out_of_range_value_fails_at_load(self, section, key, bad, edge):
+        def config(value):
+            if section == "training":
+                return GOOD_YAML.replace("  epochs: 2", f"  epochs: 2\n  {key}: {value}")
+            return GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10\n"
+                                     f"  curiosity: {{{key}: {value}}}")
+
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(config(bad))
+        assert key in str(err.value)
+        ExperimentConfig.from_yaml(config(edge))  # the nearest valid value loads
+
     def test_retired_n_workers_is_read_and_dropped(self):
         cfg = ExperimentConfig.from_yaml(GOOD_YAML)
         old = ExperimentConfig.from_yaml(

@@ -12,7 +12,6 @@ from mcqd.descriptors import (
     HardcodedExtractor,
     HardcodedSpec,
     LearnedExtractor,
-    fd_pairs_default,
 )
 from mcqd.postprocess import QuantileTransform
 from mcqd.tasks import make_task
@@ -27,11 +26,11 @@ def extract_one(extractor, observations):
 
 class TestHardcoded:
     def setup_method(self):
-        self.index = {"disp": 0, "angle": 1}
+        self.channels = ("disp", "angle")
 
     def test_final_value_at_declared_max_is_one(self):
         spec = HardcodedSpec((ChannelReduction("disp", "final", (0.0, 10.0)),))
-        ex = HardcodedExtractor(spec, self.index)
+        ex = HardcodedExtractor(spec, self.channels)
         obs = np.array([[0.0, 5.0, 10.0], [0.1, 0.1, 0.1]])
         assert extract_one(ex, obs)[0] == 1.0
 
@@ -42,32 +41,32 @@ class TestHardcoded:
             ChannelReduction("angle", "mean_abs", (0.0, 2.0)),
             ChannelReduction("angle", "frac_above", (0.0, 1.0), threshold=0.0),
         ))
-        ex = HardcodedExtractor(spec, self.index)
+        ex = HardcodedExtractor(spec, self.channels)
         obs = np.array([[1.0, 2.0, 3.0], [-1.0, 1.0, 1.0]])
         fd = extract_one(ex, obs)
         np.testing.assert_allclose(fd, [2.0 / 4, 3.0 / 4, 1.0 / 2, 2.0 / 3])
 
     def test_clamped_to_unit_interval(self):
         spec = HardcodedSpec((ChannelReduction("disp", "final", (0.0, 1.0)),))
-        ex = HardcodedExtractor(spec, self.index)
+        ex = HardcodedExtractor(spec, self.channels)
         assert extract_one(ex, np.array([[5.0], [0.0]]))[0] == 1.0
         assert extract_one(ex, np.array([[-5.0], [0.0]]))[0] == 0.0
 
     def test_unknown_channel_is_configuration_error(self):
         spec = HardcodedSpec((ChannelReduction("nope", "mean", (0.0, 1.0)),))
         with pytest.raises(ConfigurationError):
-            HardcodedExtractor(spec, self.index)
+            HardcodedExtractor(spec, self.channels)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             ChannelReduction("disp", "median", (0.0, 1.0))
 
 
-def _reference_extract(spec, index, obs):
+def _reference_extract(spec, channels, obs):
     """The original one-observation reduction loop, kept as the oracle."""
     fd = np.empty(spec.out_dim)
     for k, red in enumerate(spec.reductions):
-        series = obs[index[red.channel]]
+        series = obs[channels.index(red.channel)]
         if red.kind == "mean":
             value = series.mean()
         elif red.kind == "final":
@@ -99,16 +98,17 @@ class TestHardcodedBatch:
         ChannelReduction("angle", "frac_above", (0.0, 1.0), threshold=0.25),
         ChannelReduction("angle", "mean", (-0.5, 0.5)),
     ))
-    INDEX = {"disp": 0, "angle": 1}
+    CHANNELS = ("disp", "angle")
 
     @settings(max_examples=200, deadline=None)
     @given(_observation_batches())
     def test_batch_is_bit_identical_to_per_row(self, obs):
-        ex = HardcodedExtractor(self.SPEC, self.INDEX)
+        ex = HardcodedExtractor(self.SPEC, self.CHANNELS)
         batch = ex.extract_many(obs)
         assert batch.shape == (len(obs), self.SPEC.out_dim)
         per_row = np.stack([extract_one(ex, o) for o in obs])
-        reference = np.stack([_reference_extract(self.SPEC, self.INDEX, o) for o in obs])
+        reference = np.stack([_reference_extract(self.SPEC, self.CHANNELS, o)
+                              for o in obs])
         # int64 views compare bits, so a flipped zero sign fails too
         np.testing.assert_array_equal(batch.view(np.int64), per_row.view(np.int64))
         np.testing.assert_array_equal(batch.view(np.int64), reference.view(np.int64))
@@ -169,16 +169,24 @@ class TestLearned:
 
 class TestDefaultPairs:
     def test_walker_pairs(self):
-        task = make_task("surrogate_walker")
-        specs = fd_pairs_default(task)
-        assert len(specs) == 4
-        assert all(s.out_dim == 2 for s in specs)
-        assert specs[0].reductions[0].channel == "displacement"
-        assert specs[1].reductions[1].channel == "airborne"
-        assert {r.channel for r in specs[2].reductions} == {"hip1", "knee1"}
-        assert {r.channel for r in specs[3].reductions} == {"hip2", "knee2"}
+        # the (channel, kind, bounds) triples the walker's hardcoded grids
+        # have always used, written out from the task's constants
+        w = make_task("surrogate_walker").definition
+        fall, joint = 1.3, 1.2
+        assert [[(r.channel, r.kind, r.bounds) for r in spec.reductions]
+                for spec in w.hardcoded_fds] == [
+            [("displacement", "final", (-5.0, 25.0)),
+             ("body_angle", "mean", (-fall, fall))],
+            [("torque_total", "mean_abs", (0.0, 4.0)), ("airborne", "mean", (0.0, 1.0))],
+            [("hip1", "mean", (-joint, joint)), ("knee1", "mean", (-joint, joint))],
+            [("hip2", "mean", (-joint, joint)), ("knee2", "mean", (-joint, joint))],
+        ]
+        for spec in w.hardcoded_fds:
+            HardcodedExtractor(spec, w.channel_names)  # every channel exists
 
     def test_task_without_channels_rejected(self):
-        task = make_task("rastrigin_toy")
+        toy = make_task("rastrigin_toy").definition
+        assert toy.hardcoded_fds == ()
+        walker_pair = make_task("surrogate_walker").definition.hardcoded_fds[0]
         with pytest.raises(ConfigurationError):
-            fd_pairs_default(task)
+            HardcodedExtractor(walker_pair, toy.channel_names)

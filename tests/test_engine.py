@@ -1,6 +1,9 @@
 """Search-loop mechanics: mutation, selection, batches, retraining."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcqd.config import MutationSection, SearchSection, TrainingSection
 from mcqd.core import EmptyContainerError, GridContainer, InvalidValueError
@@ -77,6 +80,23 @@ class TestPolynomialMutation:
         mutate_polynomial(g, cfg_hi, (0.0, 1.0), r2)
         assert r1.random() == r2.random()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), g=st.integers(1, 12),
+           probability=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_equals_one_call_per_genome(self, data, n, g, probability, seed):
+        """run_batch mutates the batch's (n, g) parent stack in one call; it
+        must give the bits of n one-genome calls, in order, from the same
+        generator state, and leave the generator in the same state."""
+        genomes = data.draw(arrays(float, (n, g), elements=st.floats(-1.0, 1.0)))
+        cfg = MutationSection(probability=probability, eta=20.0)
+        r_stack, r_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = mutate_polynomial(genomes, cfg, (-1.0, 1.0), r_stack)
+        rows = np.stack([mutate_polynomial(x, cfg, (-1.0, 1.0), r_rows)
+                         for x in genomes])
+        np.testing.assert_array_equal(stacked.view(np.int64), rows.view(np.int64))
+        assert r_stack.random() == r_rows.random()
+
 
 def filled_container(fds, curiosity, shape=(4, 4)):
     """A container holding depot rows 0..n-1 at the given FDs, each of
@@ -138,7 +158,6 @@ class LineTask(Task):
             n_obs_channels=1, n_timepoints=4, obs_averaging_window=1,
             episodes_per_eval=1, fitness_bounds=(0.0, 1.0),
             channel_names=("gene",),
-            channel_fd_bounds={"gene": (0.0, 1.0)},
         )
 
     def evaluate(self, genome, seed_seq):
@@ -291,10 +310,10 @@ def toy_hardcoded_specs():
 
 def toy_engine(sharing=SharingStrategy.SHARED, learned=False,
                training_strategy=TrainingStrategy.ONLINE, training_period=40,
-               seed=5):
+               seed=5, learned_fds=("ae_qt", "ae_qt")):
     task = make_task("rastrigin_toy")
     if learned:
-        specs = [ContainerSpec(shape=(6, 6), fd_type="ae_qt") for _ in range(2)]
+        specs = [ContainerSpec(shape=(6, 6), fd_type=fd) for fd in learned_fds]
         strategy = training_strategy
     else:
         specs = [ContainerSpec(shape=(6, 6), fd_type="hardcoded", hardcoded=hs)
@@ -472,6 +491,25 @@ class TestRetraining:
                     assert engine.containers[r.container_id].occupancy == r.retained
         assert fired >= 1
 
+    def test_retrain_publishes_the_fds_of_its_extractors(self):
+        """The FD matrices a retrain stores come from the encoding its
+        quantile transforms are fit on; they must be the bits the new
+        extractors give over the depot."""
+        engine = toy_engine(learned=True, learned_fds=("ae", "ae_qt"))
+        engine.initialize()
+        engine.run_batch(40, 0)
+        old = [c.extractor for c in engine.containers]
+        engine.depot.added_since_last_training = engine.training.period
+        report = engine.maybe_retrain()
+        assert report is not None and not report.diverged
+        assert engine.learned == [0, 1] and list(engine.quantile_transforms) == [1]
+        for cid in engine.learned:
+            extractor = engine.containers[cid].extractor
+            assert extractor is not old[cid]
+            expected = extractor.extract_many(engine.depot.observations)
+            np.testing.assert_array_equal(engine.depot.fds[cid].view(np.int64),
+                                          expected.view(np.int64))
+
     def test_reindex_idempotent_with_unchanged_extractor(self):
         engine = toy_engine(learned=True)
         engine.initialize()
@@ -486,20 +524,13 @@ class TestRetraining:
     def test_reindex_collisions_keep_best(self):
         engine = toy_engine(learned=True)
         engine.initialize()
-
-        class CollapseExtractor:
-            out_dim = 2
-
-            def extract_many(self, obs_list):
-                return np.tile([0.5, 0.5], (len(obs_list), 1))
-
         best = engine.depot.fitness[engine.containers[0].rows()].max()
-        engine.containers[0].extractor = CollapseExtractor()
+        # every depot row collapses onto one descriptor of container 0
+        engine.depot.fds[0] = np.full((len(engine.depot), 2), 0.5)
         reports = engine.reindex_all()
         assert engine.containers[0].occupancy == 1
         survivor = engine.containers[0].rows()[0]
         assert engine.depot.fitness[survivor] == best
-        np.testing.assert_array_equal(engine.depot.fds[0], 0.5)
         r0 = [r for r in reports if r.container_id == 0][0]
         assert r0.retained == 1
 
@@ -521,7 +552,10 @@ class TestRetraining:
         assert report is not None and report.fired and report.diverged
         assert engine.ensemble is old_ensemble
         assert [c.extractor for c in engine.containers] == old_extractors
-        assert engine.depot.added_since_last_training == 50  # not reset
+        # reset all the same: the next attempt waits a full period
+        assert engine.depot.added_since_last_training == 0
+        engine.depot.added_since_last_training = 9
+        assert engine.maybe_retrain() is None
 
     def test_grid_invariants_hold_after_retrain(self):
         engine = toy_engine(learned=True, training_period=30)

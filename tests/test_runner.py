@@ -378,7 +378,8 @@ class TestTaskDependentConfigErrors:
     directory exists, not as a FAILED file in every replicate."""
 
     @pytest.mark.parametrize("task,budget,grid,message", [
-        ("rastrigin_toy", 25, "{shape: [5, 5], fd: hardcoded}", "lacks channel"),
+        ("rastrigin_toy", 25, "{shape: [5, 5], fd: hardcoded}",
+         "task 'rastrigin_toy' declares only 0 hardcoded FD pairs"),
         ("surrogate_walker", 125, "{shape: [5, 5], fd: hardcoded, count: 5}",
          "only 4 hardcoded FD pairs"),
         ("surrogate_walker", 50, "{shape: [5, 5, 2], fd: hardcoded}",
@@ -393,6 +394,26 @@ class TestTaskDependentConfigErrors:
         with pytest.raises(ConfigurationError) as err:
             run_experiment(config, tmp_path / "run")
         assert message in str(err.value)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("task,params,key", [
+        ("surrogate_walker", "{episode_step: 150}", "episode_step"),
+        ("surrogate_walker", "{obs_window: 0}", "obs_window"),
+        ("surrogate_walker", "{episode_steps: -150}", "episode_steps"),
+        ("surrogate_walker", "{episodes_per_eval: 2.5}", "episodes_per_eval"),
+        ("surrogate_walker", "{obs_window: true}", "obs_window"),
+        ("rastrigin_toy", "{n_timepoints: 0}", "n_timepoints"),
+    ], ids=["unknown", "zero-window", "negative-steps", "fractional-episodes",
+            "boolean-window", "toy-zero-timepoints"])
+    def test_bad_task_parameter_raised_before_the_run_directory(self, tmp_path,
+                                                                task, params, key):
+        config = ExperimentConfig.from_yaml(
+            "case: task-error\ncontainers:\n  bin_budget: 25\n"
+            "  grids:\n    - {shape: [5, 5], fd: ae}\n"
+            f"task:\n  name: {task}\n  params: {params}\n")
+        with pytest.raises(ConfigurationError) as err:
+            run_experiment(config, tmp_path / "run")
+        assert f"task {task!r}" in str(err.value) and repr(key) in str(err.value)
         assert not (tmp_path / "run").exists()
 
 

@@ -278,6 +278,11 @@ def _cmd_value(zs, latent_dim) -> float:
     if latent_dim < 2:
         raise StructuralError("cmd diversity needs latent_dim >= 2")
     rs = [_corr_matrix(z)[0] for z in zs]
+    for k, r in enumerate(rs):
+        if not r.any():
+            raise InvalidValueError(
+                f"module {k} collapsed (its latents are constant): its "
+                f"correlation matrix is zero, so the cmd distance is undefined")
     total = 0.0
     for i in range(len(rs)):
         for j in range(len(rs)):
@@ -598,8 +603,9 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
 
     ``inputs`` is the (n, input_dim) corpus already min-max scaled to [0, 1].
     A validation fraction is held out and scored with dropout disabled after
-    each epoch.  On a non-finite loss the pass aborts and the report is
-    flagged diverged; the caller decides whether to keep the old model.
+    each epoch.  On a non-finite loss, or a module collapsed under the cmd
+    loss (every latent constant), the pass aborts and the report is flagged
+    diverged; the caller decides whether to keep the old model.
     """
     x = _as_batch(inputs)
     n = x.shape[0]
@@ -614,28 +620,28 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     slices = _batch_slices(x_train.shape[0], cfg.batch_size)
     buffers = _output_buffers(ensemble, max([hi - lo for lo, hi in slices] + [n_val]))
     report = TrainReport()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(x_train.shape[0])
-        epoch_loss = 0.0
-        for lo, hi in slices:
-            xb = x_train[order[lo:hi]]
-            loss, grad = backward(ensemble, xb, train=True, rng=rng, buffers=buffers)
-            if not np.isfinite(loss):
-                report.diverged = True
-                report.message = f"non-finite training loss at epoch {epoch}"
-                return report
-            epoch_loss += loss * (hi - lo)
-            opt.step(grad)
-        report.train_losses.append(epoch_loss / x_train.shape[0])
-        if n_val > 0:
-            val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
-            if not np.isfinite(val):
-                report.diverged = True
-                report.message = f"non-finite validation loss at epoch {epoch}"
-                return report
-            report.val_losses.append(float(val))
-        else:
-            report.val_losses.append(float("nan"))
+    try:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(x_train.shape[0])
+            epoch_loss = 0.0
+            for lo, hi in slices:
+                xb = x_train[order[lo:hi]]
+                loss, grad = backward(ensemble, xb, train=True, rng=rng, buffers=buffers)
+                if not np.isfinite(loss):
+                    raise InvalidValueError("non-finite training loss")
+                epoch_loss += loss * (hi - lo)
+                opt.step(grad)
+            report.train_losses.append(epoch_loss / x_train.shape[0])
+            if n_val > 0:
+                val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
+                if not np.isfinite(val):
+                    raise InvalidValueError("non-finite validation loss")
+                report.val_losses.append(float(val))
+            else:
+                report.val_losses.append(float("nan"))
+    except InvalidValueError as exc:
+        report.diverged = True
+        report.message = f"{exc} at epoch {epoch}"
     return report
 
 

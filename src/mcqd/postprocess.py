@@ -72,5 +72,21 @@ class QuantileTransform:
             if lm[0] == lm[-1]:
                 out[:, d] = 0.5
             else:
-                out[:, d] = np.interp(batch[:, d], lm, self.levels, left=0.0, right=1.0)
+                out[:, d] = self._interp(batch[:, d], lm, self.levels)
         return out if z.ndim == 2 else out[0]
+
+    @staticmethod
+    def _interp(x, lm, levels):
+        """``np.interp`` onto the levels, clamped to 0 / 1 outside the
+        landmarks.  Where two landmarks differ by a subnormal its slope
+        overflows and it returns inf; only those entries are recomputed from
+        the position between the segment's two landmarks, which lies in
+        [0, 1], so every finite output keeps its bits."""
+        out = np.interp(x, lm, levels, left=0.0, right=1.0)
+        bad = np.flatnonzero(~np.isfinite(out) & np.isfinite(x))
+        if bad.size:
+            xb = x[bad]
+            j = np.searchsorted(lm, xb, side="right") - 1
+            f = (xb - lm[j]) / (lm[j + 1] - lm[j])
+            out[bad] = levels[j] + f * (levels[j + 1] - levels[j])
+        return out

@@ -107,6 +107,16 @@ class SurrogateWalkerTask(Task):
     N_HIDDEN = 8
     N_INPUTS = 14
     N_TORQUES = 4
+    # rows evaluated in one lockstep pass: the window buffer of 1000 rows
+    # with 30-step windows is 17 MB
+    CHUNK = 1000
+    # the controller inputs' scales, over state planes 2: (theta, omega, vx,
+    # vy, the joint angles, the joint speeds, the contacts)
+    _INPUT_SCALE = np.array([1.0, 0.3, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0,
+                             0.1, 0.1, 0.1, 0.1, 1.0, 1.0])
+    # scales (sin, cos) x (thigh, shank) to each segment's (dx, dy) offset
+    _SEGMENT_LENGTHS = np.array([[THIGH_LEN, SHANK_LEN],
+                                 [-THIGH_LEN, -SHANK_LEN]])[..., np.newaxis, np.newaxis, np.newaxis]
 
     CHANNELS = (
         "displacement", "body_angle",
@@ -162,8 +172,10 @@ class SurrogateWalkerTask(Task):
         b2 = genomes[:, i:i + n_out]
         return w1, b1, w2, b2
 
-    def _make_terrain(self, rng, n_episodes):
-        """Per-episode piecewise-linear heightfields with bounded slope.
+    def _make_terrain(self, seed_seqs, n_episodes):
+        """Per-episode piecewise-linear heightfields with bounded slope,
+        (batch, episodes, knots); each evaluation draws its own from its seed
+        sequence.
 
         The first knots (covering the start of the arena) are flat so every
         episode begins from the same stable stance.
@@ -171,21 +183,32 @@ class SurrogateWalkerTask(Task):
         x0 = -2.0 * self.SEGMENT_LEN
         n_knots = int((self.ARENA_LENGTH + 20.0) / self.SEGMENT_LEN) + 4
         knots_x = x0 + self.SEGMENT_LEN * np.arange(n_knots)
-        steps = rng.uniform(-self.terrain_roughness, self.terrain_roughness,
-                            size=(n_episodes, n_knots))
-        steps[:, knots_x <= 0.0] = 0.0  # the stance at the origin starts level
-        heights = np.clip(np.cumsum(steps, axis=1), -1.0, 1.0)
+        r = self.terrain_roughness
+        steps = np.stack([
+            np.random.Generator(np.random.PCG64(ss)).uniform(-r, r, size=(n_episodes, n_knots))
+            for ss in seed_seqs])
+        steps[..., knots_x <= 0.0] = 0.0  # the stance at the origin starts level
+        heights = np.clip(np.cumsum(steps, axis=-1), -1.0, 1.0)
         return knots_x, heights
 
     @staticmethod
-    def _terrain_height(knots_x, heights, rows, x):
-        """Heightfield lookup at x, elementwise over (batch, episodes): ``heights``
-        is the flattened terrain, ``rows`` each heightfield's offset in it."""
+    def _terrain_height(knots_x, knot_heights, rows, x):
+        """Heightfield lookup at x, elementwise over (..., batch, episodes).
+
+        ``knot_heights`` is a pair: every heightfield's knot heights flattened,
+        and the same shifted left by one knot; ``rows`` is each heightfield's
+        offset in them.
+        """
         seg = (x - knots_x[0]) / (knots_x[1] - knots_x[0])
-        idx = np.minimum(np.maximum(seg.astype(int), 0), len(knots_x) - 2)
-        frac = np.minimum(np.maximum(seg - idx, 0.0), 1.0)
-        at = rows + idx
-        return heights[at] * (1.0 - frac) + heights[at + 1] * frac
+        idx = seg.astype(int)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, len(knots_x) - 2, out=idx)
+        frac = seg - idx
+        np.maximum(frac, 0.0, out=frac)
+        np.minimum(frac, 1.0, out=frac)
+        idx += rows
+        left, right = knot_heights
+        return left.take(idx) * (1.0 - frac) + right.take(idx) * frac
 
     @staticmethod
     def _abs_total(torque):
@@ -200,17 +223,33 @@ class SurrogateWalkerTask(Task):
         return float(fitness[0]), observations[0]
 
     def evaluate_many(self, genomes, seed_seqs):
-        """Run a batch of evaluations in lockstep.
+        """Run a batch of evaluations in lockstep, ``CHUNK`` rows at a time.
 
         All dynamics are elementwise over (batch, episode) except the
         controller products, which are one small matmul per batch entry, so
         the results are bit-identical however the batch is sliced (including
-        one-by-one evaluation) and at one or two BLAS threads.
+        one-by-one evaluation) and at one or two BLAS threads.  That is what
+        lets a large batch run in chunks, which bounds the window buffer's
+        memory.
         """
         d = self.definition
         genomes = np.asarray(genomes, dtype=float)
         if genomes.ndim != 2 or genomes.shape[1] != d.genome_dim:
             raise StructuralError(f"genomes must be (batch, {d.genome_dim})")
+        seed_seqs = list(seed_seqs)
+        n = genomes.shape[0]
+        fitness = np.empty(n)
+        observations = np.empty((n, d.n_obs_channels, d.n_timepoints))
+        for start in range(0, n, self.CHUNK):
+            part = slice(start, start + self.CHUNK)
+            fitness[part], observations[part] = self._lockstep(genomes[part],
+                                                               seed_seqs[part])
+        return fitness, observations
+
+    def _lockstep(self, genomes, seed_seqs):
+        """One lockstep pass over a chunk: per-eval episode-mean fitness (b,)
+        and observations (timepoints, channels, b)."""
+        d = self.definition
         b = genomes.shape[0]
         e = d.episodes_per_eval
         w1, b1, w2, b2 = self._unpack_controllers(genomes)
@@ -218,147 +257,139 @@ class SurrogateWalkerTask(Task):
         # ran about 3x slower over the transposed views
         w1t = np.ascontiguousarray(w1.transpose(0, 2, 1))
         w2t = np.ascontiguousarray(w2.transpose(0, 2, 1))
+        # the biases repeated over the episodes: a broadcast add costs 4x more
+        b1 = np.repeat(b1[:, np.newaxis, :], e, axis=1)
+        b2 = np.repeat(b2[:, np.newaxis, :], e, axis=1)
 
-        terrains = []
-        knots_x = None
-        for ss in seed_seqs:
-            rng = np.random.Generator(np.random.PCG64(ss))
-            knots_x, heights = self._make_terrain(rng, e)
-            terrains.append(heights)
-        terrain = np.stack(terrains).ravel()  # (batch, episodes, knots) flattened
+        knots_x, heights = self._make_terrain(seed_seqs, e)
+        heights = heights.ravel()
+        knot_heights = heights, np.roll(heights, -1)  # the wrapped knot is never read
         rows = len(knots_x) * np.arange(b * e).reshape(b, e)
+        feet_rows = np.stack([rows, rows])  # a broadcast add costs 2x more
 
+        # The state is one block of (batch, episode) planes, updated in place;
+        # each step computes the next state into ``new``.  Planes 2: are the
+        # controller's inputs, in input order, before their scaling.
+        state = np.zeros((16, b, e))
+        pos, vel = state[0:2], state[4:6]
+        x, y, theta, omega, vx, vy = state[:6]
+        q, qd, contact = state[6:10], state[10:14], state[14:16]
+        new = np.empty_like(state)
+        new_pos, new_theta, new_omega, new_vel = new[0:2], new[2], new[3], new[4:6]
+        new_q, new_qd = new[6:10], new[10:14]
+        hip, knee = new_q[0::2], new_q[1::2]
+        hip_d, knee_d = new_qd[0::2], new_qd[1::2]
         # initial split stance, identical for every episode
         leg_drop = self.THIGH_LEN * math.cos(0.3) + self.SHANK_LEN * math.cos(0.3)
-        x = np.zeros((b, e))
-        y = np.full((b, e), leg_drop - 0.02)
-        vx = np.zeros((b, e))
-        vy = np.zeros((b, e))
-        theta = np.zeros((b, e))
-        omega = np.zeros((b, e))
-        q = np.tile([0.3, 0.0, -0.3, 0.0], (b, e, 1))  # hip1, knee1, hip2, knee2
-        qd = np.zeros((b, e, 4))
+        y[...] = leg_drop - 0.02
+        q[...] = np.array([0.3, 0.0, -0.3, 0.0])[:, np.newaxis, np.newaxis]
         alive = np.ones((b, e), dtype=bool)
         reward = np.zeros((b, e))
-        contact = np.zeros((b, e, 2), dtype=bool)
 
         # each step is written into the current window's buffer, which is
         # averaged into ``windows`` as soon as it is full
         window = d.obs_averaging_window
         step_buf = np.empty((window, d.n_obs_channels, b, e))
         windows = np.empty((d.n_timepoints, d.n_obs_channels, b, e))
+        # the matmul's bits depend on its operands' layout: it reads a
+        # contiguous (b, e, in) array, filled from the transposed planes
         inputs = np.empty((b, e, self.N_INPUTS))
+        input_planes = state[2:].reshape(self.N_INPUTS, b * e).T
+        hidden = np.empty((b, e, self.N_HIDDEN))
+        out = np.empty((b, e, self.N_TORQUES))
+        angles = np.empty((2, 2, b, e))  # (thigh, shank) x leg
+        # (dx, dy) x (thigh, shank) x leg: each segment's offset from its
+        # upper joint, L sin(angle) and -L cos(angle)
+        offsets = np.empty((2, 2, 2, b, e))
+        forces = np.empty((2, 2, b, e))  # (traction, support) x leg
+        traction, support = forces
 
         for t in range(d.episode_steps):
-            inputs[..., 0] = theta
-            inputs[..., 1] = 0.3 * omega
-            inputs[..., 2] = 0.3 * vx
-            inputs[..., 3] = 0.3 * vy
-            inputs[..., 4:8] = q
-            inputs[..., 8:12] = 0.1 * qd
-            inputs[..., 12:14] = contact
-            hidden = np.tanh(np.matmul(inputs, w1t) + b1[:, np.newaxis, :])
-            torque = self.TORQUE_MAX * np.tanh(
-                np.matmul(hidden, w2t) + b2[:, np.newaxis, :])
-            torque = torque * alive[..., np.newaxis]
-
-            qdd = self.JOINT_GAIN * torque - self.JOINT_DAMPING * qd
-            qd_new = qd + self.DT * qdd
-            q_unclipped = q + self.DT * qd_new
-            # minimum/maximum give np.clip's values without its per-call overhead
-            q_new = np.minimum(np.maximum(q_unclipped, -self.JOINT_LIMIT),
-                               self.JOINT_LIMIT)
-            qd_new = np.where(q_new != q_unclipped, 0.0, qd_new)
-
-            # forward kinematics and ground interaction per leg
-            force_x = np.zeros((b, e))
-            force_y = np.zeros((b, e))
-            new_contact = np.zeros((b, e, 2), dtype=bool)
-            for leg in range(2):
-                hip, knee = q_new[..., 2 * leg], q_new[..., 2 * leg + 1]
-                hip_d, knee_d = qd_new[..., 2 * leg], qd_new[..., 2 * leg + 1]
-                a1 = theta + hip
-                a2 = a1 + knee
-                cos1, cos2 = np.cos(a1), np.cos(a2)
-                foot_x = x + self.THIGH_LEN * np.sin(a1) + self.SHANK_LEN * np.sin(a2)
-                foot_y = y - self.THIGH_LEN * cos1 - self.SHANK_LEN * cos2
-                ground = self._terrain_height(knots_x, terrain, rows, foot_x)
-                pen = ground - foot_y
-                touching = pen > 0.0
-                new_contact[..., leg] = touching
-                support = np.maximum(
-                    self.GROUND_SPRING * pen - self.GROUND_DAMPING * vy, 0.0)
-                force_y += np.where(touching, support, 0.0)
-                foot_vx = (self.THIGH_LEN * cos1 * (omega + hip_d)
-                           + self.SHANK_LEN * cos2 * (omega + hip_d + knee_d))
-                traction = np.minimum(np.maximum(-self.TRACTION * foot_vx,
-                                                 -self.TRACTION_MAX), self.TRACTION_MAX)
-                force_x += np.where(touching, traction, 0.0)
-
-            any_contact = new_contact[..., 0] | new_contact[..., 1]
-            ax = (force_x - self.DRAG * vx) / self.BODY_MASS
-            ay = force_y / self.BODY_MASS - self.GRAVITY
-            vx_new = vx + self.DT * ax
-            vy_new = vy + self.DT * ay
-            x_new = x + self.DT * vx_new
-            y_new = y + self.DT * vy_new
-
-            body_torque = (-self.HIP_REACTION * (torque[..., 0] + torque[..., 2])
-                           - self.UPRIGHT_SPRING * theta * any_contact
-                           - self.ANGLE_DAMPING * omega)
-            omega_new = omega + self.DT * body_torque / self.BODY_INERTIA
-            theta_new = theta + self.DT * omega_new
-
-            # frozen episodes keep their final state
-            live = alive
-            live4 = alive[..., np.newaxis]
-            x = np.where(live, x_new, x)
-            y = np.where(live, y_new, y)
-            vx = np.where(live, vx_new, vx)
-            vy = np.where(live, vy_new, vy)
-            theta = np.where(live, theta_new, theta)
-            omega = np.where(live, omega_new, omega)
-            q = np.where(live4, q_new, q)
-            qd = np.where(live4, qd_new, qd)
-            contact = np.where(live[..., np.newaxis], new_contact, contact)
-
-            torque_total = self._abs_total(torque)
-            stability = self.STABILITY_REWARD * (1.0 - np.abs(theta) / self.FALL_ANGLE)
-            reward += np.where(alive,
-                               self.PROGRESS_REWARD * self.DT * vx + stability
-                               - self.TORQUE_COST * torque_total,
-                               0.0)
-
-            clearance = y - self._terrain_height(knots_x, terrain, rows, x)
-            fell = alive & ((np.abs(theta) > self.FALL_ANGLE)
-                            | (clearance < self.FALL_CLEARANCE))
-            reward -= self.FALL_PENALTY * fell
-            alive &= ~fell
-
-            airborne = alive & ~(contact[..., 0] | contact[..., 1])
             k, w = divmod(t, window)
             step = step_buf[w]
+            np.multiply(input_planes, self._INPUT_SCALE,
+                        out=inputs.reshape(b * e, self.N_INPUTS))
+            np.matmul(inputs, w1t, out=hidden)
+            hidden += b1
+            np.tanh(hidden, out=hidden)
+            np.matmul(hidden, w2t, out=out)
+            out += b2
+            np.tanh(out, out=out)
+            out *= self.TORQUE_MAX
+            torque = step[6:10]  # computed where it is recorded
+            np.multiply(out.transpose(2, 0, 1), alive, out=torque)
+
+            qdd = self.JOINT_GAIN * torque - self.JOINT_DAMPING * qd
+            np.add(qd, self.DT * qdd, out=new_qd)
+            q_unclipped = q + self.DT * new_qd
+            # minimum/maximum give np.clip's values without its per-call overhead
+            np.maximum(q_unclipped, -self.JOINT_LIMIT, out=new_q)
+            np.minimum(new_q, self.JOINT_LIMIT, out=new_q)
+            np.copyto(new_qd, 0.0, where=new_q != q_unclipped)
+
+            # forward kinematics and ground interaction, both legs at once;
+            # adding a negated term is subtracting it, bit for bit
+            np.add(theta, hip, out=angles[0])
+            np.add(angles[0], knee, out=angles[1])
+            np.sin(angles, out=offsets[0])
+            np.cos(angles, out=offsets[1])
+            offsets *= self._SEGMENT_LENGTHS
+            feet = pos[:, np.newaxis] + offsets[:, 0] + offsets[:, 1]
+            pen = self._terrain_height(knots_x, knot_heights, feet_rows, feet[0]) - feet[1]
+            touching = pen > 0.0
+            new[14:16] = touching
+            hip_speed = omega + hip_d
+            backward_speed = offsets[1, 0] * hip_speed + offsets[1, 1] * (hip_speed + knee_d)
+            np.multiply(self.TRACTION, backward_speed, out=traction)
+            np.maximum(traction, -self.TRACTION_MAX, out=traction)
+            np.minimum(traction, self.TRACTION_MAX, out=traction)
+            np.maximum(self.GROUND_SPRING * pen - self.GROUND_DAMPING * vy, 0.0,
+                       out=support)
+            # each force summed from zero, leg 1 then leg 2
+            leg_forces = np.where(touching, forces, 0.0)
+            accel = (0.0 + leg_forces[:, 0]) + leg_forces[:, 1]
+            np.subtract(accel[0], self.DRAG * vx, out=accel[0])
+            accel /= self.BODY_MASS
+            accel[1] -= self.GRAVITY
+            np.add(vel, self.DT * accel, out=new_vel)
+            np.add(pos, self.DT * new_vel, out=new_pos)
+
+            body_torque = (-self.HIP_REACTION * (torque[0] + torque[2])
+                           - self.UPRIGHT_SPRING * theta * np.maximum(new[14], new[15])
+                           - self.ANGLE_DAMPING * omega)
+            np.add(omega, self.DT * body_torque / self.BODY_INERTIA, out=new_omega)
+            np.add(theta, self.DT * new_omega, out=new_theta)
+            # frozen episodes keep their final state
+            np.copyto(state, new, where=alive)
+
+            torque_total = self._abs_total(torque.transpose(1, 2, 0))
+            abs_theta = np.abs(theta)
+            stability = self.STABILITY_REWARD * (1.0 - abs_theta / self.FALL_ANGLE)
+            # a frozen episode's reward is left as it is: reward is never -0.0,
+            # so that is the same as adding 0.0 to it
+            np.add(reward,
+                   self.PROGRESS_REWARD * self.DT * vx + stability
+                   - self.TORQUE_COST * torque_total,
+                   out=reward, where=alive)
+
+            clearance = y - self._terrain_height(knots_x, knot_heights, rows, x)
+            fell = alive & ((abs_theta > self.FALL_ANGLE)
+                            | (clearance < self.FALL_CLEARANCE))
+            np.subtract(reward, self.FALL_PENALTY, out=reward, where=fell)
+            alive ^= fell  # fell only where alive
+
             step[0] = x
             step[1] = theta
-            step[2] = q[..., 0]
-            step[3] = q[..., 1]
-            step[4] = q[..., 2]
-            step[5] = q[..., 3]
-            step[6] = torque[..., 0]
-            step[7] = torque[..., 1]
-            step[8] = torque[..., 2]
-            step[9] = torque[..., 3]
+            step[2:6] = q
             step[10] = torque_total
-            step[11] = contact[..., 0]
-            step[12] = contact[..., 1]
-            step[13] = airborne
+            step[11:13] = contact
+            # airborne: alive with no foot down
+            np.greater(alive, np.logical_or(contact[0], contact[1]), out=step[13])
             if w == window - 1:
                 step_buf.mean(axis=0, out=windows[k])
 
         # (timepoints, channels, batch, episodes) -> per-eval episode means
-        observations = windows.mean(axis=3)
-        fitness = reward.mean(axis=1)
-        return fitness, np.ascontiguousarray(observations.transpose(2, 1, 0))
+        return reward.mean(axis=1), windows.mean(axis=3).transpose(2, 1, 0)
 
 
 class RastriginToyTask(Task):
@@ -399,13 +430,16 @@ _TASKS = {"surrogate_walker": SurrogateWalkerTask, "rastrigin_toy": RastriginToy
 
 # Parameters that size arrays or divide step counts.
 _COUNT_PARAMS = ("episode_steps", "obs_window", "episodes_per_eval", "n_timepoints")
+# Parameters that scale a random draw.
+_SCALE_PARAMS = ("terrain_roughness",)
 
 
 def make_task(name: str, params: dict | None = None) -> Task:
     """Instantiate a task by registry name with its namespaced parameters.
 
-    An unknown parameter, or a count parameter that is not a positive
-    integer, is a ``ConfigurationError`` naming the task and the key.
+    An unknown parameter, a count parameter that is not a positive integer,
+    or a scale parameter that is not a finite number >= 0 is a
+    ``ConfigurationError`` naming the task and the key.
     """
     params = dict(params or {})
     if name not in _TASKS:
@@ -420,5 +454,12 @@ def make_task(name: str, params: dict | None = None) -> Task:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigurationError(
                 f"task {name!r} parameter {key!r} must be a positive integer, "
+                f"got {value!r}")
+    for key in _SCALE_PARAMS:
+        value = params.get(key, 0.0)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 <= value < math.inf):
+            raise ConfigurationError(
+                f"task {name!r} parameter {key!r} must be a finite number >= 0, "
                 f"got {value!r}")
     return _TASKS[name](**params)

@@ -514,6 +514,19 @@ class TestTraining:
         assert report.diverged
         assert "non-finite" in report.message
 
+    def test_collapsed_cmd_module_is_a_divergence(self):
+        """A module whose latents are all constant has a zero correlation
+        matrix; the cmd loss is undefined there, and training reports that
+        instead of raising."""
+        ens = build_toy_ensemble(n_modules=3, diversity_kind="cmd", seed=41)
+        ens.nets[1][0][-1][0][...] = 0.0  # module 1's latent layer sees nothing
+        cfg = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=8,
+                             validation_split=0.25)
+        x = np.random.default_rng(10).random((16, 6))
+        report = train_ensemble(ens, x, cfg, np.random.default_rng(11))
+        assert report.diverged
+        assert "module 1" in report.message and "at epoch 0" in report.message
+
     def test_loss_curves_have_epoch_length(self):
         ens = build_toy_ensemble(n_modules=1, seed=34)
         cfg = TrainingConfig(epochs=5, learning_rate=0.01, batch_size=8,

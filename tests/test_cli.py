@@ -95,6 +95,19 @@ class TestRun:
         assert "rastrigin_toy" in err and key in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["rough", "-0.1"], ids=["non-numeric", "negative"])
+    def test_bad_terrain_roughness_exits_before_the_run_directory(self, tmp_path,
+                                                                  capsys, value):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG.replace(
+            "  name: rastrigin_toy",
+            f"  name: surrogate_walker\n  params: {{terrain_roughness: {value}}}"))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "terrain_roughness" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_every_replicate_failed(self, config_file, tmp_path, capsys,
                                     monkeypatch):
         import mcqd.runner as runner_mod

@@ -109,3 +109,45 @@ class TestGridCoverageEffect:
             return len({tuple(b) for b in bins})
 
         assert occupied(transformed) > occupied(squashed)
+
+
+# Landmarks that two neighbours may tie or split by a subnormal gap: a
+# sigmoid driven to its tail gives latents like 3.7e-318.
+_TINY = st.sampled_from([0.0, 5e-324, 1e-323, 1.5e-323, 2.5e-322, 3.7e-318,
+                         2.2250738585072014e-308, 1e-300])
+_LANDMARKS = st.lists(st.one_of(_TINY, st.floats(0.0, 1.0)), min_size=2, max_size=12).map(
+    sorted).filter(lambda lm: lm[0] < lm[-1])
+
+
+class TestSubnormalLandmarks:
+    def test_roadmap_case_is_finite(self):
+        """np.interp's slope overflows over a subnormal gap and returned inf."""
+        qt = QuantileTransform(np.array([[0.0], [1.5e-323], [0.5], [1.0]]),
+                               np.linspace(0.0, 1.0, 4))
+        out = qt.apply(np.array([[5e-324]]))
+        assert np.isfinite(out).all()
+        assert 0.0 < out[0, 0] < 1.0 / 3.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(_LANDMARKS, st.lists(st.one_of(_TINY, st.floats(-0.5, 1.5)), min_size=1,
+                                max_size=30))
+    def test_finite_in_unit_interval_and_monotone(self, landmarks, probes):
+        lm = np.array(landmarks)
+        qt = QuantileTransform(lm[:, np.newaxis], np.linspace(0.0, 1.0, len(lm)))
+        x = np.sort(np.concatenate([probes, lm, (lm[:-1] + lm[1:]) / 2]))
+        out = qt.apply(x[:, np.newaxis])[:, 0]
+        assert np.isfinite(out).all()
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert (np.diff(out) >= 0.0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LANDMARKS, st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=30))
+    def test_finite_outputs_are_np_interp(self, landmarks, probes):
+        lm = np.array(landmarks)
+        levels = np.linspace(0.0, 1.0, len(lm))
+        x = np.array(probes)
+        want = np.interp(x, lm, levels, left=0.0, right=1.0)
+        got = QuantileTransform(lm[:, np.newaxis], levels).apply(x[:, np.newaxis])[:, 0]
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(got[finite].view(np.int64),
+                                      want[finite].view(np.int64))

@@ -403,8 +403,12 @@ class TestTaskDependentConfigErrors:
         ("surrogate_walker", "{episodes_per_eval: 2.5}", "episodes_per_eval"),
         ("surrogate_walker", "{obs_window: true}", "obs_window"),
         ("rastrigin_toy", "{n_timepoints: 0}", "n_timepoints"),
+        ("surrogate_walker", "{terrain_roughness: rough}", "terrain_roughness"),
+        ("surrogate_walker", "{terrain_roughness: -0.1}", "terrain_roughness"),
+        ("surrogate_walker", "{terrain_roughness: .inf}", "terrain_roughness"),
     ], ids=["unknown", "zero-window", "negative-steps", "fractional-episodes",
-            "boolean-window", "toy-zero-timepoints"])
+            "boolean-window", "toy-zero-timepoints", "non-numeric-roughness",
+            "negative-roughness", "infinite-roughness"])
     def test_bad_task_parameter_raised_before_the_run_directory(self, tmp_path,
                                                                 task, params, key):
         config = ExperimentConfig.from_yaml(

@@ -237,3 +237,83 @@ def test_walker_holds_one_observation_window_not_the_episode(walker):
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_chunk_boundary_rows_match_single_rows():
+    """A batch larger than ``CHUNK`` runs in chunks; the rows on each side
+    of the first boundary get the bits they get when evaluated alone."""
+    task = make_task("surrogate_walker", {"episode_steps": 10, "obs_window": 5})
+    n = SurrogateWalkerTask.CHUNK + 2
+    genomes = np.random.default_rng(21).uniform(-1, 1, (n, task.definition.genome_dim))
+    seeds = [episode_seed_sequence(17, i) for i in range(n)]
+    fitness, obs = task.evaluate_many(genomes, seeds)
+    assert obs.shape == (n, task.definition.n_obs_channels, task.definition.n_timepoints)
+    for i in (n - 3, n - 2, n - 1):
+        single_fitness, single_obs = task.evaluate(genomes[i], seeds[i])
+        assert single_fitness == fitness[i]
+        assert single_obs.tobytes() == obs[i].tobytes()
+
+
+def test_large_batch_memory_is_bounded_by_the_chunk():
+    """A 3000-row batch with one 30-step window: in one pass its window
+    buffer alone is 50 MB; in 1000-row chunks the call peaks near 27 MB."""
+    import tracemalloc
+
+    task = make_task("surrogate_walker", {"episode_steps": 30, "obs_window": 30})
+    genomes = np.random.default_rng(9).uniform(-1, 1, (3000, task.definition.genome_dim))
+    seeds = [episode_seed_sequence(2, i) for i in range(3000)]
+    tracemalloc.start()
+    try:
+        task.evaluate_many(genomes, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.integers(1, 11), max_size=11))
+def test_any_split_of_a_batch_gives_the_same_bytes(cuts):
+    task = make_task("surrogate_walker", {"episode_steps": 30, "obs_window": 15})
+    genomes = np.random.default_rng(23).uniform(-1, 1, (12, task.definition.genome_dim))
+    seeds = [episode_seed_sequence(29, i) for i in range(12)]
+    whole = task.evaluate_many(genomes, seeds)
+    edges = [0, *sorted(cuts), 12]
+    parts = [task.evaluate_many(genomes[lo:hi], seeds[lo:hi])
+             for lo, hi in zip(edges, edges[1:])]
+    assert np.concatenate([f for f, _ in parts]).tobytes() == whole[0].tobytes()
+    assert np.concatenate([o for _, o in parts]).tobytes() == whole[1].tobytes()
+
+
+def test_fallen_episode_is_frozen():
+    """After the step of its fall, an episode keeps its final state and
+    applies no torque, so with one episode per evaluation every channel is
+    constant in every window after the one holding the fall."""
+    window, steps = 15, 150
+    task = make_task("surrogate_walker", {"episode_steps": steps, "obs_window": window,
+                                          "episodes_per_eval": 1})
+    rng = np.random.default_rng(0)
+
+    def fallen_by(genome, seed, n):
+        # the terrain and dynamics do not depend on the episode length, and
+        # the fall penalty outweighs every other reward
+        short = make_task("surrogate_walker", {"episode_steps": n, "obs_window": 1,
+                                               "episodes_per_eval": 1})
+        return short.evaluate(genome, seed)[0] < -0.5 * SurrogateWalkerTask.FALL_PENALTY
+
+    for i in range(40):
+        genome = rng.uniform(-1, 1, task.definition.genome_dim)
+        seed = episode_seed_sequence(5, i)
+        if not fallen_by(genome, seed, steps - 2 * window):
+            continue
+        lo, hi = 1, steps - 2 * window  # the fall happens within the first hi steps
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fallen_by(genome, seed, mid) else (mid + 1, hi)
+        fall_window = (lo - 1) // window
+        _, obs = task.evaluate(genome, seed)
+        after = obs[:, fall_window + 1:]
+        assert after.shape[1] >= 2
+        np.testing.assert_array_equal(after, np.repeat(after[:, :1], after.shape[1], axis=1))
+        return
+    pytest.fail("no genome fell")

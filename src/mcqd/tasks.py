@@ -113,7 +113,7 @@ class SurrogateWalkerTask(Task):
     # the controller inputs' scales, over state planes 2: (theta, omega, vx,
     # vy, the joint angles, the joint speeds, the contacts)
     _INPUT_SCALE = np.array([1.0, 0.3, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0,
-                             0.1, 0.1, 0.1, 0.1, 1.0, 1.0])
+                             0.1, 0.1, 0.1, 0.1, 1.0, 1.0])[:, np.newaxis, np.newaxis]
     # scales (sin, cos) x (thigh, shank) to each segment's (dx, dy) offset
     _SEGMENT_LENGTHS = np.array([[THIGH_LEN, SHANK_LEN],
                                  [-THIGH_LEN, -SHANK_LEN]])[..., np.newaxis, np.newaxis, np.newaxis]
@@ -173,9 +173,10 @@ class SurrogateWalkerTask(Task):
         return w1, b1, w2, b2
 
     def _make_terrain(self, seed_seqs, n_episodes):
-        """Per-episode piecewise-linear heightfields with bounded slope,
-        (batch, episodes, knots); each evaluation draws its own from its seed
-        sequence.
+        """Per-episode piecewise-linear heightfields with bounded slope; each
+        evaluation draws its own from its seed sequence.  Returns the knots'
+        x and their heights, (batch, episodes, knots) flattened, plus one
+        spare knot that keeps the view shifted by one knot in bounds.
 
         The first knots (covering the start of the arena) are flat so every
         episode begins from the same stable stance.
@@ -188,8 +189,9 @@ class SurrogateWalkerTask(Task):
             np.random.Generator(np.random.PCG64(ss)).uniform(-r, r, size=(n_episodes, n_knots))
             for ss in seed_seqs])
         steps[..., knots_x <= 0.0] = 0.0  # the stance at the origin starts level
-        heights = np.clip(np.cumsum(steps, axis=-1), -1.0, 1.0)
-        return knots_x, heights
+        heights = np.zeros(steps.size + 1)
+        np.cumsum(steps, axis=-1, out=heights[:-1].reshape(steps.shape))
+        return knots_x, np.clip(heights, -1.0, 1.0, out=heights)
 
     @staticmethod
     def _terrain_height(knots_x, knot_heights, rows, x):
@@ -262,8 +264,7 @@ class SurrogateWalkerTask(Task):
         b2 = np.repeat(b2[:, np.newaxis, :], e, axis=1)
 
         knots_x, heights = self._make_terrain(seed_seqs, e)
-        heights = heights.ravel()
-        knot_heights = heights, np.roll(heights, -1)  # the wrapped knot is never read
+        knot_heights = heights[:-1], heights[1:]
         rows = len(knots_x) * np.arange(b * e).reshape(b, e)
         feet_rows = np.stack([rows, rows])  # a broadcast add costs 2x more
 
@@ -286,15 +287,13 @@ class SurrogateWalkerTask(Task):
         alive = np.ones((b, e), dtype=bool)
         reward = np.zeros((b, e))
 
-        # each step is written into the current window's buffer, which is
-        # averaged into ``windows`` as soon as it is full
+        # each step is written into the current window's buffer; when it is
+        # full, it is averaged over its steps and then over the episodes
         window = d.obs_averaging_window
         step_buf = np.empty((window, d.n_obs_channels, b, e))
-        windows = np.empty((d.n_timepoints, d.n_obs_channels, b, e))
-        # the matmul's bits depend on its operands' layout: it reads a
-        # contiguous (b, e, in) array, filled from the transposed planes
-        inputs = np.empty((b, e, self.N_INPUTS))
-        input_planes = state[2:].reshape(self.N_INPUTS, b * e).T
+        window_mean = np.empty((d.n_obs_channels, b, e))
+        observations = np.empty((d.n_timepoints, d.n_obs_channels, b))
+        input_planes = np.empty((self.N_INPUTS, b, e))
         hidden = np.empty((b, e, self.N_HIDDEN))
         out = np.empty((b, e, self.N_TORQUES))
         angles = np.empty((2, 2, b, e))  # (thigh, shank) x leg
@@ -307,8 +306,10 @@ class SurrogateWalkerTask(Task):
         for t in range(d.episode_steps):
             k, w = divmod(t, window)
             step = step_buf[w]
-            np.multiply(input_planes, self._INPUT_SCALE,
-                        out=inputs.reshape(b * e, self.N_INPUTS))
+            np.multiply(state[2:], self._INPUT_SCALE, out=input_planes)
+            # the matmul's bits depend on its operands' layout: it reads a
+            # contiguous (b, e, in) array
+            inputs = np.ascontiguousarray(input_planes.transpose(1, 2, 0))
             np.matmul(inputs, w1t, out=hidden)
             hidden += b1
             np.tanh(hidden, out=hidden)
@@ -386,10 +387,10 @@ class SurrogateWalkerTask(Task):
             # airborne: alive with no foot down
             np.greater(alive, np.logical_or(contact[0], contact[1]), out=step[13])
             if w == window - 1:
-                step_buf.mean(axis=0, out=windows[k])
+                step_buf.mean(axis=0, out=window_mean)
+                window_mean.mean(axis=2, out=observations[k])
 
-        # (timepoints, channels, batch, episodes) -> per-eval episode means
-        return reward.mean(axis=1), windows.mean(axis=3).transpose(2, 1, 0)
+        return reward.mean(axis=1), observations.transpose(2, 1, 0)
 
 
 class RastriginToyTask(Task):

@@ -249,8 +249,8 @@ class SurrogateWalkerTask(Task):
         return fitness, observations
 
     def _lockstep(self, genomes, seed_seqs):
-        """One lockstep pass over a chunk: per-eval episode-mean fitness (b,)
-        and observations (timepoints, channels, b)."""
+        """One lockstep pass over a chunk: the per-eval episode means of the
+        fitness, (b,), and of the observations, (b, channels, timepoints)."""
         d = self.definition
         b = genomes.shape[0]
         e = d.episodes_per_eval
@@ -346,7 +346,8 @@ class SurrogateWalkerTask(Task):
             np.minimum(traction, self.TRACTION_MAX, out=traction)
             np.maximum(self.GROUND_SPRING * pen - self.GROUND_DAMPING * vy, 0.0,
                        out=support)
-            # each force summed from zero, leg 1 then leg 2
+            # each force summed from zero, leg 1 then leg 2, into (x, y)
+            # forces that become the body's accelerations in place
             leg_forces = np.where(touching, forces, 0.0)
             accel = (0.0 + leg_forces[:, 0]) + leg_forces[:, 1]
             np.subtract(accel[0], self.DRAG * vx, out=accel[0])
@@ -355,8 +356,9 @@ class SurrogateWalkerTask(Task):
             np.add(vel, self.DT * accel, out=new_vel)
             np.add(pos, self.DT * new_vel, out=new_pos)
 
+            either_foot = np.maximum(new[14], new[15])  # 1.0 or 0.0
             body_torque = (-self.HIP_REACTION * (torque[0] + torque[2])
-                           - self.UPRIGHT_SPRING * theta * np.maximum(new[14], new[15])
+                           - self.UPRIGHT_SPRING * theta * either_foot
                            - self.ANGLE_DAMPING * omega)
             np.add(omega, self.DT * body_torque / self.BODY_INERTIA, out=new_omega)
             np.add(theta, self.DT * new_omega, out=new_theta)

@@ -116,7 +116,7 @@ class SurrogateWalkerTask(Task):
                              0.1, 0.1, 0.1, 0.1, 1.0, 1.0])[:, np.newaxis, np.newaxis]
     # scales (sin, cos) x (thigh, shank) to each segment's (dx, dy) offset
     _SEGMENT_LENGTHS = np.array([[THIGH_LEN, SHANK_LEN],
-                                 [-THIGH_LEN, -SHANK_LEN]])[..., np.newaxis, np.newaxis, np.newaxis]
+                                 [-THIGH_LEN, -SHANK_LEN]]).reshape(2, 2, 1, 1, 1)
 
     CHANNELS = (
         "displacement", "body_angle",

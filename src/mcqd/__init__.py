@@ -20,15 +20,15 @@ from .core import (  # noqa: F401
 from .engine import (  # noqa: F401
     ContainerSpec,
     Engine,
-    SharingStrategy,
-    TrainingStrategy,
     mutate_polynomial,
     select_curiosity_roulette,
 )
 from .config import (  # noqa: F401
     ExperimentConfig,
     SearchSection,
+    SharingStrategy,
     TrainingSection,
+    TrainingStrategy,
     build_preset,
     preset_names,
 )

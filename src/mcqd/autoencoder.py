@@ -186,9 +186,10 @@ class ModularAutoEncoderEnsemble:
 
     def encode(self, x: np.ndarray, module_index: int) -> np.ndarray:
         """Latent codes for a (batch, in) matrix, inference mode."""
-        z, _ = net_forward(self.nets[module_index][0],
-                           np.atleast_2d(np.asarray(x, float)))
-        return z
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise StructuralError(f"encode takes a (batch, in) matrix, not {x.shape}")
+        return net_forward(self.nets[module_index][0], x)[0]
 
     def forward_all(self, x: np.ndarray, train: bool = False, rng=None):
         """Forward every module; returns (zs, ys, enc_caches, dec_caches)."""
@@ -561,16 +562,13 @@ class Adam:
 
 @dataclass
 class TrainingConfig:
-    """The trainer's settings; the engine fills them from ``TrainingSection``."""
+    """The trainer's settings; the engine fills them from ``TrainingSection``,
+    whose values ``ExperimentConfig.validate`` checks."""
 
     epochs: int
     learning_rate: float
     batch_size: int
     validation_split: float
-
-    def __post_init__(self):
-        if not 0.0 < self.validation_split < 1.0:
-            raise StructuralError("validation_split must be in (0, 1)")
 
 
 @dataclass
@@ -669,14 +667,15 @@ class ObservationScaler:
         return cls(lo, hi)
 
     def transform(self, observations: np.ndarray) -> np.ndarray:
-        """Scale (channels, t) or (n, channels, t) and flatten channel-major."""
+        """Scale (n, channels, t) and flatten each row channel-major."""
         obs = np.asarray(observations, dtype=float)
+        if obs.ndim != 3:
+            raise StructuralError(
+                f"observations have shape {obs.shape}, expected (n, channels, t)")
         lo = self.lo[:, np.newaxis]
         span = (self.hi - self.lo)[:, np.newaxis]
         ok = span > 0
         scaled = np.where(ok, (obs - lo) / np.where(ok, span, 1.0), 0.5)
-        if obs.ndim == 2:
-            return scaled.reshape(-1)
         return scaled.reshape(obs.shape[0], -1)
 
 

@@ -51,7 +51,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         config.seed = args.seed
     if args.replicates is not None:
         config.replicates = args.replicates
-    config.validate()
     return config
 
 

@@ -8,12 +8,14 @@ the budgets by ten and shrinks each grid to 10x10.
 """
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
+from .autoencoder import DIVERSITY_KINDS
 from .core import ConfigurationError
 
 _REQUIRED = object()
@@ -82,10 +84,24 @@ class _Section:
                 f"line {self.line}: unknown key(s) {leftovers} in section {self.name!r}")
 
 
+class SharingStrategy(str, enum.Enum):
+    SHARED = "shared"
+    NON_SHARED = "non_shared"
+
+
+class TrainingStrategy(str, enum.Enum):
+    NONE = "none"
+    PRE_TRAINED = "pre_trained"
+    ONLINE = "online"
+
+
+FD_TYPES = ("hardcoded", "ae", "ae_qt")
+
+
 @dataclass
 class GridSpec:
     shape: tuple[int, ...]
-    fd: str  # hardcoded | ae | ae_qt
+    fd: str  # one of FD_TYPES
 
     @property
     def capacity(self) -> int:
@@ -305,17 +321,19 @@ class ExperimentConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the values.  No check here needs the task, so these errors
-        surface when the config loads, before any run directory exists."""
+        """Check the values; the only owner of every check that needs no
+        task.  A loaded config is checked as it loads, and ``run_experiment``
+        checks again first, so a config built or changed in Python fails the
+        same way, before any run directory exists."""
         capacities = sum(g.capacity for g in self.grids)
         if capacities != self.bin_budget:
             raise ConfigurationError(
                 f"grid capacities sum to {capacities}, bin budget is {self.bin_budget}")
-        if self.search.sharing not in ("shared", "non_shared"):
+        if self.search.sharing not in tuple(SharingStrategy):
             raise ConfigurationError(f"unknown sharing {self.search.sharing!r}")
-        if self.training.strategy not in ("none", "pre_trained", "online"):
+        if self.training.strategy not in tuple(TrainingStrategy):
             raise ConfigurationError(f"unknown training strategy {self.training.strategy!r}")
-        if self.training.diversity.kind not in ("none", "outputs", "cov", "cmd"):
+        if self.training.diversity.kind not in DIVERSITY_KINDS:
             raise ConfigurationError(
                 f"unknown diversity kind {self.training.diversity.kind!r}")
         if self.training.diversity.sign not in (1, -1):
@@ -339,7 +357,7 @@ class ExperimentConfig:
         if self.search.mutation.eta <= 0:
             raise ConfigurationError("search.mutation.eta must be positive")
         kinds = {g.fd for g in self.grids}
-        unknown = kinds - {"hardcoded", "ae", "ae_qt"}
+        unknown = kinds - set(FD_TYPES)
         if unknown:
             raise ConfigurationError(f"unknown fd type(s) {sorted(unknown)}")
         learned = kinds & {"ae", "ae_qt"}

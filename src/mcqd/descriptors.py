@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ConfigurationError, StructuralError
 
-REDUCTION_KINDS = ("mean", "final", "mean_abs", "frac_above")
+REDUCTION_KINDS = ("mean", "final", "mean_abs")
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,12 @@ class ChannelReduction:
     """One FD component: reduce a named channel over time, then normalize.
 
     ``bounds`` are the task-declared normalization interval; the reduced
-    value is min-max mapped into [0, 1] and clamped.  ``threshold`` only
-    applies to the ``frac_above`` kind.
+    value is min-max mapped into [0, 1] and clamped.
     """
 
     channel: str
     kind: str
     bounds: tuple[float, float]
-    threshold: float = 0.0
 
     def __post_init__(self):
         if self.kind not in REDUCTION_KINDS:
@@ -78,10 +76,8 @@ class HardcodedExtractor:
                 value = series.sum(axis=-1) / t
             elif red.kind == "final":
                 value = series[:, -1]
-            elif red.kind == "mean_abs":
+            else:  # mean_abs
                 value = np.abs(series).sum(axis=-1) / t
-            else:  # frac_above
-                value = (series > red.threshold).sum(axis=-1) / t
             lo, hi = red.bounds
             fd[:, k] = (value - lo) / (hi - lo)
         return np.clip(fd, 0.0, 1.0, out=fd)
@@ -106,11 +102,8 @@ class LearnedExtractor:
         """Deterministic per batch; a row's last bits may depend on the row
         count, because the encoder's matrix products sum in a batch-size
         dependent order."""
-        obs = np.asarray(observation_list, dtype=float)
-        if obs.ndim != 3:
-            raise StructuralError("expected a sequence of (channels, timepoints)")
-        flat = self.scaler.transform(obs)
-        z = self.ensemble.encode(flat, self.module_index)
+        z = self.ensemble.encode(self.scaler.transform(observation_list),
+                                 self.module_index)
         if self.quantile_transform is not None:
             return self.quantile_transform.apply(z)
         return z

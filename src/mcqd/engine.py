@@ -18,7 +18,6 @@ Every setting comes from the experiment config's ``search`` and
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,13 @@ from .autoencoder import (
     TrainingConfig,
     train_ensemble,
 )
-from .config import MutationSection, SearchSection, TrainingSection
+from .config import (
+    MutationSection,
+    SearchSection,
+    SharingStrategy,
+    TrainingSection,
+    TrainingStrategy,
+)
 from .core import (
     AddOutcome,
     ConfigurationError,
@@ -60,20 +65,6 @@ def episode_seed_sequence(master_seed: int, eval_index: int) -> np.random.SeedSe
     return np.random.SeedSequence(master_seed, spawn_key=(STREAM_EPISODES, eval_index))
 
 
-class SharingStrategy(str, enum.Enum):
-    SHARED = "shared"
-    NON_SHARED = "non_shared"
-
-
-class TrainingStrategy(str, enum.Enum):
-    NONE = "none"
-    PRE_TRAINED = "pre_trained"
-    ONLINE = "online"
-
-
-FD_TYPES = ("hardcoded", "ae", "ae_qt")
-
-
 @dataclass
 class ContainerSpec:
     shape: tuple[int, ...]
@@ -81,8 +72,6 @@ class ContainerSpec:
     hardcoded: HardcodedSpec | None = None
 
     def __post_init__(self):
-        if self.fd_type not in FD_TYPES:
-            raise ConfigurationError(f"unknown fd type {self.fd_type!r}")
         if self.fd_type != "hardcoded":
             return
         if self.hardcoded is None:
@@ -143,18 +132,12 @@ def select_curiosity_roulette(container: GridContainer, curiosity: np.ndarray,
 
 @dataclass
 class BatchStats:
-    batch_index: int
-    planned: int
     executed: int
     adds: int = 0
     evictions: int = 0
     rejections: int = 0
     accepted_solutions: int = 0
     partial: bool = False
-
-    @property
-    def attempts(self) -> int:
-        return self.adds + self.evictions + self.rejections
 
     def tally(self, outcome: AddOutcome) -> None:
         if outcome is AddOutcome.ADDED_TO_EMPTY:
@@ -174,7 +157,6 @@ class ContainerReindex:
 
 @dataclass
 class RetrainReport:
-    fired: bool
     diverged: bool = False
     message: str = ""
     final_train_loss: float = float("nan")
@@ -206,13 +188,6 @@ class Engine:
         # learned[k] is the container that ensemble module k describes
         self.learned = [cid for cid, spec in enumerate(container_specs)
                         if spec.fd_type != "hardcoded"]
-        if self.learned and self.training_strategy is TrainingStrategy.NONE:
-            raise ConfigurationError("learned descriptors require a training strategy")
-        if not self.learned and self.training_strategy is not TrainingStrategy.NONE:
-            raise ConfigurationError("hardcoded-only experiments must use training: none")
-        if any(len(self._specs[cid].shape) != training.latent_dim for cid in self.learned):
-            raise ConfigurationError(
-                "learned container grids must match the latent dimensionality")
         d = task.definition
         self.containers = [
             GridContainer(cid, spec.shape, None if spec.fd_type != "hardcoded"
@@ -230,7 +205,6 @@ class Engine:
         self.total_evaluations = 0
         self.focus_index = 0
         self.retrain_count = 0
-        self.per_container_evals = [0] * len(self.containers)
         self.initialized = False
 
     # -- helpers ----------------------------------------------------------
@@ -356,7 +330,7 @@ class Engine:
                     f"initial descriptor training diverged: {report.message}")
         everywhere = range(len(self.containers))
         self._commit(ids, genomes, fitness, observations, [everywhere] * n,
-                     [-1] * n, BatchStats(batch_index=0, planned=n, executed=n))
+                     [-1] * n, BatchStats(executed=n))
         self.depot.reset_training_counter()
         self.initialized = True
 
@@ -373,7 +347,7 @@ class Engine:
         self.focus_index = (self.focus_index + rem) % m
         return plan
 
-    def run_batch(self, batch_size: int, batch_index: int = 0) -> BatchStats:
+    def run_batch(self, batch_size: int) -> BatchStats:
         """One batch of select -> mutate -> evaluate -> insert iterations.
 
         Selection and mutation are planned up front against the batch-start
@@ -387,16 +361,13 @@ class Engine:
             raise RuntimeError("initialize() must run before run_batch()")
         remaining = self.eval_budget - self.eval_budget_used
         n = min(batch_size, remaining)
-        stats = BatchStats(batch_index=batch_index, planned=batch_size,
-                           executed=n, partial=n < batch_size)
+        stats = BatchStats(executed=n, partial=n < batch_size)
         if n <= 0:
             return stats
 
         lo, hi = self.task.definition.genome_bounds
         genome_dim = self.task.definition.genome_dim
         plan = self._plan_iterations(n)
-        for cidx in plan:
-            self.per_container_evals[cidx] += 1
         parents: list[int] = []  # depot rows, -1 for a random genome
         bases = np.empty((n, genome_dim))
         for i, cidx in enumerate(plan):
@@ -439,9 +410,8 @@ class Engine:
         corpus = self.depot.observation_corpus()
         report, fds = self._train(corpus)
         self.depot.reset_training_counter()
-        result = RetrainReport(fired=True, diverged=report.diverged,
-                               message=report.message, epochs=report.epochs_run,
-                               corpus=len(corpus))
+        result = RetrainReport(diverged=report.diverged, message=report.message,
+                               epochs=report.epochs_run, corpus=len(corpus))
         if report.diverged:
             return result
         if report.train_losses:

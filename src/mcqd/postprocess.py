@@ -35,10 +35,6 @@ class QuantileTransform:
         self.levels = levels
 
     @property
-    def n_quantiles(self) -> int:
-        return self.landmarks.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.landmarks.shape[1]
 
@@ -59,21 +55,19 @@ class QuantileTransform:
         return cls(landmarks, levels)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """Transform one latent vector (dim,) or a batch (n, dim) into [0, 1]."""
+        """Transform a batch of latent vectors (n, dim) into [0, 1]."""
         z = np.asarray(z, dtype=float)
-        batch = np.atleast_2d(z)
-        if batch.shape[1] != self.dim:
+        if z.ndim != 2 or z.shape[1] != self.dim:
             raise StructuralError(
-                f"latent has {batch.shape[1]} dims, transform expects {self.dim}"
-            )
-        out = np.empty_like(batch)
+                f"latents have shape {z.shape}, transform expects (n, {self.dim})")
+        out = np.empty_like(z)
         for d in range(self.dim):
             lm = self.landmarks[:, d]
             if lm[0] == lm[-1]:
                 out[:, d] = 0.5
             else:
-                out[:, d] = self._interp(batch[:, d], lm, self.levels)
-        return out if z.ndim == 2 else out[0]
+                out[:, d] = self._interp(z[:, d], lm, self.levels)
+        return out
 
     @staticmethod
     def _interp(x, lm, levels):

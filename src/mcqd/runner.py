@@ -153,7 +153,7 @@ def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path) -> None:
         iteration = 0
         while engine.eval_budget_used < engine.eval_budget:
             iteration += 1
-            stats = engine.run_batch(config.search.batch_size, iteration)
+            stats = engine.run_batch(config.search.batch_size)
             retrain = engine.maybe_retrain()
             snap = snapshot(iteration, engine.containers, engine.depot, bounds)
             writer.writerow([_fmt(v) for v in snap.as_row()])
@@ -218,9 +218,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
     Replicate k runs with seed (config.seed + k) in ``rep_<k>``.  A replicate
     that raises is recorded in a FAILED file and skipped by the aggregate;
     its partial artifacts are kept.  With no successful replicate there is
-    nothing to aggregate, and no aggregate is written.  A config error that
-    depends on the task is raised before the run directory is created.
+    nothing to aggregate, and no aggregate is written.  Every config error,
+    with or without the task, is raised before the run directory is created.
     """
+    config.validate()
     container_specs(config, make_task(config.task.name, config.task.params))
     run_dir = resolve_run_dir(config, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -45,22 +45,15 @@ class TaskDefinition:
 
 
 class Task:
-    """``evaluate`` maps one genome to its episode-averaged fitness and
-    (channels, timepoints) observation matrix; ``evaluate_many`` maps a batch
-    to a fitness vector (n,) and an observation array (n, channels,
-    timepoints)."""
+    """The one task contract: ``evaluate_many`` maps (n, genome_dim) genomes
+    and their n episode seed sequences to the episode-averaged fitness
+    vector (n,) and observation array (n, channels, timepoints).  One genome
+    is a one-row batch."""
 
     definition: TaskDefinition
 
-    def evaluate(self, genome: np.ndarray,
-                 seed_seq: np.random.SeedSequence) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
     def evaluate_many(self, genomes, seed_seqs) -> tuple[np.ndarray, np.ndarray]:
-        """Batch evaluation; must give the same results as one-by-one calls."""
-        results = [self.evaluate(g, ss) for g, ss in zip(genomes, seed_seqs)]
-        return (np.array([fitness for fitness, _ in results], dtype=float),
-                np.stack([obs for _, obs in results]).astype(float, copy=False))
+        raise NotImplementedError
 
 
 class SurrogateWalkerTask(Task):
@@ -219,10 +212,6 @@ class SurrogateWalkerTask(Task):
         skip the reduction's per-call overhead."""
         a = np.abs(torque)
         return a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3]
-
-    def evaluate(self, genome, seed_seq):
-        fitness, observations = self.evaluate_many([genome], [seed_seq])
-        return float(fitness[0]), observations[0]
 
     def evaluate_many(self, genomes, seed_seqs):
         """Run a batch of evaluations in lockstep, ``CHUNK`` rows at a time.
@@ -419,14 +408,15 @@ class RastriginToyTask(Task):
             channel_names=self.CHANNELS,
         )
 
-    def evaluate(self, genome, seed_seq):
-        g = np.asarray(genome, dtype=float)
-        if g.shape != (2,):
-            raise StructuralError("toy task expects a 2-gene genome")
-        value = 20.0 + np.sum(g ** 2 - 10.0 * np.cos(2.0 * np.pi * g))
-        channels = np.array([g[0], g[1], g[0] + g[1], g[0] - g[1]])
-        obs = np.repeat(channels[:, np.newaxis], self.definition.n_timepoints, axis=1)
-        return float(-value), obs
+    def evaluate_many(self, genomes, seed_seqs):
+        g = np.asarray(genomes, dtype=float)
+        if g.ndim != 2 or g.shape[1] != 2:
+            raise StructuralError("toy task expects (batch, 2) genomes")
+        value = 20.0 + np.sum(g ** 2 - 10.0 * np.cos(2.0 * np.pi * g), axis=1)
+        channels = np.stack([g[:, 0], g[:, 1], g[:, 0] + g[:, 1], g[:, 0] - g[:, 1]],
+                            axis=1)
+        obs = np.repeat(channels[:, :, np.newaxis], self.definition.n_timepoints, axis=2)
+        return -value, obs
 
 
 _TASKS = {"surrogate_walker": SurrogateWalkerTask, "rastrigin_toy": RastriginToyTask}

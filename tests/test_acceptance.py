@@ -90,7 +90,7 @@ def run_desk_search(fd_type, sharing, diversity=("none", 1.0, -1), seed=0,
     bounds = task.definition.fitness_bounds
     run = DeskRun(snaps=[snapshot(0, engine.containers, engine.depot, bounds)])
     for i in range(1, 11):
-        engine.run_batch(500, i)
+        engine.run_batch(500)
         pre = {c.container_id: c.occupancy for c in engine.containers}
         report = engine.maybe_retrain()
         if report is not None and not report.diverged:

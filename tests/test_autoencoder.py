@@ -395,8 +395,10 @@ class TestDenseNet:
         for w, b in ens.nets[0][0]:  # the encoder's layers
             w[...] = 0.0
             b[...] = 0.0
-        z = ens.encode(np.ones(6), 0)
+        z = ens.encode(np.ones((1, 6)), 0)
         np.testing.assert_allclose(z, 0.5)
+        with pytest.raises(StructuralError):  # one input is a one-row batch
+            ens.encode(np.ones(6), 0)
 
     def test_latent_strictly_inside_unit_interval(self, rng):
         ens = build_toy_ensemble(n_modules=2, seed=20)
@@ -705,6 +707,8 @@ class TestObservationScaler:
             np.array([[1.0, 2.0], [5.0, 5.0]]),
         ])
         scaler = ObservationScaler.fit(corpus)
-        flat = scaler.transform(corpus[0])
-        assert flat.shape == (4,)
-        np.testing.assert_allclose(flat, [0.0, 1.0, 0.5, 0.5])  # const channel -> 0.5
+        flat = scaler.transform(corpus[:1])
+        assert flat.shape == (1, 4)
+        np.testing.assert_allclose(flat, [[0.0, 1.0, 0.5, 0.5]])  # const channel -> 0.5
+        with pytest.raises(StructuralError):  # one matrix is a one-row batch
+            scaler.transform(corpus[0])

@@ -202,8 +202,8 @@ class TestDepot:
         from test_engine import toy_engine
         engine = toy_engine()
         engine.initialize()
-        for i in range(5):
-            engine.run_batch(20, i)
+        for _ in range(5):
+            engine.run_batch(20)
             depot = engine.depot
             stored = np.concatenate([c.rows() for c in engine.containers])
             assert len(depot) >= max(c.occupancy for c in engine.containers)

@@ -39,12 +39,11 @@ class TestHardcoded:
             ChannelReduction("disp", "mean", (0.0, 4.0)),
             ChannelReduction("disp", "final", (0.0, 4.0)),
             ChannelReduction("angle", "mean_abs", (0.0, 2.0)),
-            ChannelReduction("angle", "frac_above", (0.0, 1.0), threshold=0.0),
         ))
         ex = HardcodedExtractor(spec, self.channels)
         obs = np.array([[1.0, 2.0, 3.0], [-1.0, 1.0, 1.0]])
         fd = extract_one(ex, obs)
-        np.testing.assert_allclose(fd, [2.0 / 4, 3.0 / 4, 1.0 / 2, 2.0 / 3])
+        np.testing.assert_allclose(fd, [2.0 / 4, 3.0 / 4, 1.0 / 2])
 
     def test_clamped_to_unit_interval(self):
         spec = HardcodedSpec((ChannelReduction("disp", "final", (0.0, 1.0)),))
@@ -71,10 +70,8 @@ def _reference_extract(spec, channels, obs):
             value = series.mean()
         elif red.kind == "final":
             value = series[-1]
-        elif red.kind == "mean_abs":
-            value = np.abs(series).mean()
         else:
-            value = np.mean(series > red.threshold)
+            value = np.abs(series).mean()
         lo, hi = red.bounds
         fd[k] = np.clip((value - lo) / (hi - lo), 0.0, 1.0)
     return fd
@@ -84,9 +81,9 @@ def _reference_extract(spec, channels, obs):
 def _observation_batches(draw):
     n = draw(st.integers(1, 12))
     t = draw(st.sampled_from((1, 10, 13)))
-    # exact threshold and bound values sit on the comparison edges
+    # exact bound values sit on the normalization edges
     values = st.one_of(st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
-                       st.sampled_from((0.25, -1.0, 2.0, 0.0, -0.0)))
+                       st.sampled_from((0.5, -1.0, 2.0, 0.0, -0.0)))
     return draw(arrays(float, (n, 2, t), elements=values))
 
 
@@ -95,7 +92,6 @@ class TestHardcodedBatch:
         ChannelReduction("disp", "mean", (-1.0, 2.0)),
         ChannelReduction("disp", "final", (-1.0, 2.0)),
         ChannelReduction("angle", "mean_abs", (0.0, 3.0)),
-        ChannelReduction("angle", "frac_above", (0.0, 1.0), threshold=0.25),
         ChannelReduction("angle", "mean", (-0.5, 0.5)),
     ))
     CHANNELS = ("disp", "angle")
@@ -151,7 +147,7 @@ class TestLearned:
         raw = extract_one(LearnedExtractor(ens, 0, ex.scaler, None), obs)
         cooked = extract_one(ex, obs)
         np.testing.assert_array_equal(cooked,
-                                      ex.quantile_transform.apply(raw))
+                                      ex.quantile_transform.apply(raw[np.newaxis])[0])
 
     def test_extract_many_matches_loop(self):
         # batched BLAS paths may differ from one-by-one calls in the last

@@ -160,9 +160,9 @@ class LineTask(Task):
             channel_names=("gene",),
         )
 
-    def evaluate(self, genome, seed_seq):
-        g = float(genome[0])
-        return g, np.full((1, 4), g)
+    def evaluate_many(self, genomes, seed_seqs):
+        g = np.asarray(genomes, dtype=float)[:, 0]
+        return g.copy(), np.repeat(g[:, np.newaxis, np.newaxis], 4, axis=2)
 
 
 class PoisonedLineTask(LineTask):
@@ -170,12 +170,12 @@ class PoisonedLineTask(LineTask):
 
     poison = None  # "fitness" or "observations"
 
-    def evaluate(self, genome, seed_seq):
-        fitness, obs = super().evaluate(genome, seed_seq)
+    def evaluate_many(self, genomes, seed_seqs):
+        fitness, obs = super().evaluate_many(genomes, seed_seqs)
         if self.poison == "fitness":
-            fitness = float("nan")
+            fitness[:] = np.nan
         elif self.poison == "observations":
-            obs[0, -1] = np.inf
+            obs[:, 0, -1] = np.inf
         return fitness, obs
 
 
@@ -193,6 +193,24 @@ def line_engine(container_specs=None, eval_budget=100, seed=11, task=None):
         training=TrainingSection(strategy=TrainingStrategy.NONE),
         seed=seed,
     )
+
+
+def planned_iterations(engine, batch_sizes):
+    """Run one batch per size and count, per container, the iterations the
+    engine's plans gave it."""
+    counts = [0] * len(engine.containers)
+    plan = engine._plan_iterations
+
+    def counted(n):
+        cidxs = plan(n)
+        for cidx in cidxs:
+            counts[cidx] += 1
+        return cidxs
+
+    engine._plan_iterations = counted
+    for size in batch_sizes:
+        engine.run_batch(size)
+    return counts
 
 
 def one_cell_specs(n):
@@ -221,7 +239,7 @@ class TestNonFiniteTaskOutput:
         task = PoisonedLineTask()
         engine = line_engine(container_specs=one_cell_specs(2), task=task)
         engine.initialize()
-        engine.run_batch(4, 0)
+        engine.run_batch(4)
 
         def state():
             d = engine.depot
@@ -233,7 +251,7 @@ class TestNonFiniteTaskOutput:
         before = state()
         task.poison = poison
         with pytest.raises(InvalidValueError):
-            engine.run_batch(4, 1)
+            engine.run_batch(4)
         assert state() == before
 
 
@@ -255,7 +273,7 @@ class TestBookkeepingOracle:
         depot_size = 1
         cfg = engine.mutation
 
-        for batch in range(5):
+        for _ in range(5):
             # plan phase: all four iterations select the batch-start elite
             parent_gene = elite_gene
             parent_curiosity = elite_curiosity
@@ -277,7 +295,7 @@ class TestBookkeepingOracle:
                     parent_curiosity = max(parent_curiosity - 0.5, 0.01)
             elite_curiosity = 1.0 if replaced else parent_curiosity
 
-            engine.run_batch(4, batch)
+            engine.run_batch(4)
             stored = engine.containers[0].grid[0]
             assert engine.depot.fitness[stored] == pytest.approx(elite_gene, abs=1e-12)
             assert engine.depot.curiosity[stored] == pytest.approx(elite_curiosity,
@@ -289,7 +307,7 @@ class TestBookkeepingOracle:
         engine.initialize()
         elite = engine.containers[0].grid[0]
         engine.depot.fitness[elite] = 2.0  # unbeatable: every offspring rejected
-        engine.run_batch(6, 0)
+        engine.run_batch(6)
         # 1.0 -> 0.5 -> 0.01 (floor) and stays there
         assert engine.depot.curiosity[elite] == pytest.approx(0.01)
         assert len(engine.depot) == 1
@@ -362,7 +380,7 @@ class TestEngineLifecycle:
         shared = toy_engine(sharing=SharingStrategy.SHARED)
         shared.initialize()
         before = len(shared.depot)
-        stats = shared.run_batch(25, 0)
+        stats = shared.run_batch(25)
         assert len(shared.depot) - before == stats.accepted_solutions
         assert stats.accepted_solutions <= stats.adds + stats.evictions
         np.testing.assert_array_equal(shared.depot.ids, np.unique(shared.depot.ids))
@@ -378,8 +396,8 @@ class TestEngineLifecycle:
         for _ in range(2):
             engine = toy_engine(seed=42)
             engine.initialize()
-            for i in range(3):
-                engine.run_batch(20, i)
+            for _ in range(3):
+                engine.run_batch(20)
             runs.append(engine_fingerprint(engine))
         assert runs[0] == runs[1]
 
@@ -387,11 +405,9 @@ class TestEngineLifecycle:
         engine = toy_engine()
         engine.initialize()
         executed = 0
-        i = 0
         while engine.eval_budget_used < engine.eval_budget:
-            stats = engine.run_batch(60, i)
+            stats = engine.run_batch(60)
             executed += stats.executed
-            i += 1
         assert engine.eval_budget_used == engine.eval_budget == executed
         assert engine.total_evaluations == 30 + executed
         # the final batch was truncated by the budget (200 = 60*3 + 20)
@@ -400,30 +416,27 @@ class TestEngineLifecycle:
     def test_shared_attempts_every_container(self):
         engine = toy_engine(sharing=SharingStrategy.SHARED)
         engine.initialize()
-        stats = engine.run_batch(25, 0)
-        assert stats.attempts == 25 * len(engine.containers)
+        stats = engine.run_batch(25)
+        attempts = stats.adds + stats.evictions + stats.rejections
+        assert attempts == 25 * len(engine.containers)
 
     def test_non_shared_attempts_only_focus(self):
         engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
         engine.initialize()
-        stats = engine.run_batch(25, 0)
-        assert stats.attempts == 25
+        stats = engine.run_batch(25)
+        assert stats.adds + stats.evictions + stats.rejections == 25
 
     def test_non_shared_budget_split_evenly(self):
         engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
         engine.initialize()
-        for i in range(4):
-            engine.run_batch(20, i)
-        counts = engine.per_container_evals
+        counts = planned_iterations(engine, [20] * 4)
         assert sum(counts) == 80
         assert max(counts) - min(counts) == 0  # 20 divides evenly across 2
 
     def test_non_shared_remainder_rotates(self):
         engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
         engine.initialize()
-        for i in range(2):
-            engine.run_batch(5, i)  # 5 = 2*2 + 1 remainder
-        counts = engine.per_container_evals
+        counts = planned_iterations(engine, [5, 5])  # 5 = 2*2 + 1 remainder
         assert sum(counts) == 10
         assert max(counts) - min(counts) <= 5 % 2
 
@@ -431,23 +444,22 @@ class TestEngineLifecycle:
         # the canonical split: batch of 1000 over 4 containers -> 250 each
         engine = line_engine(container_specs=one_cell_specs(4), eval_budget=1000)
         engine.initialize()
-        engine.run_batch(1000, 0)
-        assert engine.per_container_evals == [250, 250, 250, 250]
+        assert planned_iterations(engine, [1000]) == [250, 250, 250, 250]
 
     def test_empty_container_falls_back_to_random_genome(self):
         engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
         engine.initialize()
         engine.containers[0].clear()
         engine.containers[1].clear()
-        stats = engine.run_batch(10, 0)
+        stats = engine.run_batch(10)
         assert stats.executed == 10
         assert engine.containers[0].occupancy + engine.containers[1].occupancy > 0
 
     def test_curiosity_floor_invariant(self):
         engine = toy_engine()
         engine.initialize()
-        for i in range(5):
-            engine.run_batch(30, i)
+        for _ in range(5):
+            engine.run_batch(30)
         for c in engine.containers:
             assert np.all(engine.depot.curiosity[c.rows()] >= engine.curiosity.floor)
 
@@ -473,15 +485,15 @@ class TestRetraining:
         assert engine.maybe_retrain() is None
         engine.depot.added_since_last_training = 40
         report = engine.maybe_retrain()
-        assert report is not None and report.fired and not report.diverged
+        assert report is not None and not report.diverged
         assert engine.depot.added_since_last_training == 0
 
     def test_retrain_reports_conserve_occupancy(self):
         engine = toy_engine(learned=True, training_period=30)
         engine.initialize()
         fired = 0
-        for i in range(6):
-            engine.run_batch(25, i)
+        for _ in range(6):
+            engine.run_batch(25)
             pre = {c.container_id: c.occupancy for c in engine.containers}
             report = engine.maybe_retrain()
             if report is not None and not report.diverged:
@@ -497,7 +509,7 @@ class TestRetraining:
         extractors give over the depot."""
         engine = toy_engine(learned=True, learned_fds=("ae", "ae_qt"))
         engine.initialize()
-        engine.run_batch(40, 0)
+        engine.run_batch(40)
         old = [c.extractor for c in engine.containers]
         engine.depot.added_since_last_training = engine.training.period
         report = engine.maybe_retrain()
@@ -513,8 +525,8 @@ class TestRetraining:
     def test_reindex_idempotent_with_unchanged_extractor(self):
         engine = toy_engine(learned=True)
         engine.initialize()
-        for i in range(2):
-            engine.run_batch(25, i)
+        for _ in range(2):
+            engine.run_batch(25)
         before = engine_fingerprint(engine)[0]
         reports = engine.reindex_all()
         for r in reports:
@@ -549,7 +561,7 @@ class TestRetraining:
 
         monkeypatch.setattr(engine_mod, "train_ensemble", always_diverges)
         report = engine.maybe_retrain()
-        assert report is not None and report.fired and report.diverged
+        assert report is not None and report.diverged
         assert engine.ensemble is old_ensemble
         assert [c.extractor for c in engine.containers] == old_extractors
         # reset all the same: the next attempt waits a full period
@@ -560,8 +572,8 @@ class TestRetraining:
     def test_grid_invariants_hold_after_retrain(self):
         engine = toy_engine(learned=True, training_period=30)
         engine.initialize()
-        for i in range(4):
-            engine.run_batch(30, i)
+        for _ in range(4):
+            engine.run_batch(30)
             engine.maybe_retrain()
         for c in engine.containers:
             assert c.occupancy <= c.capacity

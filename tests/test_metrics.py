@@ -257,8 +257,8 @@ class TestBestFitnessDepotCrossCheck:
         from test_engine import toy_engine
         engine = toy_engine(sharing=SharingStrategy.SHARED)
         engine.initialize()
-        for i in range(3):
-            engine.run_batch(30, i)
+        for _ in range(3):
+            engine.run_batch(30)
         depot = engine.depot
         stored_ids = {int(depot.ids[r]) for c in engine.containers for r in c.rows()}
         oracle = max(f for i, f in zip(depot.ids.tolist(), depot.fitness.tolist())

@@ -22,7 +22,7 @@ class TestFit:
 
     def test_quantile_count_lowered_to_sample_count(self):
         qt = QuantileTransform.fit(np.random.default_rng(0).random((5, 1)), 1000)
-        assert qt.n_quantiles == 5
+        assert qt.landmarks.shape == (5, 1)
 
     def test_single_sample_rejected(self):
         with pytest.raises(StructuralError):
@@ -30,8 +30,8 @@ class TestFit:
 
     def test_constant_samples_map_to_half(self):
         qt = QuantileTransform.fit(np.full((20, 2), 3.3), 10)
-        out = qt.apply(np.array([3.3, -5.0]))
-        np.testing.assert_array_equal(out, [0.5, 0.5])
+        out = qt.apply(np.array([[3.3, -5.0]]))
+        np.testing.assert_array_equal(out, [[0.5, 0.5]])
 
 
 class TestApply:
@@ -40,12 +40,12 @@ class TestApply:
         samples = rng.normal(size=(10_001, 1))
         qt = QuantileTransform.fit(samples, 101)  # odd -> median is a landmark
         med = np.quantile(samples[:, 0], 0.5)
-        assert qt.apply(np.array([med]))[0] == pytest.approx(0.5, abs=1e-12)
+        assert qt.apply(np.array([[med]]))[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_clamping_outside_landmarks(self):
         qt = QuantileTransform.fit(np.random.default_rng(2).random((100, 1)), 50)
-        assert qt.apply(np.array([-10.0]))[0] == 0.0
-        assert qt.apply(np.array([10.0]))[0] == 1.0
+        out = qt.apply(np.array([[-10.0], [10.0]]))
+        np.testing.assert_array_equal(out, [[0.0], [1.0]])
 
     def test_uniformization_of_training_set(self):
         rng = np.random.default_rng(3)
@@ -71,12 +71,13 @@ class TestApply:
         z = rng.normal(size=(10, 3))
         batch = qt.apply(z)
         for i in range(10):
-            np.testing.assert_array_equal(batch[i], qt.apply(z[i]))
+            np.testing.assert_array_equal(batch[i:i + 1], qt.apply(z[i:i + 1]))
 
     def test_dimension_mismatch(self):
         qt = QuantileTransform.fit(np.random.default_rng(6).random((50, 2)), 10)
-        with pytest.raises(StructuralError):
-            qt.apply(np.zeros(3))
+        for shape in [(1, 3), (2,), (1, 1, 2)]:  # one latent is a one-row batch
+            with pytest.raises(StructuralError):
+                qt.apply(np.zeros(shape))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -84,7 +85,8 @@ class TestApply:
         rng = np.random.default_rng(7)
         qt = QuantileTransform.fit(rng.normal(size=(300, 1)), 100)
         lo, hi = sorted((a, b))
-        assert qt.apply(np.array([lo]))[0] <= qt.apply(np.array([hi]))[0]
+        out = qt.apply(np.array([[lo], [hi]]))
+        assert out[0, 0] <= out[1, 0]
 
     def test_range_closed_unit_interval(self):
         rng = np.random.default_rng(8)

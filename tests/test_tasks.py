@@ -18,6 +18,12 @@ from mcqd.engine import episode_seed_sequence
 from mcqd.tasks import RastriginToyTask, SurrogateWalkerTask, make_task
 
 
+def evaluate_one(task, genome, seed_seq):
+    """One genome evaluated as a one-row batch: (fitness, observations)."""
+    fitness, obs = task.evaluate_many(np.asarray(genome)[np.newaxis], [seed_seq])
+    return fitness[0], obs[0]
+
+
 @pytest.fixture(scope="module")
 def walker():
     return make_task("surrogate_walker",
@@ -29,9 +35,6 @@ class TestWalker:
         d = walker.definition
         assert d.n_timepoints == 10
         assert d.episode_steps == d.n_timepoints * d.obs_averaging_window
-        fitness, obs = walker.evaluate(np.zeros(d.genome_dim), episode_seed_sequence(0, 0))
-        assert isinstance(fitness, float)
-        assert obs.shape == (d.n_obs_channels, d.n_timepoints)
         fitness, obs = walker.evaluate_many(np.zeros((3, d.genome_dim)),
                                             [episode_seed_sequence(0, i) for i in range(3)])
         assert fitness.shape == (3,)
@@ -46,23 +49,23 @@ class TestWalker:
         task = make_task("surrogate_walker",
                          {"episode_steps": 150, "obs_window": 15,
                           "terrain_roughness": 0.0})
-        _, obs = task.evaluate(np.zeros(task.definition.genome_dim),
-                               episode_seed_sequence(1, 0))
+        _, obs = evaluate_one(task, np.zeros(task.definition.genome_dim),
+                              episode_seed_sequence(1, 0))
         displacement = obs[0, -1]
         assert abs(displacement) < 0.01 * SurrogateWalkerTask.ARENA_LENGTH
 
     def test_deterministic_per_seed(self, walker):
         g = np.random.default_rng(3).uniform(-1, 1, walker.definition.genome_dim)
-        a = walker.evaluate(g, episode_seed_sequence(7, 5))
-        b = walker.evaluate(g, episode_seed_sequence(7, 5))
+        a = evaluate_one(walker, g, episode_seed_sequence(7, 5))
+        b = evaluate_one(walker, g, episode_seed_sequence(7, 5))
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_different_substreams_differ(self, walker):
         rng = np.random.default_rng(4)
         g = rng.uniform(-1, 1, walker.definition.genome_dim)
-        a, _ = walker.evaluate(g, episode_seed_sequence(7, 500))
-        b, _ = walker.evaluate(g, episode_seed_sequence(7, 501))
+        a, _ = evaluate_one(walker, g, episode_seed_sequence(7, 500))
+        b, _ = evaluate_one(walker, g, episode_seed_sequence(7, 501))
         assert a != b
 
     def test_batch_matches_single(self, walker):
@@ -71,18 +74,20 @@ class TestWalker:
         seeds = [episode_seed_sequence(9, i) for i in range(6)]
         fitness, obs = walker.evaluate_many(genomes, seeds)
         for i in range(6):
-            single_fitness, single_obs = walker.evaluate(genomes[i],
-                                                         episode_seed_sequence(9, i))
-            assert single_fitness == fitness[i]
-            np.testing.assert_array_equal(single_obs, obs[i])
+            single_fitness, single_obs = walker.evaluate_many(
+                genomes[i:i + 1], [episode_seed_sequence(9, i)])
+            np.testing.assert_array_equal(single_fitness, fitness[i:i + 1])
+            np.testing.assert_array_equal(single_obs, obs[i:i + 1])
 
     def test_observations_finite_and_genome_checked(self, walker):
         rng = np.random.default_rng(6)
         g = rng.uniform(-1, 1, walker.definition.genome_dim)
-        _, obs = walker.evaluate(g, episode_seed_sequence(0, 1))
+        _, obs = evaluate_one(walker, g, episode_seed_sequence(0, 1))
         assert np.all(np.isfinite(obs))
         with pytest.raises(StructuralError):
-            walker.evaluate(np.zeros(3), episode_seed_sequence(0, 0))
+            walker.evaluate_many(np.zeros((1, 3)), [episode_seed_sequence(0, 0)])
+        with pytest.raises(StructuralError):  # one genome is a one-row batch
+            walker.evaluate_many(g, [episode_seed_sequence(0, 0)])
 
     def test_window_mismatch_rejected(self):
         from mcqd.core import ConfigurationError
@@ -98,12 +103,12 @@ class TestWalker:
 class TestToyTask:
     def test_global_optimum(self):
         task = RastriginToyTask()
-        fitness, _ = task.evaluate(np.zeros(2), None)
+        fitness, _ = evaluate_one(task, np.zeros(2), None)
         assert fitness == pytest.approx(0.0, abs=1e-12)
 
     def test_observation_structure(self):
         task = RastriginToyTask()
-        _, obs = task.evaluate(np.array([1.5, -0.5]), None)
+        _, obs = evaluate_one(task, np.array([1.5, -0.5]), None)
         assert obs.shape == (4, 10)
         np.testing.assert_allclose(obs[2], obs[0] + obs[1])
         np.testing.assert_allclose(obs[3], obs[0] - obs[1])
@@ -111,8 +116,8 @@ class TestToyTask:
 
     def test_symmetric_genomes_mirror(self):
         task = RastriginToyTask()
-        a_fitness, a = task.evaluate(np.array([0.7, -1.2]), None)
-        b_fitness, b = task.evaluate(np.array([-1.2, 0.7]), None)
+        a_fitness, a = evaluate_one(task, np.array([0.7, -1.2]), None)
+        b_fitness, b = evaluate_one(task, np.array([-1.2, 0.7]), None)
         assert a_fitness == pytest.approx(b_fitness, abs=1e-12)
         np.testing.assert_allclose(a[0], b[1])
         np.testing.assert_allclose(a[3], -b[3])
@@ -120,7 +125,7 @@ class TestToyTask:
     def test_known_rastrigin_value(self):
         task = RastriginToyTask()
         # f(1, 0) = 1 for the standard parameters
-        fitness, _ = task.evaluate(np.array([1.0, 0.0]), None)
+        fitness, _ = evaluate_one(task, np.array([1.0, 0.0]), None)
         assert fitness == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -197,8 +202,9 @@ genomes = np.random.default_rng(77).uniform(-1, 1, (300, task.definition.genome_
 seeds = [episode_seed_sequence(13, i) for i in range(300)]
 fitness, obs = task.evaluate_many(genomes, seeds)
 for i in (0, 1, 149, 299):
-    single_fitness, single_obs = task.evaluate(genomes[i], episode_seed_sequence(13, i))
-    if single_fitness != fitness[i] or single_obs.tobytes() != obs[i].tobytes():
+    single_fitness, single_obs = task.evaluate_many(genomes[i:i + 1], seeds[i:i + 1])
+    if (single_fitness.tobytes() != fitness[i:i + 1].tobytes()
+            or single_obs.tobytes() != obs[i:i + 1].tobytes()):
         sys.exit(f"row {i} differs from its single-row evaluation")
 digest = hashlib.sha256(fitness.tobytes())
 for row in obs:
@@ -249,9 +255,9 @@ def test_chunk_boundary_rows_match_single_rows():
     fitness, obs = task.evaluate_many(genomes, seeds)
     assert obs.shape == (n, task.definition.n_obs_channels, task.definition.n_timepoints)
     for i in (n - 3, n - 2, n - 1):
-        single_fitness, single_obs = task.evaluate(genomes[i], seeds[i])
-        assert single_fitness == fitness[i]
-        assert single_obs.tobytes() == obs[i].tobytes()
+        single_fitness, single_obs = task.evaluate_many(genomes[i:i + 1], seeds[i:i + 1])
+        assert single_fitness.tobytes() == fitness[i:i + 1].tobytes()
+        assert single_obs.tobytes() == obs[i:i + 1].tobytes()
 
 
 def test_large_batch_memory_is_bounded_by_the_chunk():
@@ -299,7 +305,7 @@ def test_fallen_episode_is_frozen():
         # the fall penalty outweighs every other reward
         short = make_task("surrogate_walker", {"episode_steps": n, "obs_window": 1,
                                                "episodes_per_eval": 1})
-        return short.evaluate(genome, seed)[0] < -0.5 * SurrogateWalkerTask.FALL_PENALTY
+        return evaluate_one(short, genome, seed)[0] < -0.5 * SurrogateWalkerTask.FALL_PENALTY
 
     for i in range(40):
         genome = rng.uniform(-1, 1, task.definition.genome_dim)
@@ -311,7 +317,7 @@ def test_fallen_episode_is_frozen():
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if fallen_by(genome, seed, mid) else (mid + 1, hi)
         fall_window = (lo - 1) // window
-        _, obs = task.evaluate(genome, seed)
+        _, obs = evaluate_one(task, genome, seed)
         after = obs[:, fall_window + 1:]
         assert after.shape[1] >= 2
         np.testing.assert_array_equal(after, np.repeat(after[:, :1], after.shape[1], axis=1))

@@ -32,6 +32,8 @@ from .core import InvalidValueError, StructuralError
 from .postprocess import QuantileTransform
 
 DIVERSITY_KINDS = ("none", "outputs", "cov", "cmd")
+# the terms computed from a covariance, which needs two rows
+COVARIANCE_KINDS = ("cov", "cmd")
 
 _STD_FLOOR = 1e-8  # regularizes correlation of a collapsed latent column
 
@@ -609,6 +611,11 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     n = x.shape[0]
     perm = rng.permutation(n)
     n_val = min(int(round(n * cfg.validation_split)), n - 1)
+    if _diversity_kind(ensemble) in COVARIANCE_KINDS:
+        # both sides of the split need two rows, else no row is held out
+        n_val = min(n_val, n - 2)
+        if n_val < 2:
+            n_val = 0
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
     x_val = x[val_idx]

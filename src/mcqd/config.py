@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
-from .autoencoder import DIVERSITY_KINDS
+from .autoencoder import COVARIANCE_KINDS, DIVERSITY_KINDS
 from .core import ConfigurationError
 
 _REQUIRED = object()
@@ -325,6 +325,11 @@ class ExperimentConfig:
         task.  A loaded config is checked as it loads, and ``run_experiment``
         checks again first, so a config built or changed in Python fails the
         same way, before any run directory exists."""
+        for i, g in enumerate(self.grids):
+            if not g.shape or min(g.shape) < 1:
+                raise ConfigurationError(
+                    f"grid {i} has shape {list(g.shape)}; a grid needs at least one "
+                    "dimension and every dimension >= 1")
         capacities = sum(g.capacity for g in self.grids)
         if capacities != self.bin_budget:
             raise ConfigurationError(
@@ -360,7 +365,7 @@ class ExperimentConfig:
         unknown = kinds - set(FD_TYPES)
         if unknown:
             raise ConfigurationError(f"unknown fd type(s) {sorted(unknown)}")
-        learned = kinds & {"ae", "ae_qt"}
+        learned = kinds - {"hardcoded"}
         if learned and self.training.strategy == "none":
             raise ConfigurationError("learned descriptors need training strategy != none")
         if not learned and self.training.strategy != "none":
@@ -377,6 +382,22 @@ class ExperimentConfig:
                             ("batch_size", self.search.batch_size)):
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        # A covariance term needs two rows in every batch it sees, and a
+        # quantile fit two samples.
+        n_learned = sum(g.fd in learned for g in self.grids)
+        div = self.training.diversity
+        covariance = n_learned > 0 and div.kind in COVARIANCE_KINDS and div.weight != 0
+        if self.search.initialization_budget < 2 and (covariance or "ae_qt" in kinds):
+            raise ConfigurationError(
+                "search.initialization_budget must be >= 2 with an ae_qt grid or a "
+                "cov or cmd diversity term")
+        if covariance and self.training.batch_size < 2:
+            raise ConfigurationError(
+                f"training.batch_size must be >= 2 with {div.kind} diversity")
+        if div.kind == "cmd" and n_learned >= 2 and self.training.latent_dim < 2:
+            raise ConfigurationError(
+                "cmd diversity over two or more learned grids needs "
+                "training.latent_dim >= 2")
 
 
 # ---------------------------------------------------------------------------

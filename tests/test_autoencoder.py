@@ -529,6 +529,21 @@ class TestTraining:
         assert report.diverged
         assert "module 1" in report.message and "at epoch 0" in report.message
 
+    @pytest.mark.parametrize("kind", ["cov", "cmd"])
+    @pytest.mark.parametrize("rows,split,held_out", [
+        (3, 0.25, 0), (4, 0.25, 0), (5, 0.25, 0), (3, 0.9, 0), (4, 0.9, 2), (8, 0.25, 2),
+    ])
+    def test_covariance_split_leaves_no_one_row_side(self, kind, rows, split, held_out):
+        """A covariance needs two rows: under cov or cmd, a split that would
+        leave one row on either side holds out fewer rows, or none."""
+        ens = build_toy_ensemble(n_modules=2, diversity_kind=kind, seed=42)
+        cfg = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=8,
+                             validation_split=split)
+        x = np.random.default_rng(12).random((rows, 6))
+        report = train_ensemble(ens, x, cfg, np.random.default_rng(13))
+        assert not report.diverged
+        assert np.isnan(report.val_losses).all() == (held_out == 0)
+
     def test_loss_curves_have_epoch_length(self):
         ens = build_toy_ensemble(n_modules=1, seed=34)
         cfg = TrainingConfig(epochs=5, learning_rate=0.01, batch_size=8,

@@ -108,6 +108,17 @@ class TestRun:
         assert "terrain_roughness" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_config_every_replicate_would_fail_exits_before_the_run_directory(
+            self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG.replace("bin_budget: 50", "bin_budget: 10").replace(
+            "{shape: [5, 5], fd: ae, count: 2}", "{shape: [-2, -5], fd: ae}"))
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid 0 has shape [-2, -5]" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_every_replicate_failed(self, config_file, tmp_path, capsys,
                                     monkeypatch):
         import mcqd.runner as runner_mod

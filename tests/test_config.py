@@ -156,12 +156,15 @@ class TestParsing:
             ExperimentConfig.from_yaml(bad)
         assert "hidden" in str(err.value)
 
+    # GOOD_YAML trains under cmd diversity, whose minibatches need two rows
     @pytest.mark.parametrize("section,key,bad,edge", [
-        ("training", "batch_size", "0", "1"),
+        ("training", "batch_size", "0", "2"),
+        ("training", "batch_size", "1", "2"),
         ("training", "quantiles", "1", "2"),
         ("training", "learning_rate", "-0.01", "0.0"),
         ("curiosity", "floor", "0.0", "1.0e-9"),
-    ], ids=["training-batch-size", "quantiles", "learning-rate", "curiosity-floor"])
+    ], ids=["training-batch-size", "cmd-batch-size", "quantiles", "learning-rate",
+            "curiosity-floor"])
     def test_out_of_range_value_fails_at_load(self, section, key, bad, edge):
         def config(value):
             if section == "training":
@@ -173,6 +176,41 @@ class TestParsing:
             ExperimentConfig.from_yaml(config(bad))
         assert key in str(err.value)
         ExperimentConfig.from_yaml(config(edge))  # the nearest valid value loads
+
+    @pytest.mark.parametrize("changes,message", [
+        ([("bin_budget: 72", "bin_budget: 20"), ("shape: [6, 6]", "shape: [-2, -5]")],
+         "grid 0 has shape [-2, -5]"),
+        ([("bin_budget: 72", "bin_budget: 2"), ("shape: [6, 6]", "shape: []"),
+          ("  epochs: 2", "  epochs: 2\n  latent_dim: 0")],
+         "grid 0 has shape []"),
+        ([("initialization_budget: 20", "initialization_budget: 1")],
+         "initialization_budget must be >= 2"),
+        ([("initialization_budget: 20", "initialization_budget: 1"),
+          ("fd: ae_qt", "fd: ae"), ("kind: cmd", "kind: cov")],
+         "initialization_budget must be >= 2"),
+        ([("bin_budget: 72", "bin_budget: 12"), ("shape: [6, 6]", "shape: [6]"),
+          ("  epochs: 2", "  epochs: 2\n  latent_dim: 1")],
+         "needs training.latent_dim >= 2"),
+    ], ids=["negative-shape", "empty-shape", "one-genome-quantiles", "one-genome-cov",
+            "cmd-latent-1"])
+    def test_config_every_replicate_would_fail_fails_at_load(self, changes, message):
+        text = GOOD_YAML
+        for old, new in changes:
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(text)
+        assert message in str(err.value)
+
+    def test_one_row_steps_without_a_covariance_load(self):
+        """One initial genome trains an ae grid, and a minibatch of one row
+        trains a diversity term of weight 0: both run, so both load."""
+        ExperimentConfig.from_yaml(GOOD_YAML.replace(
+            "initialization_budget: 20", "initialization_budget: 1").replace(
+            "fd: ae_qt", "fd: ae").replace("kind: cmd", "kind: none"))
+        ExperimentConfig.from_yaml(GOOD_YAML.replace(
+            "  epochs: 2", "  epochs: 2\n  batch_size: 1").replace(
+            "weight: 1.0", "weight: 0.0"))
 
     def test_retired_n_workers_is_read_and_dropped(self):
         cfg = ExperimentConfig.from_yaml(GOOD_YAML)

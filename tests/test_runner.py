@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mcqd.config import ExperimentConfig
+from mcqd.config import ExperimentConfig, build_preset
 from mcqd.core import ConfigurationError
 from mcqd.runner import (
     build_engine,
@@ -419,6 +419,38 @@ class TestTaskDependentConfigErrors:
             run_experiment(config, tmp_path / "run")
         assert f"task {task!r}" in str(err.value) and repr(key) in str(err.value)
         assert not (tmp_path / "run").exists()
+
+
+class TestPythonBuiltConfigErrors:
+    """``run_experiment`` validates first: a config built in Python and then
+    made invalid fails before the run directory exists, as a loaded one
+    does, instead of failing every replicate."""
+
+    @pytest.mark.parametrize("preset,key,value,message", [
+        ("reco-4", "strategy", "none", "learned descriptors need training strategy"),
+        ("hardcoded-4", "strategy", "online", "hardcoded descriptors require training"),
+        ("reco-4", "latent_dim", 3, "must have training.latent_dim = 3 dimensions"),
+    ], ids=["learned-without-training", "hardcoded-with-online", "latent-dim"])
+    def test_raised_before_the_run_directory(self, tmp_path, preset, key, value,
+                                             message):
+        config = build_preset(preset, desk=True)
+        setattr(config.training, key, value)
+        with pytest.raises(ConfigurationError) as err:
+            run_experiment(config, tmp_path / "run")
+        assert message in str(err.value)
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("budget", [3, 4, 5])
+def test_small_initial_collection_trains_under_cov(tmp_path, budget):
+    """Three to five initial rows split into one validation row at the
+    default split; under cov that row is kept for training instead."""
+    config = ExperimentConfig.from_yaml(
+        TOY_YAML.replace("fd: ae_qt", "fd: ae").replace(
+            "initialization_budget: 25", f"initialization_budget: {budget}").replace(
+            "  quantiles: 40", "  quantiles: 40\n  diversity: {kind: cov}"))
+    result = run_experiment(config, tmp_path / "run")
+    assert not result.failed, [r.error for r in result.failed]
 
 
 class TestOutputRoot:

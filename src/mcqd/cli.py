@@ -76,10 +76,7 @@ def main(argv=None) -> int:
                 for name in preset_names():
                     print(name)
                 return 0
-            config = build_preset(args.name, desk=args.desk,
-                                  seed=args.seed or 0,
-                                  replicates=args.replicates or 1)
-            config = _apply_overrides(config, args)
+            config = _apply_overrides(build_preset(args.name, desk=args.desk), args)
             return _report(run_experiment(config, args.out))
 
         if args.command == "plotdata":

@@ -349,8 +349,9 @@ class ExperimentConfig:
             raise ConfigurationError("training.dropout must be in [0, 1)")
         if any(width < 1 for width in self.training.hidden):
             raise ConfigurationError("training.hidden widths must be >= 1")
-        if self.training.batch_size < 1:
-            raise ConfigurationError("training.batch_size must be >= 1")
+        for name in ("period", "epochs", "batch_size"):
+            if getattr(self.training, name) < 1:
+                raise ConfigurationError(f"training.{name} must be >= 1")
         if self.training.quantiles < 2:
             raise ConfigurationError("training.quantiles must be >= 2")
         if self.training.learning_rate < 0:
@@ -375,6 +376,8 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"learned grid shape {list(g.shape)} must have "
                     f"training.latent_dim = {self.training.latent_dim} dimensions")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
         for name, value in (("initialization_budget", self.search.initialization_budget),

@@ -44,17 +44,14 @@ class GridContainer:
     ``grid`` holds each cell's depot row (-1 for an empty cell) and
     ``order`` the flat indices of the occupied cells in first-fill order; a
     replaced elite keeps its cell's place.  Equal fitness keeps the incumbent
-    (deterministic, avoids churn).  The descriptor extractor attached to the
-    container defines its FD space over [0, 1] and is swapped atomically by
-    the engine at retrain boundaries.
+    (deterministic, avoids churn).
     """
 
-    def __init__(self, container_id: int, shape, extractor=None):
+    def __init__(self, container_id: int, shape):
         self.container_id = int(container_id)
         self.shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in self.shape):
             raise StructuralError(f"grid shape must be positive, got {self.shape}")
-        self.extractor = extractor
         self.grid = np.full(self.shape, -1, dtype=np.intp)
         self.order: list[int] = []
 

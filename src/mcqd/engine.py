@@ -116,23 +116,29 @@ def mutate_polynomial(genomes: np.ndarray, cfg: MutationSection,
 
 
 def select_curiosity_roulette(container: GridContainer, curiosity: np.ndarray,
-                              rng, floor: float = 0.01) -> int:
-    """Pick a stored elite's depot row with probability proportional to its
-    curiosity (``curiosity`` is indexed by depot row), the elites taken in
-    first-fill order."""
+                              draws, floor: float = 0.01) -> np.ndarray:
+    """The depot row each uniform draw in [0, 1) picks among the stored
+    elites, in first-fill order, with probability proportional to their
+    curiosity (indexed by depot row) floored at ``floor``."""
     rows = container.rows()
     if not len(rows):
         raise EmptyContainerError(
             f"container {container.container_id} holds no solution")
     cumulative = np.cumsum(np.maximum(curiosity[rows], floor))
-    draw = rng.random() * cumulative[-1]
-    idx = int(np.searchsorted(cumulative, draw, side="right"))
-    return int(rows[min(idx, len(rows) - 1)])
+    idx = np.searchsorted(cumulative, np.asarray(draws) * cumulative[-1], side="right")
+    return rows[np.minimum(idx, len(rows) - 1)]
 
+
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no NaN or infinity; a non-finite value is written as null."""
+    return float(value) if np.isfinite(value) else None
+
+
+# A batch's batches.jsonl record holds these two reports' fields, in order.
 
 @dataclass
 class BatchStats:
-    executed: int
+    evals: int
     adds: int = 0
     evictions: int = 0
     rejections: int = 0
@@ -159,8 +165,8 @@ class ContainerReindex:
 class RetrainReport:
     diverged: bool = False
     message: str = ""
-    final_train_loss: float = float("nan")
-    final_val_loss: float = float("nan")
+    train_loss: float | None = None  # None: diverged, or not finite
+    val_loss: float | None = None
     epochs: int = 0
     corpus: int = 0  # depot rows trained on
     reindex: list[ContainerReindex] = field(default_factory=list)
@@ -189,10 +195,12 @@ class Engine:
         self.learned = [cid for cid, spec in enumerate(container_specs)
                         if spec.fd_type != "hardcoded"]
         d = task.definition
-        self.containers = [
-            GridContainer(cid, spec.shape, None if spec.fd_type != "hardcoded"
-                          else HardcodedExtractor(spec.hardcoded, d.channel_names))
-            for cid, spec in enumerate(container_specs)]
+        # extractors[c] defines container c's FDs; _train sets the learned ones
+        self.extractors = [HardcodedExtractor(spec.hardcoded, d.channel_names)
+                           if spec.fd_type == "hardcoded" else None
+                           for spec in container_specs]
+        self.containers = [GridContainer(cid, spec.shape)
+                           for cid, spec in enumerate(container_specs)]
         self.depot = DepotContainer(d.genome_dim, (d.n_obs_channels, d.n_timepoints),
                                     [len(spec.shape) for spec in container_specs])
         self.ensemble: ModularAutoEncoderEnsemble | None = None
@@ -239,7 +247,7 @@ class Engine:
         takes the next depot row, and the accepted rows are appended in one
         step at the end.  Returns the number of accepted children.
         """
-        fds = [c.extractor.extract_many(observations) for c in self.containers]
+        fds = [ex.extract_many(observations) for ex in self.extractors]
         cells = [c.cells(fd).tolist() for c, fd in zip(self.containers, fds)]
         first_row = len(self.depot)
         # fitness by depot row, with room for the rows this batch adds
@@ -306,8 +314,7 @@ class Engine:
                 qt = QuantileTransform.fit(fd, self.training.quantiles)
                 self.quantile_transforms[cid] = qt
                 fd = qt.apply(fd)
-            self.containers[cid].extractor = LearnedExtractor(candidate, module,
-                                                              scaler, qt)
+            self.extractors[cid] = LearnedExtractor(candidate, module, scaler, qt)
             fds.append(fd)
         return report, fds
 
@@ -330,30 +337,29 @@ class Engine:
                     f"initial descriptor training diverged: {report.message}")
         everywhere = range(len(self.containers))
         self._commit(ids, genomes, fitness, observations, [everywhere] * n,
-                     [-1] * n, BatchStats(executed=n))
+                     [-1] * n, BatchStats(evals=n))
         self.depot.reset_training_counter()
         self.initialized = True
 
-    def _plan_iterations(self, n: int) -> list[int]:
+    def _plan_iterations(self, n: int) -> np.ndarray:
         """Container index for each of the n iterations of a batch."""
         m = len(self.containers)
         if self.sharing is SharingStrategy.SHARED:
-            return [int(self._rng_selection.integers(m)) for _ in range(n)]
+            return self._rng_selection.integers(m, size=n)
         base, rem = divmod(n, m)
-        plan = []
-        for c in range(m):
-            size = base + (1 if c < rem else 0)
-            plan.extend([(self.focus_index + c) % m] * size)
+        c = np.arange(m)
+        plan = np.repeat((self.focus_index + c) % m, base + (c < rem))
         self.focus_index = (self.focus_index + rem) % m
         return plan
 
     def run_batch(self, batch_size: int) -> BatchStats:
         """One batch of select -> mutate -> evaluate -> insert iterations.
 
-        Selection and mutation are planned up front against the batch-start
-        container state; the whole batch is then evaluated in one task call;
-        insertions, curiosity updates and depot records are committed in
-        iteration order.
+        Selection, one roulette call per container, and mutation are planned
+        up front against the batch-start container state; the whole batch is
+        then evaluated in one task call; insertions, curiosity updates and
+        depot records are committed in iteration order.  Every container
+        holds an elite from ``initialize`` on, so every child has a parent.
         A batch that would overrun the evaluation budget is truncated and
         flagged partial.
         """
@@ -361,37 +367,30 @@ class Engine:
             raise RuntimeError("initialize() must run before run_batch()")
         remaining = self.eval_budget - self.eval_budget_used
         n = min(batch_size, remaining)
-        stats = BatchStats(executed=n, partial=n < batch_size)
+        stats = BatchStats(evals=n, partial=n < batch_size)
         if n <= 0:
             return stats
 
-        lo, hi = self.task.definition.genome_bounds
-        genome_dim = self.task.definition.genome_dim
         plan = self._plan_iterations(n)
-        parents: list[int] = []  # depot rows, -1 for a random genome
-        bases = np.empty((n, genome_dim))
-        for i, cidx in enumerate(plan):
-            container = self.containers[cidx]
-            if container.occupancy > 0:
-                parent = select_curiosity_roulette(
-                    container, self.depot.curiosity, self._rng_selection,
-                    self.curiosity.floor)
-                bases[i] = self.depot.genomes[parent]
-            else:
-                parent = -1
-                bases[i] = self._rng_selection.uniform(lo, hi, genome_dim)
-            parents.append(parent)
+        draws = self._rng_selection.random(n)
+        parents = np.empty(n, dtype=np.intp)  # depot rows
+        for cidx, container in enumerate(self.containers):
+            mine = plan == cidx
+            parents[mine] = select_curiosity_roulette(
+                container, self.depot.curiosity, draws[mine], self.curiosity.floor)
 
-        genomes = mutate_polynomial(bases, self.mutation, (lo, hi), self._rng_mutation)
+        bounds = self.task.definition.genome_bounds
+        genomes = mutate_polynomial(self.depot.genomes[parents], self.mutation, bounds,
+                                    self._rng_mutation)
         ids, fitness, observations = self._evaluate_genomes(genomes)
         self.eval_budget_used += n
 
         if self.sharing is SharingStrategy.SHARED:
             attempted = [range(len(self.containers))] * n
         else:
-            attempted = [[cidx] for cidx in plan]
+            attempted = plan[:, np.newaxis].tolist()
         stats.accepted_solutions = self._commit(ids, genomes, fitness, observations,
-                                                attempted, parents, stats)
+                                                attempted, parents.tolist(), stats)
         return stats
 
     def maybe_retrain(self) -> RetrainReport | None:
@@ -415,8 +414,8 @@ class Engine:
         if report.diverged:
             return result
         if report.train_losses:
-            result.final_train_loss = report.train_losses[-1]
-            result.final_val_loss = report.val_losses[-1]
+            result.train_loss = _finite_or_none(report.train_losses[-1])
+            result.val_loss = _finite_or_none(report.val_losses[-1])
         for cid, fd in zip(self.learned, fds):
             self.depot.fds[cid] = fd
         result.reindex = self.reindex_all()

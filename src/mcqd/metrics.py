@@ -129,27 +129,28 @@ def fd_abs_correlation(containers, depot) -> float | None:
     return float(np.mean(np.abs(corr[off])))
 
 
-def kl_coverage(reference_observations, compared_observations, containers,
+def kl_coverage(reference_observations, compared_observations, extractors,
                 bins_per_dim: int = 10, mode: str = "marginal",
                 smoothing: float = 1e-9) -> float:
     """Summed KL divergence between two solution sets' binned FD distributions.
 
     Each set is given by its (n, channels, timepoints) observations.  Per
-    container, both sets' FDs are computed with that container's current
-    extractor and histogrammed over [0, 1]; histograms get additive
-    smoothing before normalization, and D_KL(reference || compared) is summed
-    over containers.  ``marginal`` histograms each FD dimension separately
-    (10 bins per dimension); ``joint`` uses the full n-d histogram.  Keep the
-    asymmetry in mind: KLC(A, B) != KLC(B, A) in general.
+    extractor (one per container, as ``Engine.extractors``), both sets' FDs
+    are computed with it and histogrammed over [0, 1]; histograms get
+    additive smoothing before normalization, and D_KL(reference || compared)
+    is summed over the extractors.  ``marginal`` histograms each FD
+    dimension separately (10 bins per dimension); ``joint`` uses the full
+    n-d histogram.  Keep the asymmetry in mind: KLC(A, B) != KLC(B, A) in
+    general.
     """
     if not len(reference_observations) or not len(compared_observations):
         raise ValueError("both solution sets must be non-empty")
     if mode not in ("marginal", "joint"):
         raise ValueError(f"unknown histogram mode {mode!r}")
     total = 0.0
-    for c in containers:
-        ref_fd = c.extractor.extract_many(reference_observations)
-        cmp_fd = c.extractor.extract_many(compared_observations)
+    for extractor in extractors:
+        ref_fd = extractor.extract_many(reference_observations)
+        cmp_fd = extractor.extract_many(compared_observations)
         dims = ref_fd.shape[1]
         edges = np.linspace(0.0, 1.0, bins_per_dim + 1)
         if mode == "marginal":

@@ -6,10 +6,9 @@ timestamps anywhere):
 * ``metrics.csv``    one row per batch iteration (row 0 = state right after
                      initialization), columns in ``metrics.METRIC_COLUMNS``
                      order, empty field = metric undefined.
-* ``batches.jsonl``  one record per batch: index, evaluations charged,
-                     add/eviction/rejection counts, retrain report (final
-                     train and validation loss, epochs, corpus rows,
-                     reindex counts), per-container occupancy.
+* ``batches.jsonl``  one record per batch: its index, the fields of
+                     ``engine.BatchStats`` and ``engine.RetrainReport``
+                     (null without a retrain), per-container occupancy.
 * ``containers.jsonl`` final container snapshots, one record per occupied
                      cell with fields (container_id, bin, solution_id,
                      fitness, fd, genome) in that order.
@@ -27,7 +26,7 @@ import json
 import logging
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +77,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _finite_or_none(value: float) -> float | None:
-    """JSON has no NaN or infinity; a non-finite value is written as null."""
-    return float(value) if np.isfinite(value) else None
 
 
 def _meta_line(kind: str, config: ExperimentConfig, seed: int | None = None) -> str:
@@ -157,27 +151,9 @@ def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path) -> None:
             retrain = engine.maybe_retrain()
             snap = snapshot(iteration, engine.containers, engine.depot, bounds)
             writer.writerow([_fmt(v) for v in snap.as_row()])
-            record = {
-                "batch": iteration,
-                "evals": stats.executed,
-                "adds": stats.adds,
-                "evictions": stats.evictions,
-                "rejections": stats.rejections,
-                "accepted_solutions": stats.accepted_solutions,
-                "partial": stats.partial,
-                "retrain": None if retrain is None else {
-                    "diverged": retrain.diverged,
-                    "message": retrain.message,
-                    "train_loss": _finite_or_none(retrain.final_train_loss),
-                    "val_loss": _finite_or_none(retrain.final_val_loss),
-                    "epochs": retrain.epochs,
-                    "corpus": retrain.corpus,
-                    "reindex": [{"container_id": r.container_id,
-                                 "retained": r.retained, "dropped": r.dropped}
-                                for r in retrain.reindex],
-                },
-                "occupancy": [c.occupancy for c in engine.containers],
-            }
+            record = {"batch": iteration, **asdict(stats),
+                      "retrain": None if retrain is None else asdict(retrain),
+                      "occupancy": [c.occupancy for c in engine.containers]}
             bfh.write(json.dumps(record) + "\n")
 
     write_container_snapshots(engine, rep_dir / "containers.jsonl", config, seed)

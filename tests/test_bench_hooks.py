@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mcqd.runner
 from mcqd.config import ExperimentConfig
 from mcqd.runner import run_experiment
 
@@ -48,6 +49,33 @@ training:
   quantiles: 40
 """
 
+# One grid of each extractor kind on the walker, with a retrain: a run that
+# reaches every probed layer.
+WALKER_YAML = """\
+case: bench-hooks-walker
+seed: 2
+containers:
+  bin_budget: 50
+  grids:
+    - {shape: [5, 5], fd: hardcoded}
+    - {shape: [5, 5], fd: ae_qt}
+task:
+  name: surrogate_walker
+  params: {episode_steps: 20, obs_window: 5, episodes_per_eval: 2}
+search:
+  sharing: shared
+  initialization_budget: 20
+  evaluation_budget: 40
+  batch_size: 10
+training:
+  strategy: online
+  period: 10
+  epochs: 2
+  batch_size: 16
+  hidden: [8]
+  quantiles: 20
+"""
+
 
 @pytest.fixture
 def perfbench(monkeypatch):
@@ -75,6 +103,22 @@ def test_a_traced_run_reads_every_counter(perfbench, tmp_path):
     assert not tracer.count_errors
     assert tracer.counts[("engine.retrain", "fired")] >= 1
     assert tracer.counts[("autoencoder.train", "module_epochs")] > 0
+
+
+def test_every_installed_probe_fires(perfbench, tmp_path):
+    """A probed name can still resolve after a refactor and yet no longer be
+    called, which leaves its metrics at 0.  The run goes through the module
+    attribute, so the probe on ``run_experiment`` sees it too."""
+    from tracer import Probes, Tracer
+
+    tracer = Tracer()
+    with Probes(tracer) as probes:
+        result = mcqd.runner.run_experiment(ExperimentConfig.from_yaml(WALKER_YAML),
+                                            tmp_path / "run")
+    assert not result.failed
+    silent = sorted(span for span in probes.installed_spans
+                    if span not in tracer.spans or tracer.spans[span].calls == 0)
+    assert not silent
 
 
 def test_micro_probes_run(perfbench):

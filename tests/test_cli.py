@@ -119,6 +119,14 @@ class TestRun:
         assert "grid 0 has shape [-2, -5]" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_seed_exits_before_the_run_directory(self, config_file,
+                                                          tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_every_replicate_failed(self, config_file, tmp_path, capsys,
                                     monkeypatch):
         import mcqd.runner as runner_mod

@@ -1,5 +1,6 @@
 """Config schema: strict parsing, validation, round trip, presets."""
 import hashlib
+import re
 
 import pytest
 
@@ -163,10 +164,15 @@ class TestParsing:
         ("training", "quantiles", "1", "2"),
         ("training", "learning_rate", "-0.01", "0.0"),
         ("curiosity", "floor", "0.0", "1.0e-9"),
+        ("set", "period", "-5", "1"),
+        ("set", "epochs", "-3", "1"),
+        ("set", "seed", "-1", "0"),
     ], ids=["training-batch-size", "cmd-batch-size", "quantiles", "learning-rate",
-            "curiosity-floor"])
+            "curiosity-floor", "period", "epochs", "seed"])
     def test_out_of_range_value_fails_at_load(self, section, key, bad, edge):
         def config(value):
+            if section == "set":  # a key GOOD_YAML already sets, once
+                return re.sub(rf"(?m)^( *{key}): .*$", rf"\g<1>: {value}", GOOD_YAML)
             if section == "training":
                 return GOOD_YAML.replace("  epochs: 2", f"  epochs: 2\n  {key}: {value}")
             return GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10\n"

@@ -165,16 +165,9 @@ class TestGridContainer:
             offer(c, depot, row)
         np.testing.assert_array_equal(c.rows(), [3, 1, 2])
 
-        class FixedDraw:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         # cumulative curiosity over (A', B, C) is (1, 3, 6)
-        for u, row in ((0.1, 3), (0.3, 1), (0.9, 2)):
-            assert select_curiosity_roulette(c, depot.curiosity, FixedDraw(u)) == row
+        np.testing.assert_array_equal(
+            select_curiosity_roulette(c, depot.curiosity, [0.1, 0.3, 0.9]), [3, 1, 2])
         c.clear()
         assert c.occupancy == 0 and not c.rows().size and np.all(c.grid == -1)
 

@@ -1,7 +1,7 @@
 """Search-loop mechanics: mutation, selection, batches, retraining."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -111,40 +111,69 @@ def filled_container(fds, curiosity, shape=(4, 4)):
 class TestCuriosityRoulette:
     def test_single_solution_always_selected(self):
         c, depot = filled_container([[0.1, 0.1]], [1.0])
-        rng = np.random.default_rng(0)
-        assert all(select_curiosity_roulette(c, depot.curiosity, rng) == 0
-                   for _ in range(20))
+        draws = np.random.default_rng(0).random(20)
+        assert np.all(select_curiosity_roulette(c, depot.curiosity, draws) == 0)
 
     def test_empty_container_raises(self):
         with pytest.raises(EmptyContainerError):
-            select_curiosity_roulette(GridContainer(0, (4, 4)), np.empty(0),
-                                      np.random.default_rng(0))
+            select_curiosity_roulette(GridContainer(0, (4, 4)), np.empty(0), [0.5])
 
     def test_three_to_one_ratio(self):
         c, depot = filled_container([[0.1, 0.1], [0.9, 0.9]], [3.0, 1.0])
-        rng = np.random.default_rng(1)
         n = 100_000
-        hits = sum(select_curiosity_roulette(c, depot.curiosity, rng) == 0
-                   for _ in range(n))
+        draws = np.random.default_rng(1).random(n)
+        hits = np.count_nonzero(select_curiosity_roulette(c, depot.curiosity, draws) == 0)
         assert abs(hits / n - 0.75) < 0.02
 
     def test_uniform_when_scores_equal(self):
         from scipy.stats import chisquare
         c, depot = filled_container([[0.05 + 0.1 * i, 0.5] for i in range(10)],
                                     [1.0] * 10, shape=(10, 10))
-        rng = np.random.default_rng(2)
-        counts = np.zeros(10)
-        for _ in range(100_000):
-            counts[select_curiosity_roulette(c, depot.curiosity, rng)] += 1
+        draws = np.random.default_rng(2).random(100_000)
+        counts = np.bincount(select_curiosity_roulette(c, depot.curiosity, draws),
+                             minlength=10)
         assert chisquare(counts).pvalue > 0.01
 
     def test_floor_keeps_probability_positive(self):
         # raw zero would never be drawn
         c, depot = filled_container([[0.1, 0.1], [0.9, 0.9]], [0.0, 100.0])
-        rng = np.random.default_rng(3)
-        hits = sum(select_curiosity_roulette(c, depot.curiosity, rng, floor=1.0) == 0
-                   for _ in range(1000))
-        assert hits > 0
+        draws = np.random.default_rng(3).random(1000)
+        picked = select_curiosity_roulette(c, depot.curiosity, draws, floor=1.0)
+        assert np.count_nonzero(picked == 0) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(offers=st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 3.0)),
+                           min_size=1, max_size=12),
+           curiosity=st.lists(st.sampled_from((0.0, 0.005, 0.01, 0.5))
+                              | st.floats(0.0, 10.0), min_size=12, max_size=12),
+           draws=st.lists(st.floats(0.0, 1.0, exclude_max=True)
+                          | st.sampled_from((0.25, 0.5, 0.75)), max_size=20),
+           floor=st.sampled_from((0.01, 0.5)))
+    @example(offers=[(2, 1.0), (0, 1.0), (2, 2.0)], curiosity=[0.0, 1.0, 3.0] * 4,
+             draws=[0.2, 0.75], floor=0.01)
+    def test_one_call_matches_the_per_draw_formula(self, offers, curiosity, draws,
+                                                   floor):
+        """Offer row r at (cell, fitness) = offers[r] to a 6-cell grid, then
+        pick a row for each draw (and for 0.0 and the largest draw below 1)
+        in one call: each must be the row the per-draw formula picks over
+        the elites in first-fill order.  In the example, cell 2's replaced
+        elite keeps first place, and the draw 0.75 lands on the boundary 3
+        of the cumulative curiosity (3, 4)."""
+        fitness = np.array([f for _, f in offers])
+        curiosity = np.array(curiosity)
+        c = GridContainer(0, (6,))
+        elite = {}  # cell -> row; a replaced elite keeps its key's place
+        for row, (cell, f) in enumerate(offers):
+            c.add(cell, row, fitness)
+            if cell not in elite or f > fitness[elite[cell]]:
+                elite[cell] = row
+        rows = np.array(list(elite.values()))
+        draws = draws + [0.0, 1.0 - 2.0 ** -53]
+        cumulative = np.cumsum(np.maximum(curiosity[rows], floor))
+        expected = [rows[min(np.searchsorted(cumulative, d * cumulative[-1], "right"),
+                             len(rows) - 1)] for d in draws]
+        np.testing.assert_array_equal(
+            select_curiosity_roulette(c, curiosity, draws, floor), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +433,14 @@ class TestEngineLifecycle:
     def test_budget_accounting_exact(self):
         engine = toy_engine()
         engine.initialize()
-        executed = 0
+        evals = 0
         while engine.eval_budget_used < engine.eval_budget:
             stats = engine.run_batch(60)
-            executed += stats.executed
-        assert engine.eval_budget_used == engine.eval_budget == executed
-        assert engine.total_evaluations == 30 + executed
+            evals += stats.evals
+        assert engine.eval_budget_used == engine.eval_budget == evals
+        assert engine.total_evaluations == 30 + evals
         # the final batch was truncated by the budget (200 = 60*3 + 20)
-        assert stats.partial and stats.executed == 20
+        assert stats.partial and stats.evals == 20
 
     def test_shared_attempts_every_container(self):
         engine = toy_engine(sharing=SharingStrategy.SHARED)
@@ -446,14 +475,39 @@ class TestEngineLifecycle:
         engine.initialize()
         assert planned_iterations(engine, [1000]) == [250, 250, 250, 250]
 
-    def test_empty_container_falls_back_to_random_genome(self):
+    def test_emptied_container_raises_in_run_batch(self):
+        """The engine never empties a container; one emptied from outside
+        has no parent to give, and the batch fails before evaluating."""
         engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
         engine.initialize()
-        engine.containers[0].clear()
         engine.containers[1].clear()
-        stats = engine.run_batch(10)
-        assert stats.executed == 10
-        assert engine.containers[0].occupancy + engine.containers[1].occupancy > 0
+        with pytest.raises(EmptyContainerError):
+            engine.run_batch(10)
+        assert engine.total_evaluations == 30 and engine.eval_budget_used == 0
+
+    @pytest.mark.parametrize("sharing", list(SharingStrategy))
+    def test_every_container_keeps_an_elite(self, sharing):
+        """run_batch gives every child a parent from its planned container,
+        with no fallback for an empty one: every container must hold an
+        elite after initialize, after every batch and after every reindex."""
+        engine = toy_engine(sharing=sharing, learned=True, training_period=10)
+        occupancy = []
+        reindex_all = engine.reindex_all
+
+        def recorded_reindex():
+            reports = reindex_all()
+            occupancy.append(("reindex", [c.occupancy for c in engine.containers]))
+            return reports
+
+        engine.reindex_all = recorded_reindex
+        engine.initialize()
+        occupancy.append(("initialize", [c.occupancy for c in engine.containers]))
+        while engine.eval_budget_used < engine.eval_budget:
+            engine.run_batch(25)
+            occupancy.append(("batch", [c.occupancy for c in engine.containers]))
+            engine.maybe_retrain()
+        assert [when for when, _ in occupancy].count("reindex") >= 2
+        assert all(min(counts) >= 1 for _, counts in occupancy), occupancy
 
     def test_curiosity_floor_invariant(self):
         engine = toy_engine()
@@ -510,13 +564,13 @@ class TestRetraining:
         engine = toy_engine(learned=True, learned_fds=("ae", "ae_qt"))
         engine.initialize()
         engine.run_batch(40)
-        old = [c.extractor for c in engine.containers]
+        old = list(engine.extractors)
         engine.depot.added_since_last_training = engine.training.period
         report = engine.maybe_retrain()
         assert report is not None and not report.diverged
         assert engine.learned == [0, 1] and list(engine.quantile_transforms) == [1]
         for cid in engine.learned:
-            extractor = engine.containers[cid].extractor
+            extractor = engine.extractors[cid]
             assert extractor is not old[cid]
             expected = extractor.extract_many(engine.depot.observations)
             np.testing.assert_array_equal(engine.depot.fds[cid].view(np.int64),
@@ -550,7 +604,7 @@ class TestRetraining:
         engine = toy_engine(learned=True, training_period=10)
         engine.initialize()
         old_ensemble = engine.ensemble
-        old_extractors = [c.extractor for c in engine.containers]
+        old_extractors = list(engine.extractors)
         engine.depot.added_since_last_training = 50
 
         import mcqd.engine as engine_mod
@@ -563,7 +617,7 @@ class TestRetraining:
         report = engine.maybe_retrain()
         assert report is not None and report.diverged
         assert engine.ensemble is old_ensemble
-        assert [c.extractor for c in engine.containers] == old_extractors
+        assert engine.extractors == old_extractors
         # reset all the same: the next attempt waits a full period
         assert engine.depot.added_since_last_training == 0
         engine.depot.added_since_last_training = 9

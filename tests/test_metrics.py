@@ -202,26 +202,21 @@ class TestFdAbsCorrelation:
 
 
 class TestKlCoverage:
-    def make_container(self):
-        c = GridContainer(0, (10, 10))
-        c.extractor = PassThroughExtractor([0, 1])
-        return c
+    extractors = [PassThroughExtractor([0, 1])]
 
     def solutions(self, points):
         """The (n, 2, 1) observations of a solution set."""
         return np.asarray(points, dtype=float)[:, :, np.newaxis]
 
     def test_identical_sets_are_zero(self):
-        c = self.make_container()
         xs = self.solutions(np.random.default_rng(0).random((200, 2)))
-        assert kl_coverage(xs, xs, [c]) <= 1e-6
+        assert kl_coverage(xs, xs, self.extractors) <= 1e-6
 
     def test_matches_hand_summation(self):
         # reference uniform over bins 0..9 in dim 0; compared concentrated
-        c = self.make_container()
         ref = self.solutions([(0.05 + 0.1 * k, 0.05) for k in range(10)])
         cmp_ = self.solutions([(0.05, 0.05)] * 10)
-        got = kl_coverage(ref, cmp_, [c], smoothing=1e-9)
+        got = kl_coverage(ref, cmp_, self.extractors, smoothing=1e-9)
 
         def hand_kl(ref_counts, cmp_counts):
             p = np.array(ref_counts, dtype=float) + 1e-9
@@ -234,20 +229,18 @@ class TestKlCoverage:
         assert got == pytest.approx(dim0 + dim1, abs=1e-9)
 
     def test_asymmetric(self):
-        c = self.make_container()
         rng = np.random.default_rng(3)
         a = self.solutions(rng.random((100, 2)))
         b = self.solutions(rng.random((100, 2)) * 0.3)
-        assert kl_coverage(a, b, [c]) != kl_coverage(b, a, [c])
+        assert kl_coverage(a, b, self.extractors) != kl_coverage(b, a, self.extractors)
 
     def test_joint_mode_and_validation(self):
-        c = self.make_container()
         xs = self.solutions(np.random.default_rng(4).random((50, 2)))
-        assert kl_coverage(xs, xs, [c], mode="joint") <= 1e-6
+        assert kl_coverage(xs, xs, self.extractors, mode="joint") <= 1e-6
         with pytest.raises(ValueError):
-            kl_coverage(xs[:0], xs, [c])
+            kl_coverage(xs[:0], xs, self.extractors)
         with pytest.raises(ValueError):
-            kl_coverage(xs, xs, [c], mode="diagonal")
+            kl_coverage(xs, xs, self.extractors, mode="diagonal")
 
 
 class TestBestFitnessDepotCrossCheck:

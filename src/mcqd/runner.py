@@ -13,6 +13,10 @@ timestamps anywhere):
                      cell with fields (container_id, bin, solution_id,
                      fitness, fd, genome) in that order.
 * ``checkpoint.npz`` descriptor model(s), input scaling, quantile landmarks.
+* ``FAILED``         only when the replicate failed: a first line
+                     ``phase=<initialize|batch|retrain|write> batch=<k>``
+                     (``unknown`` for both when its worker process died),
+                     then the traceback.
 
 Each text artifact starts with a metadata line carrying the config hash,
 seed, and code version.  ``aggregate.csv`` holds per-iteration cross-
@@ -126,12 +130,24 @@ def resolve_run_dir(config: ExperimentConfig, out_dir=None) -> Path:
     return target
 
 
-def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path) -> None:
-    """Execute one seeded replicate and write its artifacts."""
-    rep_dir.mkdir(parents=True, exist_ok=True)
+@dataclass
+class ReplicateProgress:
+    """Where a replicate is: the phase it runs (``initialize``, ``batch``,
+    ``retrain`` or ``write``) and its batch index, 0 before the first batch."""
+    phase: str = "initialize"
+    batch: int = 0
+
+
+def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path,
+                  progress: ReplicateProgress | None = None) -> None:
+    """Execute one seeded replicate and write its artifacts, keeping
+    ``progress``, when given, at the phase and batch being run."""
+    at = progress if progress is not None else ReplicateProgress()
     engine = build_engine(config, seed)
     bounds = engine.task.definition.fitness_bounds
 
+    at.phase = "write"
+    rep_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = rep_dir / "metrics.csv"
     batches_path = rep_dir / "batches.jsonl"
     with open(metrics_path, "w", newline="") as mfh, open(batches_path, "w") as bfh:
@@ -140,18 +156,22 @@ def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path) -> None:
         writer.writerow(METRIC_COLUMNS)
         bfh.write(json.dumps(_json_meta(config, seed)) + "\n")
 
+        at.phase = "initialize"
         engine.initialize()
+        at.phase = "write"
         writer.writerow([_fmt(v) for v in
                          snapshot(0, engine.containers, engine.depot, bounds).as_row()])
 
-        iteration = 0
         while engine.eval_budget_used < engine.eval_budget:
-            iteration += 1
+            at.batch += 1
+            at.phase = "batch"
             stats = engine.run_batch(config.search.batch_size)
+            at.phase = "retrain"
             retrain = engine.maybe_retrain()
-            snap = snapshot(iteration, engine.containers, engine.depot, bounds)
+            at.phase = "write"
+            snap = snapshot(at.batch, engine.containers, engine.depot, bounds)
             writer.writerow([_fmt(v) for v in snap.as_row()])
-            record = {"batch": iteration, **asdict(stats),
+            record = {"batch": at.batch, **asdict(stats),
                       "retrain": None if retrain is None else asdict(retrain),
                       "occupancy": [c.occupancy for c in engine.containers]}
             bfh.write(json.dumps(record) + "\n")
@@ -160,6 +180,74 @@ def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path) -> None:
     if engine.ensemble is not None:
         save_checkpoint(rep_dir / "checkpoint.npz", engine.ensemble, engine.scaler,
                         engine.quantile_transforms)
+
+
+def _write_failed(rep_dir: Path, where: str, error: str) -> None:
+    rep_dir.mkdir(parents=True, exist_ok=True)
+    (rep_dir / "FAILED").write_text(f"{where}\n{error}")
+
+
+def _replicate_job(config: ExperimentConfig, seed: int, rep_dir: Path) -> str:
+    """Run one replicate, in-process or in a worker.  Returns "" on success;
+    on failure writes ``FAILED`` (the phase and batch index, then the
+    traceback) and returns the error."""
+    at = ReplicateProgress()
+    try:
+        run_replicate(config, seed, rep_dir, at)
+    except Exception as exc:  # noqa: BLE001 - replicate isolation
+        _write_failed(rep_dir, f"phase={at.phase} batch={at.batch}",
+                      traceback.format_exc())
+        return f"{type(exc).__name__}: {exc}"
+    return ""
+
+
+# Each worker runs BLAS on one thread: two workers at two threads each
+# oversubscribe the cores and run several times slower.
+_ONE_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_in_workers(jobs: list[tuple]) -> list[str]:
+    """``_replicate_job`` for every job in a spawn-context process pool, one
+    worker per core at most; returns the errors in job order.
+
+    Workers read their BLAS thread count from the environment when numpy
+    loads, before any pool initializer could run, so it is set around the
+    pool.  Weight gradients do not depend on the thread count, so a
+    replicate's bytes do not depend on where it ran.  A worker that dies
+    breaks the pool: its replicate and every one not yet done are marked
+    FAILED.  An interrupt stops the workers before it propagates.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    saved = {name: os.environ.get(name) for name in _ONE_THREAD_ENV}
+    os.environ.update(dict.fromkeys(_ONE_THREAD_ENV, "1"))
+    try:
+        with ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0))),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            errors = []
+            try:
+                futures = [pool.submit(_replicate_job, *job) for job in jobs]
+                for (_, _, rep_dir), future in zip(jobs, futures):
+                    try:
+                        errors.append(future.result())
+                    except BrokenProcessPool as exc:
+                        error = f"{type(exc).__name__}: {exc}"
+                        _write_failed(rep_dir, "phase=unknown batch=unknown", error + "\n")
+                        errors.append(error)
+            except BaseException:
+                # The executor offers no public way to stop calls that run.
+                for process in list(pool._processes.values()):
+                    process.terminate()
+                raise
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    return errors
 
 
 def write_container_snapshots(engine: Engine, path: Path,
@@ -191,10 +279,13 @@ def write_container_snapshots(engine: Engine, path: Path,
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
     """All replicates of one experiment plus the cross-replicate aggregate.
 
-    Replicate k runs with seed (config.seed + k) in ``rep_<k>``.  A replicate
-    that raises is recorded in a FAILED file and skipped by the aggregate;
-    its partial artifacts are kept.  With no successful replicate there is
-    nothing to aggregate, and no aggregate is written.  Every config error,
+    Replicate k runs with seed (config.seed + k) in ``rep_<k>``.  Several
+    replicates run in worker processes (``_run_in_workers``); a single one
+    runs in-process, where a worker's start-up would cost about a quarter
+    of a small run.  A replicate that raises is recorded in a FAILED file
+    and skipped by the aggregate; its partial artifacts are kept.  The
+    aggregate is written once every replicate has finished; with no
+    successful replicate there is nothing to aggregate, and none is written.  Every config error,
     with or without the task, is raised before the run directory is created.
     """
     config.validate()
@@ -204,21 +295,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
     (run_dir / "config.yaml").write_text(
         _meta_line("config", config) + "\n" + config.to_yaml())
 
+    jobs = [(config, config.seed + k, run_dir / f"rep_{k:03d}")
+            for k in range(config.replicates)]
+    errors = _run_in_workers(jobs) if len(jobs) > 1 else [_replicate_job(*jobs[0])]
     result = RunResult(run_dir=run_dir)
-    for k in range(config.replicates):
-        seed = config.seed + k
-        rep_dir = run_dir / f"rep_{k:03d}"
-        outcome = ReplicateResult(seed=seed, directory=rep_dir)
-        try:
-            run_replicate(config, seed, rep_dir)
+    for k, ((_, seed, rep_dir), error) in enumerate(zip(jobs, errors)):
+        result.replicates.append(ReplicateResult(seed=seed, directory=rep_dir,
+                                                 failed=bool(error), error=error))
+        if error:
+            log.error("replicate %d (seed %d) failed: %s", k, seed, error)
+        else:
             log.info("replicate %d (seed %d) done", k, seed)
-        except Exception as exc:  # noqa: BLE001 - replicate isolation
-            outcome.failed = True
-            outcome.error = f"{type(exc).__name__}: {exc}"
-            rep_dir.mkdir(parents=True, exist_ok=True)
-            (rep_dir / "FAILED").write_text(traceback.format_exc())
-            log.error("replicate %d (seed %d) failed: %s", k, seed, outcome.error)
-        result.replicates.append(outcome)
 
     if len(result.failed) < len(result.replicates):
         write_aggregate([run_dir], run_dir / "aggregate.csv")

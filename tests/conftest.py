@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mcqd
 from mcqd.autoencoder import ModularAutoEncoderEnsemble
 
 
@@ -19,6 +25,22 @@ def build_toy_ensemble(n_modules=2, input_dim=6, latent_dim=2, hidden=(3,),
         hidden=hidden, dropout=dropout, diversity_kind=diversity_kind,
         diversity_weight=diversity_weight, diversity_sign=diversity_sign,
         rng=rng)
+
+
+def outputs_at_blas_threads(script: str) -> list[str]:
+    """Standard output of ``python -c script`` in a fresh process at one and
+    at two BLAS threads; BLAS reads its thread count once, when numpy loads."""
+    src = str(Path(mcqd.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                   PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    return outputs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -28,7 +28,7 @@ from mcqd.autoencoder import (
 from mcqd.core import InvalidValueError, StructuralError
 from mcqd.postprocess import QuantileTransform
 
-from conftest import build_toy_ensemble
+from conftest import build_toy_ensemble, outputs_at_blas_threads
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,23 @@ GRAD_CASES = [(kind, sign) for kind in ("none", "outputs", "cov", "cmd")
               for sign in (-1, 1)]
 
 
+# backward's gradient digest at four minibatch sizes above the 256-row block,
+# for a module of the benchmark's shape under every diversity kind
+_GRAD_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from mcqd.autoencoder import DIVERSITY_KINDS, ModularAutoEncoderEnsemble, backward
+for kind in DIVERSITY_KINDS:
+    ens = ModularAutoEncoderEnsemble.build(
+        input_dim=140, latent_dim=2, n_modules=2, hidden=(16, 5), dropout=0.2,
+        diversity_kind=kind, rng=np.random.default_rng(3))
+    for rows in (300, 600, 1000, 1536):
+        x = np.random.default_rng(rows).random((rows, 140))
+        _, grad = backward(ens, x, train=True, rng=np.random.default_rng(4))
+        print(kind, rows, hashlib.sha256(grad.tobytes()).hexdigest())
+"""
+
+
 class TestGradients:
     @pytest.mark.parametrize("kind,sign", GRAD_CASES)
     def test_analytic_matches_finite_differences(self, kind, sign):
@@ -335,6 +352,25 @@ class TestGradients:
         assert not np.shares_memory(grads, fresh_grads)
         assert loss == fresh_loss
         np.testing.assert_array_equal(grads, fresh_grads)
+
+    def test_weight_gradient_sums_row_blocks_in_order(self):
+        from mcqd.autoencoder import _weight_grad
+        rng = np.random.default_rng(18)
+        for rows in (1, 256):
+            a, b = rng.random((rows, 16)), rng.random((rows, 140))
+            out = _weight_grad(a, b, np.empty((16, 140)))
+            assert out.tobytes() == np.matmul(a.T, b).tobytes()
+        a, b = rng.random((600, 16)), rng.random((600, 140))
+        blocks = [a[lo:lo + 256].T @ b[lo:lo + 256] for lo in (0, 256, 512)]
+        out = _weight_grad(a, b, np.empty((16, 140)))
+        assert out.tobytes() == ((blocks[0] + blocks[1]) + blocks[2]).tobytes()
+        np.testing.assert_allclose(out, a.T @ b, rtol=1e-12)
+
+    def test_gradients_independent_of_blas_threads(self):
+        """BLAS splits a long sum over rows differently at one and at two
+        threads; the block-summed weight gradients do not follow it."""
+        one, two = outputs_at_blas_threads(_GRAD_THREADS_SCRIPT)
+        assert one.splitlines() == two.splitlines()
 
     def test_dropout_gradients_consistent_with_masked_forward(self):
         # two calls with the same rng state must agree loss-wise

@@ -127,20 +127,19 @@ class TestRun:
         assert "seed must be >= 0" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_every_replicate_failed(self, config_file, tmp_path, capsys,
-                                    monkeypatch):
-        import mcqd.runner as runner_mod
-
-        def always_fails(cfg, seed):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setattr(runner_mod, "build_engine", always_fails)
+    def test_every_replicate_failed(self, config_file, tmp_path, capsys):
+        # A directory where each metrics.csv goes fails each replicate's
+        # first write inside its worker process.
         out = tmp_path / "out"
+        for k in range(2):
+            (out / f"rep_{k:03d}" / "metrics.csv").mkdir(parents=True)
         assert main(["run", str(config_file), "--out", str(out),
                      "--replicates", "2"]) == 1
         printed = capsys.readouterr().out
-        for seed in (3, 4):
-            assert f"seed {seed}: FAILED (RuntimeError: synthetic failure)" in printed
+        for k, seed in enumerate((3, 4)):
+            path = out / f"rep_{k:03d}" / "metrics.csv"
+            assert (f"seed {seed}: FAILED (IsADirectoryError: [Errno 21] "
+                    f"Is a directory: '{path}')") in printed
         assert (out / "rep_000" / "FAILED").exists()
         assert (out / "rep_001" / "FAILED").exists()
         assert not (out / "aggregate.csv").exists()

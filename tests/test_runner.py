@@ -1,7 +1,12 @@
 """End-to-end runs: artifacts, determinism, aggregation, plot data."""
 import hashlib
 import json
+import multiprocessing
+import os
 import shutil
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +19,11 @@ from mcqd.runner import (
     read_metrics_csv,
     resolve_run_dir,
     run_experiment,
+    run_replicate,
     write_aggregate,
 )
+
+from conftest import outputs_at_blas_threads
 
 TOY_YAML = """\
 case: toy-run
@@ -353,24 +361,178 @@ class TestPlotData:
 
 
 class TestFailureIsolation:
-    def test_failed_replicate_marked_and_skipped(self, tmp_path, monkeypatch):
+    def test_failed_replicate_marked_and_skipped(self, tmp_path):
+        # A directory where rep_000's metrics.csv goes fails that replicate's
+        # first write inside its worker process.
+        (tmp_path / "flaky" / "rep_000" / "metrics.csv").mkdir(parents=True)
         config = ExperimentConfig.from_yaml(TOY_YAML)
-        calls = {"n": 0}
-        import mcqd.runner as runner_mod
-        real = runner_mod.build_engine
-
-        def flaky(cfg, seed):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("synthetic failure")
-            return real(cfg, seed)
-
-        monkeypatch.setattr(runner_mod, "build_engine", flaky)
         result = run_experiment(config, tmp_path / "flaky")
         assert len(result.failed) == 1
-        assert (result.run_dir / "rep_000" / "FAILED").exists()
+        failed = (result.run_dir / "rep_000" / "FAILED").read_text().splitlines()
+        assert failed[0] == "phase=write batch=0"
+        assert failed[-1].startswith("IsADirectoryError: ")
         agg = (result.run_dir / "aggregate.csv").read_text().splitlines()[0]
         assert "replicates=1" in agg
+
+    @pytest.mark.parametrize("phase,method,batch", [
+        ("initialize", "initialize", 0),
+        ("batch", "run_batch", 2),
+        ("retrain", "maybe_retrain", 3),
+    ])
+    def test_failed_names_the_phase_and_batch(self, tmp_path, monkeypatch, phase,
+                                              method, batch):
+        import mcqd.engine as engine_mod
+
+        real = getattr(engine_mod.Engine, method)
+        calls = {"n": 0}
+
+        def fails_on_call(engine, *args):
+            calls["n"] += 1
+            if calls["n"] == max(batch, 1):
+                raise RuntimeError("synthetic failure")
+            return real(engine, *args)
+
+        # one replicate runs in this process, where the patch applies
+        monkeypatch.setattr(engine_mod.Engine, method, fails_on_call)
+        config = ExperimentConfig.from_yaml(TOY_YAML.replace("replicates: 2",
+                                                             "replicates: 1"))
+        result = run_experiment(config, tmp_path / "run")
+        assert [r.error for r in result.failed] == ["RuntimeError: synthetic failure"]
+        lines = (result.run_dir / "rep_000" / "FAILED").read_text().splitlines()
+        assert lines[0] == f"phase={phase} batch={batch}"
+        assert lines[1] == "Traceback (most recent call last):"
+        assert lines[-1] == "RuntimeError: synthetic failure"
+
+
+# A learned walker run whose training minibatches (600 rows) are longer than
+# the 256-row blocks of the weight gradients' sums.  Its bits would follow
+# the BLAS thread count if the weight gradients did.
+BLOCK_WALKER_YAML = """\
+case: block-walker
+seed: 6
+replicates: 1
+containers:
+  bin_budget: 50
+  grids:
+    - {shape: [5, 5], fd: ae_qt, count: 2}
+task:
+  name: surrogate_walker
+  params: {episode_steps: 60, obs_window: 6, episodes_per_eval: 2}
+search:
+  sharing: non_shared
+  initialization_budget: 800
+  evaluation_budget: 100
+  batch_size: 50
+training:
+  strategy: online
+  period: 50
+  epochs: 2
+  batch_size: 1024
+  hidden: [16, 5]
+  quantiles: 20
+"""
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+ARTIFACTS = ("metrics.csv", "batches.jsonl", "containers.jsonl", "checkpoint.npz")
+
+_RUN_THREADS_SCRIPT = f"""
+import hashlib, tempfile
+from pathlib import Path
+from mcqd.config import ExperimentConfig
+from mcqd.runner import run_experiment
+with tempfile.TemporaryDirectory() as tmp:
+    run = Path(tmp) / "run"
+    result = run_experiment(ExperimentConfig.from_yaml({BLOCK_WALKER_YAML!r}), run)
+    if result.failed:
+        raise SystemExit(result.failed[0].error)
+    for name in {ARTIFACTS!r}:
+        print(name, hashlib.sha256((run / "rep_000" / name).read_bytes()).hexdigest())
+"""
+
+
+def test_learned_run_independent_of_blas_threads():
+    one, two = outputs_at_blas_threads(_RUN_THREADS_SCRIPT)
+    assert one.splitlines() == two.splitlines()
+
+
+class TestWorkers:
+    def test_workers_match_in_process_replicates(self, tmp_path):
+        """Three replicates on at most two one-thread workers give the bytes
+        that ``run_replicate`` gives in this process at its own thread count."""
+        config = ExperimentConfig.from_yaml(
+            BLOCK_WALKER_YAML.replace("replicates: 1", "replicates: 3"))
+        env = {name: os.environ.get(name) for name in BLAS_ENV}
+        result = run_experiment(config, tmp_path / "workers")
+        assert not result.failed
+        assert multiprocessing.active_children() == []
+        assert {name: os.environ.get(name) for name in BLAS_ENV} == env
+        here = tmp_path / "here"
+        for k in range(3):
+            run_replicate(config, config.seed + k, here / f"rep_{k:03d}")
+        for k in range(3):
+            for name in ARTIFACTS:
+                got = (result.run_dir / f"rep_{k:03d}" / name).read_bytes()
+                assert got == (here / f"rep_{k:03d}" / name).read_bytes(), (k, name)
+        write_aggregate([here], here / "aggregate.csv")
+        assert (result.run_dir / "aggregate.csv").read_bytes() == \
+            (here / "aggregate.csv").read_bytes()
+
+    @staticmethod
+    def _when_running(run_dir, action):
+        """Call action() from a thread once rep_000 has started writing."""
+        def wait():
+            deadline = time.monotonic() + 120
+            while not (run_dir / "rep_000" / "metrics.csv").exists():
+                if time.monotonic() > deadline:
+                    return
+                time.sleep(0.01)
+            action()
+        thread = threading.Thread(target=wait, daemon=True)
+        thread.start()
+        return thread
+
+    # long enough that no replicate finishes before the action
+    LONG_YAML = BLOCK_WALKER_YAML.replace("replicates: 1", "replicates: 3").replace(
+        "evaluation_budget: 100", "evaluation_budget: 20000")
+
+    def test_killed_worker_fails_its_replicates(self, tmp_path):
+        killed, results = [], []
+
+        def kill_a_worker():
+            worker = multiprocessing.active_children()[0]
+            os.kill(worker.pid, signal.SIGKILL)
+            killed.append(worker.pid)
+
+        run_dir = tmp_path / "killed"
+        config = ExperimentConfig.from_yaml(self.LONG_YAML)
+        killer = self._when_running(run_dir, kill_a_worker)
+        run = threading.Thread(target=lambda: results.append(run_experiment(config, run_dir)),
+                               daemon=True)
+        run.start()
+        run.join(timeout=120)
+        killer.join(timeout=10)
+        assert not run.is_alive(), "run_experiment hung after a worker was killed"
+        assert killed
+        assert multiprocessing.active_children() == []
+        assert len(results[0].failed) == 3
+        for k in range(3):
+            lines = (run_dir / f"rep_{k:03d}" / "FAILED").read_text().splitlines()
+            assert lines[0] == "phase=unknown batch=unknown"
+            assert lines[-1].startswith("BrokenProcessPool: ")
+        assert not (run_dir / "aggregate.csv").exists()
+
+    def test_interrupt_stops_the_workers(self, tmp_path):
+        run_dir = tmp_path / "interrupted"
+        env = {name: os.environ.get(name) for name in BLAS_ENV}
+        main = threading.main_thread().ident
+        thread = self._when_running(
+            run_dir, lambda: signal.pthread_kill(main, signal.SIGINT))
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(ExperimentConfig.from_yaml(self.LONG_YAML), run_dir)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert multiprocessing.active_children() == []
+        assert {name: os.environ.get(name) for name in BLAS_ENV} == env
 
 
 class TestTaskDependentConfigErrors:

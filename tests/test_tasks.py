@@ -1,9 +1,5 @@
 """Surrogate walker and analytic toy task."""
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import mcqd
-
 from mcqd.core import StructuralError
 from mcqd.engine import episode_seed_sequence
 from mcqd.tasks import RastriginToyTask, SurrogateWalkerTask, make_task
+
+from conftest import outputs_at_blas_threads
 
 
 def evaluate_one(task, genome, seed_seq):
@@ -216,17 +212,8 @@ print(digest.hexdigest())
 def test_walker_bytes_independent_of_blas_threads():
     """Each row of a 300-row batch gets the same bits at one and at two BLAS
     threads, and the same bits as when it is evaluated alone."""
-    src = str(Path(mcqd.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        digests.append(out.stdout.strip())
-    assert digests[0] == digests[1]
+    one, two = outputs_at_blas_threads(_THREADS_SCRIPT)
+    assert one == two
 
 
 def test_walker_holds_one_observation_window_not_the_episode(walker):

@@ -47,12 +47,15 @@ def _strip_lines(data):
 class _Section:
     """Strict view over one mapping: every key must be consumed."""
 
-    def __init__(self, data, name, line=0):
+    def __init__(self, data, name, line=0, lines=None):
         if not isinstance(data, dict):
             raise ConfigurationError(f"line {line}: section {name!r} must be a mapping")
         self._data = dict(data)
         self.name = name
         self.line = self._data.pop("__line__", line)
+        # section name -> first line, shared by a root and its subsections
+        self.lines = {} if lines is None else lines
+        self.lines[name] = self.line
 
     def take(self, key, default=_REQUIRED):
         if key in self._data:
@@ -75,7 +78,7 @@ class _Section:
 
     def subsection(self, key, default=_REQUIRED):
         value = self.take(key, default)
-        return _Section(value or {}, f"{self.name}.{key}", self.line)
+        return _Section(value or {}, f"{self.name}.{key}", self.line, self.lines)
 
     def finish(self):
         leftovers = [k for k in self._data if k != "__line__"]
@@ -292,14 +295,16 @@ class ExperimentConfig:
             fd = str(gsec.take("fd"))
             count = gsec.take_as("count", "int", 1)
             gsec.finish()
-            grids.extend(GridSpec(shape=shape, fd=fd) for _ in range(count))
+            for _ in range(count):
+                root.lines[f"config.containers.grids[{len(grids)}]"] = gsec.line
+                grids.append(GridSpec(shape=shape, fd=fd))
         cont_sec.finish()
 
         values.update(_take_fields(cls, root, ("search", "training")))
         root.finish()
 
         config = cls(**values)
-        config.validate()
+        config.validate(root.lines)
         return config
 
     # -- serialization ----------------------------------------------------
@@ -320,85 +325,111 @@ class ExperimentConfig:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self) -> None:
+    def validate(self, lines=None) -> None:
         """Check the values; the only owner of every check that needs no
         task.  A loaded config is checked as it loads, and ``run_experiment``
         checks again first, so a config built or changed in Python fails the
-        same way, before any run directory exists."""
+        same way, before any run directory exists.
+
+        ``lines`` maps the sections of a config read from YAML to their first
+        lines (``from_dict`` passes it; a plain dict has none, which reads
+        0); an error about one of them then starts with ``line N:``, as a
+        parse error does.
+        """
+        lines = lines or {}
+
+        def error(section, message):
+            line = lines.get(section)
+            return ConfigurationError(f"line {line}: {message}" if line else message)
+
         for i, g in enumerate(self.grids):
             if not g.shape or min(g.shape) < 1:
-                raise ConfigurationError(
+                raise error(
+                    f"config.containers.grids[{i}]",
                     f"grid {i} has shape {list(g.shape)}; a grid needs at least one "
                     "dimension and every dimension >= 1")
         capacities = sum(g.capacity for g in self.grids)
         if capacities != self.bin_budget:
-            raise ConfigurationError(
+            raise error(
+                "config.containers",
                 f"grid capacities sum to {capacities}, bin budget is {self.bin_budget}")
         if self.search.sharing not in tuple(SharingStrategy):
-            raise ConfigurationError(f"unknown sharing {self.search.sharing!r}")
+            raise error("config.search", f"unknown sharing {self.search.sharing!r}")
         if self.training.strategy not in tuple(TrainingStrategy):
-            raise ConfigurationError(f"unknown training strategy {self.training.strategy!r}")
+            raise error("config.training",
+                        f"unknown training strategy {self.training.strategy!r}")
         if self.training.diversity.kind not in DIVERSITY_KINDS:
-            raise ConfigurationError(
+            raise error(
+                "config.training.diversity",
                 f"unknown diversity kind {self.training.diversity.kind!r}")
         if self.training.diversity.sign not in (1, -1):
-            raise ConfigurationError("diversity sign must be +1 or -1")
+            raise error("config.training.diversity", "diversity sign must be +1 or -1")
         if not 0.0 < self.training.validation_split < 1.0:
-            raise ConfigurationError("training.validation_split must be in (0, 1)")
+            raise error("config.training", "training.validation_split must be in (0, 1)")
         if not 0.0 <= self.training.dropout < 1.0:
-            raise ConfigurationError("training.dropout must be in [0, 1)")
+            raise error("config.training", "training.dropout must be in [0, 1)")
         if any(width < 1 for width in self.training.hidden):
-            raise ConfigurationError("training.hidden widths must be >= 1")
+            raise error("config.training", "training.hidden widths must be >= 1")
         for name in ("period", "epochs", "batch_size"):
             if getattr(self.training, name) < 1:
-                raise ConfigurationError(f"training.{name} must be >= 1")
+                raise error("config.training", f"training.{name} must be >= 1")
         if self.training.quantiles < 2:
-            raise ConfigurationError("training.quantiles must be >= 2")
+            raise error("config.training", "training.quantiles must be >= 2")
         if self.training.learning_rate < 0:
-            raise ConfigurationError("training.learning_rate must be >= 0")
+            raise error("config.training", "training.learning_rate must be >= 0")
         if self.search.curiosity.floor <= 0:
-            raise ConfigurationError("search.curiosity.floor must be positive")
+            raise error("config.search.curiosity",
+                        "search.curiosity.floor must be positive")
         if not 0.0 <= self.search.mutation.probability <= 1.0:
-            raise ConfigurationError("search.mutation.probability must be in [0, 1]")
+            raise error("config.search.mutation",
+                        "search.mutation.probability must be in [0, 1]")
         if self.search.mutation.eta <= 0:
-            raise ConfigurationError("search.mutation.eta must be positive")
+            raise error("config.search.mutation", "search.mutation.eta must be positive")
         kinds = {g.fd for g in self.grids}
         unknown = kinds - set(FD_TYPES)
         if unknown:
-            raise ConfigurationError(f"unknown fd type(s) {sorted(unknown)}")
+            first = next(i for i, g in enumerate(self.grids) if g.fd in unknown)
+            raise error(f"config.containers.grids[{first}]",
+                        f"unknown fd type(s) {sorted(unknown)}")
         learned = kinds - {"hardcoded"}
         if learned and self.training.strategy == "none":
-            raise ConfigurationError("learned descriptors need training strategy != none")
+            raise error("config.training",
+                        "learned descriptors need training strategy != none")
         if not learned and self.training.strategy != "none":
-            raise ConfigurationError("hardcoded descriptors require training strategy none")
-        for g in self.grids:
+            raise error("config.training",
+                        "hardcoded descriptors require training strategy none")
+        for i, g in enumerate(self.grids):
             if g.fd in learned and len(g.shape) != self.training.latent_dim:
-                raise ConfigurationError(
+                raise error(
+                    f"config.containers.grids[{i}]",
                     f"learned grid shape {list(g.shape)} must have "
                     f"training.latent_dim = {self.training.latent_dim} dimensions")
         if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+            raise error("config", "seed must be >= 0")
         if self.replicates < 1:
-            raise ConfigurationError("replicates must be >= 1")
+            raise error("config", "replicates must be >= 1")
         for name, value in (("initialization_budget", self.search.initialization_budget),
                             ("evaluation_budget", self.search.evaluation_budget),
                             ("batch_size", self.search.batch_size)):
             if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+                raise error("config.search", f"{name} must be >= 1")
         # A covariance term needs two rows in every batch it sees, and a
         # quantile fit two samples.
         n_learned = sum(g.fd in learned for g in self.grids)
         div = self.training.diversity
         covariance = n_learned > 0 and div.kind in COVARIANCE_KINDS and div.weight != 0
         if self.search.initialization_budget < 2 and (covariance or "ae_qt" in kinds):
-            raise ConfigurationError(
+            raise error(
+                "config.search",
                 "search.initialization_budget must be >= 2 with an ae_qt grid or a "
                 "cov or cmd diversity term")
         if covariance and self.training.batch_size < 2:
-            raise ConfigurationError(
+            raise error(
+                "config.training",
                 f"training.batch_size must be >= 2 with {div.kind} diversity")
         if div.kind == "cmd" and n_learned >= 2 and self.training.latent_dim < 2:
-            raise ConfigurationError(
+            raise error(
+                "config.training",
                 "cmd diversity over two or more learned grids needs "
                 "training.latent_dim >= 2")
 

@@ -100,8 +100,9 @@ class SurrogateWalkerTask(Task):
     N_HIDDEN = 8
     N_INPUTS = 14
     N_TORQUES = 4
-    # rows evaluated in one lockstep pass: the window buffer of 1000 rows
-    # with 30-step windows is 17 MB
+    # rows evaluated in one lockstep pass.  Its per-step state, scratch and
+    # terrain arrays trace about 1.9 kB per row and episode whatever the
+    # window length: 9.4 MB for 1000 rows of 5 episodes
     CHUNK = 1000
     # the controller inputs' scales, over state planes 2: (theta, omega, vx,
     # vy, the joint angles, the joint speeds, the contacts)
@@ -220,8 +221,9 @@ class SurrogateWalkerTask(Task):
         controller products, which are one small matmul per batch entry, so
         the results are bit-identical however the batch is sliced (including
         one-by-one evaluation) and at one or two BLAS threads.  That is what
-        lets a large batch run in chunks, which bounds the window buffer's
-        memory.
+        lets a large batch run in chunks, which bounds the memory of the
+        per-step arrays; each chunk writes its observations straight into
+        its rows of the result.
         """
         d = self.definition
         genomes = np.asarray(genomes, dtype=float)
@@ -233,13 +235,14 @@ class SurrogateWalkerTask(Task):
         observations = np.empty((n, d.n_obs_channels, d.n_timepoints))
         for start in range(0, n, self.CHUNK):
             part = slice(start, start + self.CHUNK)
-            fitness[part], observations[part] = self._lockstep(genomes[part],
-                                                               seed_seqs[part])
+            fitness[part] = self._lockstep(genomes[part], seed_seqs[part],
+                                           observations[part])
         return fitness, observations
 
-    def _lockstep(self, genomes, seed_seqs):
-        """One lockstep pass over a chunk: the per-eval episode means of the
-        fitness, (b,), and of the observations, (b, channels, timepoints)."""
+    def _lockstep(self, genomes, seed_seqs, obs_out):
+        """One lockstep pass over a chunk: returns the per-eval episode mean
+        of the fitness, (b,), and writes that of the observations into
+        ``obs_out``, (b, channels, timepoints)."""
         d = self.definition
         b = genomes.shape[0]
         e = d.episodes_per_eval
@@ -276,12 +279,12 @@ class SurrogateWalkerTask(Task):
         alive = np.ones((b, e), dtype=bool)
         reward = np.zeros((b, e))
 
-        # each step is written into the current window's buffer; when it is
-        # full, it is averaged over its steps and then over the episodes
+        # each step's observation is added into its window's running sum;
+        # at the window's end the sum is divided by the window length and
+        # then averaged over the episodes
         window = d.obs_averaging_window
-        step_buf = np.empty((window, d.n_obs_channels, b, e))
+        step = np.empty((d.n_obs_channels, b, e))
         window_mean = np.empty((d.n_obs_channels, b, e))
-        observations = np.empty((d.n_timepoints, d.n_obs_channels, b))
         input_planes = np.empty((self.N_INPUTS, b, e))
         hidden = np.empty((b, e, self.N_HIDDEN))
         out = np.empty((b, e, self.N_TORQUES))
@@ -294,7 +297,6 @@ class SurrogateWalkerTask(Task):
 
         for t in range(d.episode_steps):
             k, w = divmod(t, window)
-            step = step_buf[w]
             np.multiply(state[2:], self._INPUT_SCALE, out=input_planes)
             # the matmul's bits depend on its operands' layout: it reads a
             # contiguous (b, e, in) array
@@ -377,11 +379,17 @@ class SurrogateWalkerTask(Task):
             step[11:13] = contact
             # airborne: alive with no foot down
             np.greater(alive, np.logical_or(contact[0], contact[1]), out=step[13])
+            # the IEEE operations of ``mean(axis=0)`` over the window's
+            # steps, in its order: a sum from 0.0 (which, unlike copying the
+            # first step in, turns -0.0 into 0.0), then one division
+            if w == 0:
+                window_mean.fill(0.0)
+            window_mean += step
             if w == window - 1:
-                step_buf.mean(axis=0, out=window_mean)
-                window_mean.mean(axis=2, out=observations[k])
+                window_mean /= window
+                window_mean.mean(axis=2, out=obs_out[:, :, k].T)
 
-        return reward.mean(axis=1), observations.transpose(2, 1, 0)
+        return reward.mean(axis=1)
 
 
 class RastriginToyTask(Task):

@@ -119,6 +119,24 @@ class TestRun:
         assert "grid 0 has shape [-2, -5]" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,first_key,message", [
+        ("  period: 30", "  period: -5", "  strategy: online",
+         "training.period must be >= 1"),
+        ("bin_budget: 50", "bin_budget: 49", "  bin_budget: 49",
+         "grid capacities sum to 50, bin budget is 49"),
+    ], ids=["period", "bin-budget"])
+    def test_validation_error_names_the_section_line(self, tmp_path, capsys, old, new,
+                                                     first_key, message):
+        text = CONFIG.replace(old, new)
+        line = text.splitlines().index(first_key) + 1  # the section's first line
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: line {line}: {message}\n" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_exits_before_the_run_directory(self, config_file,
                                                           tmp_path, capsys):
         out = tmp_path / "out"

@@ -138,6 +138,30 @@ class TestParsing:
         assert str(err.value).startswith(f"line {line}: key {key!r}")
         assert value.capitalize() in str(err.value)
 
+    @pytest.mark.parametrize("old,new,line,message", [
+        ("  period: 30", "  period: -5", 16, "training.period must be >= 1"),
+        ("sign: -1", "sign: 2", 19, "diversity sign must be +1 or -1"),
+        ("bin_budget: 72", "bin_budget: 70", 5,
+         "grid capacities sum to 72, bin budget is 70"),
+        ("fd: ae_qt", "fd: pca", 7, "unknown fd type(s) ['pca']"),
+        ("seed: 7", "seed: -7", 1, "seed must be >= 0"),
+    ], ids=["training", "diversity", "containers", "grid", "root"])
+    def test_validation_error_carries_the_section_line(self, old, new, line, message):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(GOOD_YAML.replace(old, new))
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_config_built_in_python_fails_without_a_line(self):
+        cfg = ExperimentConfig.from_yaml(GOOD_YAML)
+        assert cfg == ExperimentConfig.from_dict(cfg.to_dict())
+        cfg.training.period = -5
+        with pytest.raises(ConfigurationError) as err:
+            cfg.validate()
+        assert str(err.value) == "training.period must be >= 1"
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_dict(cfg.to_dict())
+        assert str(err.value) == "training.period must be >= 1"
+
     def test_integral_float_is_an_int(self):
         cfg = ExperimentConfig.from_yaml(
             GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10.0"))

@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -187,6 +187,28 @@ class TestStepRewrites:
         np.testing.assert_array_equal(contact[..., 0] | contact[..., 1],
                                       contact.any(axis=-1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.sampled_from([1, 2, 15, 30]), st.integers(1, 14),
+                     st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.one_of(
+            st.just(-0.0), st.floats(-1e3, 1e3, allow_subnormal=True)))))
+    @example(np.full((2, 14, 1, 1), -0.0))
+    def test_running_window_sum_is_window_mean(self, buf):
+        """The walker's window average, a sum started from 0.0 with each
+        (channels, rows, episodes) step added in order and then divided by
+        the window length, against the mean over a buffer of the window's
+        steps.  Starting from a copy of the first step instead would keep a
+        window of -0.0 at -0.0, where the mean gives 0.0."""
+        got = np.empty(buf.shape[1:])
+        for w, step in enumerate(buf):
+            if w == 0:
+                got.fill(0.0)
+            got += step
+        got /= len(buf)
+        want = np.empty(buf.shape[1:])
+        buf.mean(axis=0, out=want)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 _THREADS_SCRIPT = """
 import hashlib, sys
@@ -217,8 +239,9 @@ def test_walker_bytes_independent_of_blas_threads():
 
 
 def test_walker_holds_one_observation_window_not_the_episode(walker):
-    """A 500-genome batch (the benchmarks' initial collection) keeps one
-    window of steps, not all of them: storing every step of it took 42 MB."""
+    """A 500-genome batch (the benchmarks' initial collection) keeps no
+    episode's worth of steps, which took 42 MB: its observations stream
+    through one window's running sum, and the call peaks near 5 MB."""
     import tracemalloc
 
     genomes = np.random.default_rng(8).uniform(-1, 1, (500, walker.definition.genome_dim))
@@ -230,6 +253,31 @@ def test_walker_holds_one_observation_window_not_the_episode(walker):
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _walker_peak_bytes(window):
+    """tracemalloc peak of a 200-genome, 120-step walker call."""
+    import tracemalloc
+
+    task = make_task("surrogate_walker", {"episode_steps": 120, "obs_window": window})
+    genomes = np.random.default_rng(10).uniform(-1, 1, (200, task.definition.genome_dim))
+    seeds = [episode_seed_sequence(3, i) for i in range(200)]
+    tracemalloc.start()
+    try:
+        task.evaluate_many(genomes, seeds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walker_memory_does_not_grow_with_the_window():
+    """Each step is added into its window's running sum as it is made, so
+    a 60-step window (two timepoints) peaks no higher than a 2-step one
+    (sixty timepoints), which has the larger observation array."""
+    long_window, short_window = _walker_peak_bytes(60), _walker_peak_bytes(2)
+    assert long_window <= short_window, (
+        f"window 60 peak {long_window / 1e6:.2f} MB, "
+        f"window 2 peak {short_window / 1e6:.2f} MB")
 
 
 def test_chunk_boundary_rows_match_single_rows():
@@ -248,8 +296,9 @@ def test_chunk_boundary_rows_match_single_rows():
 
 
 def test_large_batch_memory_is_bounded_by_the_chunk():
-    """A 3000-row batch with one 30-step window: in one pass its window
-    buffer alone is 50 MB; in 1000-row chunks the call peaks near 27 MB."""
+    """A 3000-row batch with one 30-step window: the per-step arrays of the
+    lockstep pass grow with the rows it runs, so the call runs 1000-row
+    chunks, one after another, and peaks near 10 MB."""
     import tracemalloc
 
     task = make_task("surrogate_walker", {"episode_steps": 30, "obs_window": 30})

@@ -18,7 +18,6 @@ from .core import (  # noqa: F401
     StructuralError,
 )
 from .engine import (  # noqa: F401
-    ContainerSpec,
     Engine,
     mutate_polynomial,
     select_curiosity_roulette,

@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import COVARIANCE_KINDS, DIVERSITY_KINDS, TrainingSection
 from .core import InvalidValueError, StructuralError
 from .postprocess import QuantileTransform
-
-DIVERSITY_KINDS = ("none", "outputs", "cov", "cmd")
-# the terms computed from a covariance, which needs two rows
-COVARIANCE_KINDS = ("cov", "cmd")
 
 _STD_FLOOR = 1e-8  # regularizes correlation of a collapsed latent column
 # Rows per block of a weight gradient's sum over the minibatch (_weight_grad)
@@ -580,15 +577,9 @@ class Adam:
         self.theta -= self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)
 
 
-@dataclass
-class TrainingConfig:
-    """The trainer's settings; the engine fills them from ``TrainingSection``,
-    whose values ``ExperimentConfig.validate`` checks."""
-
-    epochs: int
-    learning_rate: float
-    batch_size: int
-    validation_split: float
+# perfbench/micro.py imports this name; ROADMAP item 6's benchmark change
+# drops it.
+TrainingConfig = TrainingSection
 
 
 @dataclass
@@ -616,10 +607,12 @@ def _batch_slices(n, batch_size):
 
 
 def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
-                   cfg: TrainingConfig, rng) -> TrainReport:
+                   training: TrainingSection, rng) -> TrainReport:
     """Mini-batch Adam on the combined loss; mutates the ensemble in place.
 
     ``inputs`` is the (n, input_dim) corpus already min-max scaled to [0, 1].
+    ``training`` gives the epochs, learning rate, minibatch size and
+    validation split.
     A validation fraction is held out and scored with dropout disabled after
     each epoch.  On a non-finite loss, or a module collapsed under the cmd
     loss (every latent constant), the pass aborts and the report is flagged
@@ -628,7 +621,7 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     x = _as_batch(inputs)
     n = x.shape[0]
     perm = rng.permutation(n)
-    n_val = min(int(round(n * cfg.validation_split)), n - 1)
+    n_val = min(int(round(n * training.validation_split)), n - 1)
     if _diversity_kind(ensemble) in COVARIANCE_KINDS:
         # both sides of the split need two rows, else no row is held out
         n_val = min(n_val, n - 2)
@@ -639,12 +632,12 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     x_val = x[val_idx]
     x_train = x[train_idx]
 
-    opt = Adam(ensemble.theta, cfg.learning_rate)
-    slices = _batch_slices(x_train.shape[0], cfg.batch_size)
+    opt = Adam(ensemble.theta, training.learning_rate)
+    slices = _batch_slices(x_train.shape[0], training.batch_size)
     buffers = _output_buffers(ensemble, max([hi - lo for lo, hi in slices] + [n_val]))
     report = TrainReport()
     try:
-        for epoch in range(cfg.epochs):
+        for epoch in range(training.epochs):
             order = rng.permutation(x_train.shape[0])
             epoch_loss = 0.0
             for lo, hi in slices:

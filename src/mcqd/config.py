@@ -15,7 +15,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
-from .autoencoder import COVARIANCE_KINDS, DIVERSITY_KINDS
 from .core import ConfigurationError
 
 _REQUIRED = object()
@@ -44,12 +43,18 @@ def _strip_lines(data):
     return data
 
 
+def _config_error(line, message) -> ConfigurationError:
+    """An error about the config, starting with ``line N:`` when its line is
+    known; a config given as a plain dict has no lines, which read 0."""
+    return ConfigurationError(f"line {line}: {message}" if line else message)
+
+
 class _Section:
     """Strict view over one mapping: every key must be consumed."""
 
     def __init__(self, data, name, line=0, lines=None):
         if not isinstance(data, dict):
-            raise ConfigurationError(f"line {line}: section {name!r} must be a mapping")
+            raise _config_error(line, f"section {name!r} must be a mapping")
         self._data = dict(data)
         self.name = name
         self.line = self._data.pop("__line__", line)
@@ -61,8 +66,8 @@ class _Section:
         if key in self._data:
             return self._data.pop(key)
         if default is _REQUIRED:
-            raise ConfigurationError(
-                f"line {self.line}: missing key {key!r} in section {self.name!r}")
+            raise _config_error(self.line,
+                                f"missing key {key!r} in section {self.name!r}")
         return default
 
     def take_as(self, key, kind, default=_REQUIRED):
@@ -72,8 +77,8 @@ class _Section:
         try:
             return _COERCE.get(kind, lambda v: v)(value)
         except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"line {self.line}: key {key!r} in section {self.name!r} must be "
+            raise _config_error(
+                self.line, f"key {key!r} in section {self.name!r} must be "
                 f"{kind}, got {value!r}") from None
 
     def subsection(self, key, default=_REQUIRED):
@@ -83,8 +88,8 @@ class _Section:
     def finish(self):
         leftovers = [k for k in self._data if k != "__line__"]
         if leftovers:
-            raise ConfigurationError(
-                f"line {self.line}: unknown key(s) {leftovers} in section {self.name!r}")
+            raise _config_error(
+                self.line, f"unknown key(s) {leftovers} in section {self.name!r}")
 
 
 class SharingStrategy(str, enum.Enum):
@@ -99,6 +104,9 @@ class TrainingStrategy(str, enum.Enum):
 
 
 FD_TYPES = ("hardcoded", "ae", "ae_qt")
+DIVERSITY_KINDS = ("none", "outputs", "cov", "cmd")
+# the terms computed from a covariance, which needs two rows
+COVARIANCE_KINDS = ("cov", "cmd")
 
 
 @dataclass
@@ -265,8 +273,8 @@ class ExperimentConfig:
             data = yaml.load(text, Loader=_LineLoader)
         except yaml.MarkedYAMLError as exc:
             mark = exc.problem_mark
-            line = mark.line + 1 if mark else 0
-            raise ConfigurationError(f"line {line}: invalid YAML: {exc.problem}")
+            raise _config_error(mark.line + 1 if mark else 0,
+                                f"invalid YAML: {exc.problem}")
         if not isinstance(data, dict):
             raise ConfigurationError("line 1: config must be a YAML mapping")
         return cls.from_dict(data)
@@ -287,8 +295,8 @@ class ExperimentConfig:
         grids = values["grids"] = []
         raw_grids = cont_sec.take("grids")
         if not isinstance(raw_grids, list) or not raw_grids:
-            raise ConfigurationError(
-                f"line {cont_sec.line}: containers.grids must be a non-empty list")
+            raise _config_error(cont_sec.line,
+                                "containers.grids must be a non-empty list")
         for g in raw_grids:
             gsec = _Section(g, "containers.grids[]", cont_sec.line)
             shape = gsec.take_as("shape", "tuple[int, ...]")
@@ -339,8 +347,7 @@ class ExperimentConfig:
         lines = lines or {}
 
         def error(section, message):
-            line = lines.get(section)
-            return ConfigurationError(f"line {line}: {message}" if line else message)
+            return _config_error(lines.get(section), message)
 
         for i, g in enumerate(self.grids):
             if not g.shape or min(g.shape) < 1:
@@ -480,9 +487,9 @@ def build_preset(name: str, desk: bool = False, seed: int = 0,
     """One row of the case matrix as a ready-to-run config.
 
     ``desk`` keeps every categorical field and divides the budgets by ten,
-    with one 10x10 grid per container and a shorter episode; the desk
-    learning rate drops to 0.01, which keeps Adam stable on the small dense
-    topology.
+    with one 10x10 grid per container and a shorter episode.  Both scales
+    share the auto-encoder topology; the learning rate is 0.1 at full scale
+    and 0.01 at desk scale.
     """
     if name not in _PRESET_ROWS:
         raise ConfigurationError(

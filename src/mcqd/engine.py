@@ -13,8 +13,9 @@ the master seed (init, selection, mutation, per-evaluation episodes, model
 training), selection and mutation for a whole batch happen before any
 evaluation, and insertions are committed in iteration order.
 
-Every setting comes from the experiment config's ``search`` and
-``training`` sections; the genome bounds come from the task.
+The engine takes the experiment config's grids and its ``search`` and
+``training`` sections; the genome bounds and the hardcoded FDs come from
+the task.
 """
 from __future__ import annotations
 
@@ -22,13 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autoencoder import (
-    ModularAutoEncoderEnsemble,
-    ObservationScaler,
-    TrainingConfig,
-    train_ensemble,
-)
+from .autoencoder import ModularAutoEncoderEnsemble, ObservationScaler, train_ensemble
 from .config import (
+    GridSpec,
     MutationSection,
     SearchSection,
     SharingStrategy,
@@ -43,7 +40,7 @@ from .core import (
     GridContainer,
     InvalidValueError,
 )
-from .descriptors import HardcodedExtractor, HardcodedSpec, LearnedExtractor
+from .descriptors import HardcodedExtractor, LearnedExtractor
 from .postprocess import QuantileTransform
 from .tasks import Task
 
@@ -63,23 +60,6 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 def episode_seed_sequence(master_seed: int, eval_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(STREAM_EPISODES, eval_index))
-
-
-@dataclass
-class ContainerSpec:
-    shape: tuple[int, ...]
-    fd_type: str
-    hardcoded: HardcodedSpec | None = None
-
-    def __post_init__(self):
-        if self.fd_type != "hardcoded":
-            return
-        if self.hardcoded is None:
-            raise ConfigurationError("a hardcoded container needs an FD spec")
-        if self.hardcoded.out_dim != len(self.shape):
-            raise ConfigurationError(
-                f"FD spec has {self.hardcoded.out_dim} dims, grid "
-                f"{list(self.shape)} has {len(self.shape)}")
 
 
 def mutate_polynomial(genomes: np.ndarray, cfg: MutationSection,
@@ -175,34 +155,41 @@ class RetrainReport:
 class Engine:
     """Search state plus the operations that advance it."""
 
-    def __init__(self, task: Task, container_specs: list[ContainerSpec],
-                 search: SearchSection, training: TrainingSection, seed: int):
+    def __init__(self, task: Task, grids: list[GridSpec], search: SearchSection,
+                 training: TrainingSection, seed: int):
+        """One container per grid.  The hardcoded grids take the task's
+        declared FD pairs in order; the checks against them need the task
+        but no evaluation, so ``run_experiment`` builds an engine before it
+        writes anything."""
         self.task = task
+        self.grids = list(grids)
         self.search = search
         self.training = training
         self.seed = int(seed)
         self.sharing = SharingStrategy(search.sharing)
         self.training_strategy = TrainingStrategy(training.strategy)
-        self.mutation = search.mutation
-        self.curiosity = search.curiosity
-        self._train_config = TrainingConfig(
-            epochs=training.epochs, learning_rate=training.learning_rate,
-            batch_size=training.batch_size,
-            validation_split=training.validation_split)
 
-        self._specs = list(container_specs)
-        # learned[k] is the container that ensemble module k describes
-        self.learned = [cid for cid, spec in enumerate(container_specs)
-                        if spec.fd_type != "hardcoded"]
         d = task.definition
+        hardcoded = [g for g in self.grids if g.fd == "hardcoded"]
+        if len(hardcoded) > len(d.hardcoded_fds):
+            raise ConfigurationError(
+                f"task {d.name!r} declares only {len(d.hardcoded_fds)} hardcoded FD "
+                f"pairs, the config has {len(hardcoded)} hardcoded grids")
+        for grid, spec in zip(hardcoded, d.hardcoded_fds):
+            if spec.out_dim != len(grid.shape):
+                raise ConfigurationError(
+                    f"FD spec has {spec.out_dim} dims, grid "
+                    f"{list(grid.shape)} has {len(grid.shape)}")
+        pairs = iter(d.hardcoded_fds)
         # extractors[c] defines container c's FDs; _train sets the learned ones
-        self.extractors = [HardcodedExtractor(spec.hardcoded, d.channel_names)
-                           if spec.fd_type == "hardcoded" else None
-                           for spec in container_specs]
-        self.containers = [GridContainer(cid, spec.shape)
-                           for cid, spec in enumerate(container_specs)]
+        self.extractors = [HardcodedExtractor(next(pairs), d.channel_names)
+                           if g.fd == "hardcoded" else None for g in self.grids]
+        # learned[k] is the container that ensemble module k describes
+        self.learned = [cid for cid, g in enumerate(self.grids) if g.fd != "hardcoded"]
+        self.containers = [GridContainer(cid, g.shape)
+                           for cid, g in enumerate(self.grids)]
         self.depot = DepotContainer(d.genome_dim, (d.n_obs_channels, d.n_timepoints),
-                                    [len(spec.shape) for spec in container_specs])
+                                    [len(g.shape) for g in self.grids])
         self.ensemble: ModularAutoEncoderEnsemble | None = None
         self.scaler: ObservationScaler | None = None
         self.quantile_transforms: dict[int, QuantileTransform] = {}
@@ -253,7 +240,7 @@ class Engine:
         # fitness by depot row, with room for the rows this batch adds
         row_fitness = np.concatenate([self.depot.fitness, fitness])
         curiosity = self.depot.curiosity
-        cfg = self.curiosity
+        cfg = self.search.curiosity
         accepted = []
         for i, parent in enumerate(parents):
             row = first_row + len(accepted)
@@ -299,7 +286,7 @@ class Engine:
             )
         else:
             candidate = self.ensemble.clone()
-        report = train_ensemble(candidate, inputs, self._train_config, rng)
+        report = train_ensemble(candidate, inputs, self.training, rng)
         if report.diverged:
             return report, None
         self.retrain_count += 1
@@ -310,7 +297,7 @@ class Engine:
         for module, cid in enumerate(self.learned):
             fd = candidate.encode(inputs, module)
             qt = None
-            if self._specs[cid].fd_type == "ae_qt":
+            if self.grids[cid].fd == "ae_qt":
                 qt = QuantileTransform.fit(fd, self.training.quantiles)
                 self.quantile_transforms[cid] = qt
                 fd = qt.apply(fd)
@@ -377,11 +364,12 @@ class Engine:
         for cidx, container in enumerate(self.containers):
             mine = plan == cidx
             parents[mine] = select_curiosity_roulette(
-                container, self.depot.curiosity, draws[mine], self.curiosity.floor)
+                container, self.depot.curiosity, draws[mine],
+                self.search.curiosity.floor)
 
         bounds = self.task.definition.genome_bounds
-        genomes = mutate_polynomial(self.depot.genomes[parents], self.mutation, bounds,
-                                    self._rng_mutation)
+        genomes = mutate_polynomial(self.depot.genomes[parents], self.search.mutation,
+                                    bounds, self._rng_mutation)
         ids, fitness, observations = self._evaluate_genomes(genomes)
         self.eval_budget_used += n
 

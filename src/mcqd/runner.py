@@ -38,8 +38,7 @@ import numpy as np
 from . import __version__
 from .autoencoder import save_checkpoint
 from .config import ExperimentConfig
-from .core import ConfigurationError
-from .engine import ContainerSpec, Engine
+from .engine import Engine
 from .metrics import METRIC_COLUMNS, snapshot
 from .tasks import make_task
 
@@ -51,24 +50,7 @@ OUTPUT_ROOT_ENV = "MCQD_OUTPUT_ROOT"
 def build_engine(config: ExperimentConfig, seed: int) -> Engine:
     """Wire a task and an engine from a validated config."""
     task = make_task(config.task.name, config.task.params)
-    return Engine(task, container_specs(config, task), config.search,
-                  config.training, seed)
-
-
-def container_specs(config: ExperimentConfig, task) -> list[ContainerSpec]:
-    """One spec per grid, the hardcoded ones taking the task's declared FD
-    pairs in order.  Its errors need the task's definition but no
-    evaluation, so ``run_experiment`` checks them before writing anything."""
-    d = task.definition
-    wanted = sum(grid.fd == "hardcoded" for grid in config.grids)
-    if wanted > len(d.hardcoded_fds):
-        raise ConfigurationError(
-            f"task {d.name!r} declares only {len(d.hardcoded_fds)} hardcoded FD "
-            f"pairs, the config has {wanted} hardcoded grids")
-    pairs = iter(d.hardcoded_fds)
-    return [ContainerSpec(shape=grid.shape, fd_type=grid.fd,
-                          hardcoded=next(pairs) if grid.fd == "hardcoded" else None)
-            for grid in config.grids]
+    return Engine(task, config.grids, config.search, config.training, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +271,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
     with or without the task, is raised before the run directory is created.
     """
     config.validate()
-    container_specs(config, make_task(config.task.name, config.task.params))
+    build_engine(config, config.seed)
     run_dir = resolve_run_dir(config, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.yaml").write_text(

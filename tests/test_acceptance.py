@@ -15,6 +15,7 @@ import pytest
 from mcqd.autoencoder import backward, d_corr
 from mcqd.config import (
     DiversitySection,
+    GridSpec,
     MutationSection,
     SearchSection,
     TrainingSection,
@@ -22,7 +23,6 @@ from mcqd.config import (
 )
 from mcqd.core import GridContainer
 from mcqd.engine import (
-    ContainerSpec,
     Engine,
     SharingStrategy,
     TrainingStrategy,
@@ -65,20 +65,16 @@ class DeskRun:
 
 
 def run_desk_search(fd_type, sharing, diversity=("none", 1.0, -1), seed=0,
-                    n_containers=4, hardcoded=None):
+                    n_containers=4):
     task = make_task("surrogate_walker", {"episode_steps": 150, "obs_window": 15})
+    grids = [GridSpec(shape=(10, 10), fd=fd_type) for _ in range(n_containers)]
     if fd_type == "hardcoded":
-        pairs = task.definition.hardcoded_fds
-        specs = [ContainerSpec(shape=(10, 10), fd_type="hardcoded",
-                               hardcoded=pairs[i]) for i in range(n_containers)]
         strategy = TrainingStrategy.NONE
     else:
-        specs = [ContainerSpec(shape=(10, 10), fd_type=fd_type)
-                 for _ in range(n_containers)]
         strategy = TrainingStrategy.ONLINE
     kind, weight, sign = diversity
     engine = Engine(
-        task=task, container_specs=specs,
+        task=task, grids=grids,
         search=SearchSection(sharing=sharing, initialization_budget=500,
                              evaluation_budget=5000),
         training=TrainingSection(

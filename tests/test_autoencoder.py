@@ -10,7 +10,6 @@ from mcqd.autoencoder import (
     Adam,
     ModularAutoEncoderEnsemble,
     ObservationScaler,
-    TrainingConfig,
     backward,
     combined_loss,
     d_corr,
@@ -25,6 +24,7 @@ from mcqd.autoencoder import (
     train_ensemble,
     _sigmoid,
 )
+from mcqd.config import TrainingSection
 from mcqd.core import InvalidValueError, StructuralError
 from mcqd.postprocess import QuantileTransform
 
@@ -508,8 +508,8 @@ class TestTraining:
     def test_zero_learning_rate_keeps_parameters(self):
         ens = build_toy_ensemble(n_modules=2, seed=30)
         before = [p.copy() for p in ens.parameters()]
-        cfg = TrainingConfig(epochs=1, learning_rate=0.0, batch_size=4,
-                             validation_split=0.25)
+        cfg = TrainingSection(epochs=1, learning_rate=0.0, batch_size=4,
+                              validation_split=0.25)
         x = np.random.default_rng(1).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(2))
         assert not report.diverged
@@ -523,16 +523,16 @@ class TestTraining:
         vec = np.array([0.9, 0.1, 0.8, 0.2])
         x = np.tile(vec, (32, 1))
         baseline = np.sum((vec - 0.5) ** 2)
-        cfg = TrainingConfig(epochs=200, learning_rate=0.02, batch_size=16,
-                             validation_split=0.25)
+        cfg = TrainingSection(epochs=200, learning_rate=0.02, batch_size=16,
+                              validation_split=0.25)
         report = train_ensemble(ens, x, cfg, np.random.default_rng(3))
         assert not report.diverged
         assert report.val_losses[-1] < 1e-3 * baseline
 
     def test_training_is_deterministic_given_seed(self):
         x = np.random.default_rng(4).random((24, 6))
-        cfg = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=8,
-                             validation_split=0.25)
+        cfg = TrainingSection(epochs=3, learning_rate=0.01, batch_size=8,
+                              validation_split=0.25)
         runs = []
         for _ in range(2):
             ens = build_toy_ensemble(n_modules=2, dropout=0.2, seed=32)
@@ -545,8 +545,8 @@ class TestTraining:
         ens = build_toy_ensemble(n_modules=1, seed=33)
         # poison a parameter so the first forward pass already explodes
         ens.nets[0][1][-1][1][...] = np.nan  # the decoder's output bias
-        cfg = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=8,
-                             validation_split=0.25)
+        cfg = TrainingSection(epochs=2, learning_rate=0.01, batch_size=8,
+                              validation_split=0.25)
         x = np.random.default_rng(6).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(7))
         assert report.diverged
@@ -558,8 +558,8 @@ class TestTraining:
         instead of raising."""
         ens = build_toy_ensemble(n_modules=3, diversity_kind="cmd", seed=41)
         ens.nets[1][0][-1][0][...] = 0.0  # module 1's latent layer sees nothing
-        cfg = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=8,
-                             validation_split=0.25)
+        cfg = TrainingSection(epochs=2, learning_rate=0.01, batch_size=8,
+                              validation_split=0.25)
         x = np.random.default_rng(10).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(11))
         assert report.diverged
@@ -573,8 +573,8 @@ class TestTraining:
         """A covariance needs two rows: under cov or cmd, a split that would
         leave one row on either side holds out fewer rows, or none."""
         ens = build_toy_ensemble(n_modules=2, diversity_kind=kind, seed=42)
-        cfg = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=8,
-                             validation_split=split)
+        cfg = TrainingSection(epochs=2, learning_rate=0.01, batch_size=8,
+                              validation_split=split)
         x = np.random.default_rng(12).random((rows, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(13))
         assert not report.diverged
@@ -582,8 +582,8 @@ class TestTraining:
 
     def test_loss_curves_have_epoch_length(self):
         ens = build_toy_ensemble(n_modules=1, seed=34)
-        cfg = TrainingConfig(epochs=5, learning_rate=0.01, batch_size=8,
-                             validation_split=0.25)
+        cfg = TrainingSection(epochs=5, learning_rate=0.01, batch_size=8,
+                              validation_split=0.25)
         x = np.random.default_rng(8).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(9))
         assert report.epochs_run == 5
@@ -628,8 +628,8 @@ class TestTrainingGolden:
         x = np.random.default_rng(51).random((29, 24))
         # 7 validation rows; 22 training rows in batches of 7, so the
         # trailing single row merges into the batch before it
-        cfg = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=7,
-                             validation_split=0.25)
+        cfg = TrainingSection(epochs=3, learning_rate=0.01, batch_size=7,
+                              validation_split=0.25)
         report = train_ensemble(ens, x, cfg, np.random.default_rng(52))
         assert not report.diverged
         got = (_int64_sha256(ens.parameters()), report.train_losses,

@@ -162,6 +162,19 @@ class TestParsing:
             ExperimentConfig.from_dict(cfg.to_dict())
         assert str(err.value) == "training.period must be >= 1"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("epochz", 3, "unknown key(s) ['epochz'] in section 'config.training'"),
+        ("epochs", "many", "key 'epochs' in section 'config.training' must be int, "
+                           "got 'many'"),
+    ], ids=["unknown-key", "mistyped-value"])
+    def test_parse_error_of_a_plain_dict_has_no_line(self, key, value, message):
+        """A plain dict has no lines, so its parse errors carry no ``line 0:``."""
+        data = build_preset("reco-4", desk=True).to_dict()
+        data["training"][key] = value
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_dict(data)
+        assert str(err.value) == message
+
     def test_integral_float_is_an_int(self):
         cfg = ExperimentConfig.from_yaml(
             GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10.0"))

@@ -1,17 +1,18 @@
 """Search-loop mechanics: mutation, selection, batches, retraining."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mcqd.config import MutationSection, SearchSection, TrainingSection
+from mcqd.config import GridSpec, MutationSection, SearchSection, TrainingSection
 from mcqd.core import EmptyContainerError, GridContainer, InvalidValueError
 from mcqd.descriptors import ChannelReduction, HardcodedSpec
 from mcqd.engine import (
     STREAM_MUTATION,
     STREAM_SELECTION,
-    ContainerSpec,
     Engine,
     SharingStrategy,
     TrainingStrategy,
@@ -180,13 +181,18 @@ class TestCuriosityRoulette:
 # A controllable 1-gene task: fitness equals the gene value.
 # ---------------------------------------------------------------------------
 
+# The line task's one FD, the gene's final value, declared once for each of
+# the up to four one-cell containers the tests build.
+GENE_FD = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
+
+
 class LineTask(Task):
     def __init__(self):
         self.definition = TaskDefinition(
             name="line", genome_dim=1, genome_bounds=(0.0, 1.0),
             n_obs_channels=1, n_timepoints=4, obs_averaging_window=1,
             episodes_per_eval=1, fitness_bounds=(0.0, 1.0),
-            channel_names=("gene",),
+            channel_names=("gene",), hardcoded_fds=(GENE_FD,) * 4,
         )
 
     def evaluate_many(self, genomes, seed_seqs):
@@ -208,14 +214,10 @@ class PoisonedLineTask(LineTask):
         return fitness, obs
 
 
-def line_engine(container_specs=None, eval_budget=100, seed=11, task=None):
-    spec = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
-    if container_specs is None:
-        container_specs = [ContainerSpec(shape=(1,), fd_type="hardcoded",
-                                         hardcoded=spec)]
+def line_engine(grids=None, eval_budget=100, seed=11, task=None):
     return Engine(
         task=LineTask() if task is None else task,
-        container_specs=container_specs,
+        grids=one_cell_grids(1) if grids is None else grids,
         search=SearchSection(sharing=SharingStrategy.NON_SHARED,
                              initialization_budget=1,
                              evaluation_budget=eval_budget),
@@ -242,10 +244,8 @@ def planned_iterations(engine, batch_sizes):
     return counts
 
 
-def one_cell_specs(n):
-    spec = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
-    return [ContainerSpec(shape=(1,), fd_type="hardcoded", hardcoded=spec)
-            for _ in range(n)]
+def one_cell_grids(n):
+    return [GridSpec(shape=(1,), fd="hardcoded") for _ in range(n)]
 
 
 class TestNonFiniteTaskOutput:
@@ -266,7 +266,7 @@ class TestNonFiniteTaskOutput:
     @pytest.mark.parametrize("poison", ["fitness", "observations"])
     def test_run_batch_raises_and_commits_nothing(self, poison):
         task = PoisonedLineTask()
-        engine = line_engine(container_specs=one_cell_specs(2), task=task)
+        engine = line_engine(grids=one_cell_grids(2), task=task)
         engine.initialize()
         engine.run_batch(4)
 
@@ -300,7 +300,7 @@ class TestBookkeepingOracle:
         elite_gene = float(init_rng.uniform(0.0, 1.0, (1, 1))[0, 0])
         elite_curiosity = 1.0
         depot_size = 1
-        cfg = engine.mutation
+        cfg = engine.search.mutation
 
         for _ in range(5):
             # plan phase: all four iterations select the batch-start elite
@@ -360,14 +360,16 @@ def toy_engine(sharing=SharingStrategy.SHARED, learned=False,
                seed=5, learned_fds=("ae_qt", "ae_qt")):
     task = make_task("rastrigin_toy")
     if learned:
-        specs = [ContainerSpec(shape=(6, 6), fd_type=fd) for fd in learned_fds]
+        grids = [GridSpec(shape=(6, 6), fd=fd) for fd in learned_fds]
         strategy = training_strategy
     else:
-        specs = [ContainerSpec(shape=(6, 6), fd_type="hardcoded", hardcoded=hs)
-                 for hs in toy_hardcoded_specs()]
+        task.definition = dataclasses.replace(
+            task.definition, hardcoded_fds=tuple(toy_hardcoded_specs()))
+        grids = [GridSpec(shape=(6, 6), fd="hardcoded")
+                 for _ in task.definition.hardcoded_fds]
         strategy = TrainingStrategy.NONE
     return Engine(
-        task=task, container_specs=specs,
+        task=task, grids=grids,
         search=SearchSection(
             sharing=sharing, initialization_budget=30, evaluation_budget=200,
             # two-gene genomes need a high per-gene rate to mutate at all
@@ -390,6 +392,20 @@ def engine_fingerprint(engine):
     return cells, list(zip(d.ids.tolist(), d.fitness.tolist()))
 
 
+class TestHardcodedPairing:
+    def test_interleaved_grids_take_the_task_pairs_in_order(self):
+        """Hardcoded grids take the task's declared FDs in grid order, and a
+        learned grid between them takes none."""
+        task = make_task("surrogate_walker", {"episode_steps": 20, "obs_window": 5})
+        grids = [GridSpec(shape=(5, 5), fd=fd) for fd in ("hardcoded", "ae_qt",
+                                                          "hardcoded")]
+        engine = Engine(task, grids, SearchSection(), TrainingSection(), seed=0)
+        pairs = task.definition.hardcoded_fds
+        assert engine.extractors[0].spec is pairs[0]
+        assert engine.extractors[2].spec is pairs[1]
+        assert engine.learned == [1]
+
+
 class TestEngineLifecycle:
     def test_initialize_fills_containers_and_resets_counter(self):
         engine = toy_engine()
@@ -401,7 +417,7 @@ class TestEngineLifecycle:
         assert engine.total_evaluations == 30
 
     def test_child_accepted_by_two_containers_is_one_depot_row(self):
-        engine = line_engine(container_specs=one_cell_specs(2))
+        engine = line_engine(grids=one_cell_grids(2))
         engine.initialize()  # the initial genome fills both empty containers
         assert len(engine.depot) == 1
         assert [int(c.grid[0]) for c in engine.containers] == [0, 0]
@@ -471,7 +487,7 @@ class TestEngineLifecycle:
 
     def test_non_shared_four_containers_split_thousand(self):
         # the canonical split: batch of 1000 over 4 containers -> 250 each
-        engine = line_engine(container_specs=one_cell_specs(4), eval_budget=1000)
+        engine = line_engine(grids=one_cell_grids(4), eval_budget=1000)
         engine.initialize()
         assert planned_iterations(engine, [1000]) == [250, 250, 250, 250]
 
@@ -515,7 +531,7 @@ class TestEngineLifecycle:
         for _ in range(5):
             engine.run_batch(30)
         for c in engine.containers:
-            assert np.all(engine.depot.curiosity[c.rows()] >= engine.curiosity.floor)
+            assert np.all(engine.depot.curiosity[c.rows()] >= engine.search.curiosity.floor)
 
 
 class TestRetraining:

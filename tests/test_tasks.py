@@ -193,12 +193,18 @@ class TestStepRewrites:
         lambda shape: arrays(np.float64, shape, elements=st.one_of(
             st.just(-0.0), st.floats(-1e3, 1e3, allow_subnormal=True)))))
     @example(np.full((2, 14, 1, 1), -0.0))
+    @example(np.full((30, 1, 1, 1), 49.47543795))
     def test_running_window_sum_is_window_mean(self, buf):
         """The walker's window average, a sum started from 0.0 with each
         (channels, rows, episodes) step added in order and then divided by
         the window length, against the mean over a buffer of the window's
         steps.  Starting from a copy of the first step instead would keep a
-        window of -0.0 at -0.0, where the mean gives 0.0."""
+        window of -0.0 at -0.0, where the mean gives 0.0.
+
+        The mean reduces left to right only where a step has two or more
+        elements, as the walker's 14-channel steps do.  Over a one-element
+        step it sums the window pairwise from 8 steps on, so there the
+        oracle is the explicit left-to-right sum from 0.0."""
         got = np.empty(buf.shape[1:])
         for w, step in enumerate(buf):
             if w == 0:
@@ -206,7 +212,13 @@ class TestStepRewrites:
             got += step
         got /= len(buf)
         want = np.empty(buf.shape[1:])
-        buf.mean(axis=0, out=want)
+        if want.size == 1:
+            total = 0.0
+            for value in buf.ravel().tolist():
+                total += value
+            want.fill(total / len(buf))
+        else:
+            buf.mean(axis=0, out=want)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 

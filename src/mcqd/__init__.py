@@ -25,9 +25,7 @@ from .engine import (  # noqa: F401
 from .config import (  # noqa: F401
     ExperimentConfig,
     SearchSection,
-    SharingStrategy,
     TrainingSection,
-    TrainingStrategy,
     build_preset,
     preset_names,
 )

@@ -8,9 +8,9 @@ the budgets by ten and shrinks each grid to 10x10.
 """
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
@@ -82,8 +82,10 @@ class _Section:
                 f"{kind}, got {value!r}") from None
 
     def subsection(self, key, default=_REQUIRED):
+        """The mapping at ``key``; null reads as an empty one."""
         value = self.take(key, default)
-        return _Section(value or {}, f"{self.name}.{key}", self.line, self.lines)
+        return _Section({} if value is None else value, f"{self.name}.{key}",
+                        self.line, self.lines)
 
     def finish(self):
         leftovers = [k for k in self._data if k != "__line__"]
@@ -92,17 +94,8 @@ class _Section:
                 self.line, f"unknown key(s) {leftovers} in section {self.name!r}")
 
 
-class SharingStrategy(str, enum.Enum):
-    SHARED = "shared"
-    NON_SHARED = "non_shared"
-
-
-class TrainingStrategy(str, enum.Enum):
-    NONE = "none"
-    PRE_TRAINED = "pre_trained"
-    ONLINE = "online"
-
-
+SHARING_STRATEGIES = ("shared", "non_shared")
+TRAINING_STRATEGIES = ("none", "pre_trained", "online")
 FD_TYPES = ("hardcoded", "ae", "ae_qt")
 DIVERSITY_KINDS = ("none", "outputs", "cov", "cmd")
 # the terms computed from a covariance, which needs two rows
@@ -116,10 +109,7 @@ class GridSpec:
 
     @property
     def capacity(self) -> int:
-        cap = 1
-        for s in self.shape:
-            cap *= s
-        return cap
+        return math.prod(self.shape)
 
 
 # Each section below is one YAML mapping: a field is a key, its default is
@@ -154,7 +144,7 @@ class CuriositySection:
 
 @dataclass
 class SearchSection:
-    sharing: str = "shared"
+    sharing: str = "shared"  # one of SHARING_STRATEGIES
     initialization_budget: int = 1000
     evaluation_budget: int = 10000
     batch_size: int = 100
@@ -164,14 +154,14 @@ class SearchSection:
 
 @dataclass
 class DiversitySection:
-    kind: str = "none"  # none | outputs | cov | cmd
+    kind: str = "none"  # one of DIVERSITY_KINDS
     weight: float = 1.0
     sign: int = -1
 
 
 @dataclass
 class TrainingSection:
-    strategy: str = "online"  # none | pre_trained | online
+    strategy: str = "online"  # one of TRAINING_STRATEGIES
     period: int = 5000
     epochs: int = 200
     learning_rate: float = 0.01
@@ -206,13 +196,30 @@ def _to_float(value) -> float:
     return float(value)
 
 
+def _to_int_tuple(value) -> tuple[int, ...]:
+    """A list of ints; any other value, a string among them, is an error
+    rather than being split into its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    return tuple(_to_int(v) for v in value)
+
+
+def _to_dict(value) -> dict:
+    """A mapping, with null read as an empty one; any other value is an error."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    return _strip_lines(value)
+
+
 # Field annotation -> conversion of the YAML value.
 _COERCE = {
     "str": str,
     "int": _to_int,
     "float": _to_float,
-    "tuple[int, ...]": lambda value: tuple(_to_int(v) for v in value),
-    "dict": lambda value: _strip_lines(dict(value or {})),
+    "tuple[int, ...]": _to_int_tuple,
+    "dict": _to_dict,
 }
 
 
@@ -360,9 +367,9 @@ class ExperimentConfig:
             raise error(
                 "config.containers",
                 f"grid capacities sum to {capacities}, bin budget is {self.bin_budget}")
-        if self.search.sharing not in tuple(SharingStrategy):
+        if self.search.sharing not in SHARING_STRATEGIES:
             raise error("config.search", f"unknown sharing {self.search.sharing!r}")
-        if self.training.strategy not in tuple(TrainingStrategy):
+        if self.training.strategy not in TRAINING_STRATEGIES:
             raise error("config.training",
                         f"unknown training strategy {self.training.strategy!r}")
         if self.training.diversity.kind not in DIVERSITY_KINDS:

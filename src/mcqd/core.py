@@ -136,9 +136,6 @@ class DepotContainer:
         self.fds = [np.concatenate([old, new]) for old, new in zip(self.fds, fds)]
         self.added_since_last_training += len(ids)
 
-    def reset_training_counter(self) -> None:
-        self.added_since_last_training = 0
-
     def observation_corpus(self) -> np.ndarray:
         """All stored observation matrices, (n, channels, timepoints)."""
         return self.observations

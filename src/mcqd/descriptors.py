@@ -4,8 +4,9 @@ Two kinds share one contract, ``extract_many``: a pure function from an
 (n, channels, timepoints) batch to an (n, out_dim) matrix whose components
 lie in the closed unit interval.  They are hardcoded task descriptors built
 from channel reductions, and learned descriptors read off an encoder's
-latent space, optionally pushed through a quantile transform.  Extractors are immutable snapshots; the engine
-swaps new ones in atomically when the ensemble is retrained.
+latent space, optionally pushed through a quantile transform.  Extractors
+are immutable snapshots; the engine swaps new ones in atomically when the
+ensemble is retrained.
 """
 from __future__ import annotations
 
@@ -38,26 +39,15 @@ class ChannelReduction:
             raise ConfigurationError(f"degenerate normalization bounds {self.bounds}")
 
 
-@dataclass(frozen=True)
-class HardcodedSpec:
-    """A fixed FD definition: one reduction per grid dimension."""
-
-    reductions: tuple[ChannelReduction, ...]
-
-    @property
-    def out_dim(self) -> int:
-        return len(self.reductions)
-
-
 class HardcodedExtractor:
-    """A ``HardcodedSpec`` over observations whose channels are named, in
-    order, by ``channel_names``."""
+    """A fixed FD, one reduction per grid dimension, over observations whose
+    channels are named, in order, by ``channel_names``."""
 
-    def __init__(self, spec: HardcodedSpec, channel_names):
-        self.spec = spec
-        self.out_dim = spec.out_dim
+    def __init__(self, reductions: tuple[ChannelReduction, ...], channel_names):
+        self.reductions = reductions
+        self.out_dim = len(reductions)
         self._rows = []
-        for red in spec.reductions:
+        for red in reductions:
             if red.channel not in channel_names:
                 raise ConfigurationError(f"task has no channel named {red.channel!r}")
             self._rows.append(channel_names.index(red.channel))
@@ -70,7 +60,7 @@ class HardcodedExtractor:
         fd = np.empty((len(obs), self.out_dim))
         # sum / t is the division np.mean does, without its per-call overhead
         t = obs.shape[-1]
-        for k, (red, row) in enumerate(zip(self.spec.reductions, self._rows)):
+        for k, (red, row) in enumerate(zip(self.reductions, self._rows)):
             series = obs[:, row]
             if red.kind == "mean":
                 value = series.sum(axis=-1) / t

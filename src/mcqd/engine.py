@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import ModularAutoEncoderEnsemble, ObservationScaler, train_ensemble
-from .config import (
-    GridSpec,
-    MutationSection,
-    SearchSection,
-    SharingStrategy,
-    TrainingSection,
-    TrainingStrategy,
-)
+from .config import GridSpec, MutationSection, SearchSection, TrainingSection
 from .core import (
     AddOutcome,
     ConfigurationError,
@@ -166,8 +159,6 @@ class Engine:
         self.search = search
         self.training = training
         self.seed = int(seed)
-        self.sharing = SharingStrategy(search.sharing)
-        self.training_strategy = TrainingStrategy(training.strategy)
 
         d = task.definition
         hardcoded = [g for g in self.grids if g.fd == "hardcoded"]
@@ -175,10 +166,10 @@ class Engine:
             raise ConfigurationError(
                 f"task {d.name!r} declares only {len(d.hardcoded_fds)} hardcoded FD "
                 f"pairs, the config has {len(hardcoded)} hardcoded grids")
-        for grid, spec in zip(hardcoded, d.hardcoded_fds):
-            if spec.out_dim != len(grid.shape):
+        for grid, reductions in zip(hardcoded, d.hardcoded_fds):
+            if len(reductions) != len(grid.shape):
                 raise ConfigurationError(
-                    f"FD spec has {spec.out_dim} dims, grid "
+                    f"FD spec has {len(reductions)} dims, grid "
                     f"{list(grid.shape)} has {len(grid.shape)}")
         pairs = iter(d.hardcoded_fds)
         # extractors[c] defines container c's FDs; _train sets the learned ones
@@ -198,15 +189,10 @@ class Engine:
         self._rng_mutation = substream(self.seed, STREAM_MUTATION)
         self.eval_budget_used = 0
         self.total_evaluations = 0
-        self.focus_index = 0
         self.retrain_count = 0
         self.initialized = False
 
     # -- helpers ----------------------------------------------------------
-
-    @property
-    def eval_budget(self) -> int:
-        return self.search.evaluation_budget
 
     def _evaluate_genomes(self, genomes: np.ndarray):
         """Run the task on the whole batch and charge its evaluation indices,
@@ -325,19 +311,19 @@ class Engine:
         everywhere = range(len(self.containers))
         self._commit(ids, genomes, fitness, observations, [everywhere] * n,
                      [-1] * n, BatchStats(evals=n))
-        self.depot.reset_training_counter()
+        self.depot.added_since_last_training = 0
         self.initialized = True
 
     def _plan_iterations(self, n: int) -> np.ndarray:
-        """Container index for each of the n iterations of a batch."""
+        """Container index for each of the n iterations of a batch.  Non-shared,
+        the n split evenly from the focus container, ``eval_budget_used mod
+        m``, and the first ``n mod m`` containers from it take one more."""
         m = len(self.containers)
-        if self.sharing is SharingStrategy.SHARED:
+        if self.search.sharing == "shared":
             return self._rng_selection.integers(m, size=n)
         base, rem = divmod(n, m)
         c = np.arange(m)
-        plan = np.repeat((self.focus_index + c) % m, base + (c < rem))
-        self.focus_index = (self.focus_index + rem) % m
-        return plan
+        return np.repeat((self.eval_budget_used + c) % m, base + (c < rem))
 
     def run_batch(self, batch_size: int) -> BatchStats:
         """One batch of select -> mutate -> evaluate -> insert iterations.
@@ -352,7 +338,7 @@ class Engine:
         """
         if not self.initialized:
             raise RuntimeError("initialize() must run before run_batch()")
-        remaining = self.eval_budget - self.eval_budget_used
+        remaining = self.search.evaluation_budget - self.eval_budget_used
         n = min(batch_size, remaining)
         stats = BatchStats(evals=n, partial=n < batch_size)
         if n <= 0:
@@ -373,7 +359,7 @@ class Engine:
         ids, fitness, observations = self._evaluate_genomes(genomes)
         self.eval_budget_used += n
 
-        if self.sharing is SharingStrategy.SHARED:
+        if self.search.sharing == "shared":
             attempted = [range(len(self.containers))] * n
         else:
             attempted = plan[:, np.newaxis].tolist()
@@ -390,13 +376,13 @@ class Engine:
         are kept and the report is flagged; otherwise the depot takes the new
         FD matrices and the learned containers are rebuilt from them.
         """
-        if self.training_strategy is not TrainingStrategy.ONLINE:
+        if self.training.strategy != "online":
             return None
         if self.depot.added_since_last_training < self.training.period:
             return None
         corpus = self.depot.observation_corpus()
         report, fds = self._train(corpus)
-        self.depot.reset_training_counter()
+        self.depot.added_since_last_training = 0
         result = RetrainReport(diverged=report.diverged, message=report.message,
                                epochs=report.epochs_run, corpus=len(corpus))
         if report.diverged:

@@ -144,7 +144,7 @@ def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path,
         writer.writerow([_fmt(v) for v in
                          snapshot(0, engine.containers, engine.depot, bounds).as_row()])
 
-        while engine.eval_budget_used < engine.eval_budget:
+        while engine.eval_budget_used < config.search.evaluation_budget:
             at.batch += 1
             at.phase = "batch"
             stats = engine.run_batch(config.search.batch_size)
@@ -267,8 +267,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
     of a small run.  A replicate that raises is recorded in a FAILED file
     and skipped by the aggregate; its partial artifacts are kept.  The
     aggregate is written once every replicate has finished; with no
-    successful replicate there is nothing to aggregate, and none is written.  Every config error,
-    with or without the task, is raised before the run directory is created.
+    successful replicate there is nothing to aggregate, and none is
+    written.  Every config error, with or without the task, is raised
+    before the run directory is created.
     """
     config.validate()
     build_engine(config, config.seed)

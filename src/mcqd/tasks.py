@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, StructuralError
-from .descriptors import ChannelReduction, HardcodedSpec
+from .descriptors import ChannelReduction
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class TaskDefinition:
     episodes_per_eval: int
     fitness_bounds: tuple[float, float]
     channel_names: tuple[str, ...]
-    # the hand-designed FDs that hardcoded grids take, in order
-    hardcoded_fds: tuple[HardcodedSpec, ...] = ()
+    # hardcoded grids take these FDs in order, one reduction per dimension
+    hardcoded_fds: tuple[tuple[ChannelReduction, ...], ...] = ()
 
     @property
     def episode_steps(self) -> int:
@@ -132,7 +132,7 @@ class SurrogateWalkerTask(Task):
         # two legs' joint postures
         angle = (-self.FALL_ANGLE, self.FALL_ANGLE)
         joint = (-self.JOINT_LIMIT, self.JOINT_LIMIT)
-        hardcoded_fds = tuple(HardcodedSpec(pair) for pair in (
+        hardcoded_fds = (
             (ChannelReduction("displacement", "final", (-5.0, 25.0)),
              ChannelReduction("body_angle", "mean", angle)),
             (ChannelReduction("torque_total", "mean_abs", (0.0, 4.0)),
@@ -141,7 +141,7 @@ class SurrogateWalkerTask(Task):
              ChannelReduction("knee1", "mean", joint)),
             (ChannelReduction("hip2", "mean", joint),
              ChannelReduction("knee2", "mean", joint)),
-        ))
+        )
         self.definition = TaskDefinition(
             name="surrogate_walker",
             genome_dim=genome_dim,

@@ -24,8 +24,6 @@ from mcqd.config import (
 from mcqd.core import GridContainer
 from mcqd.engine import (
     Engine,
-    SharingStrategy,
-    TrainingStrategy,
     mutate_polynomial,
     select_curiosity_roulette,
 )
@@ -69,9 +67,9 @@ def run_desk_search(fd_type, sharing, diversity=("none", 1.0, -1), seed=0,
     task = make_task("surrogate_walker", {"episode_steps": 150, "obs_window": 15})
     grids = [GridSpec(shape=(10, 10), fd=fd_type) for _ in range(n_containers)]
     if fd_type == "hardcoded":
-        strategy = TrainingStrategy.NONE
+        strategy = "none"
     else:
-        strategy = TrainingStrategy.ONLINE
+        strategy = "online"
     kind, weight, sign = diversity
     engine = Engine(
         task=task, grids=grids,
@@ -107,17 +105,17 @@ def run_desk_search(fd_type, sharing, diversity=("none", 1.0, -1), seed=0,
 @pytest.fixture(scope="session")
 def desk_battery():
     cases = {
-        "qt_shared": ("ae_qt", SharingStrategy.SHARED, ("none", 1.0, -1)),
-        "raw_shared": ("ae", SharingStrategy.SHARED, ("none", 1.0, -1)),
-        "qt_ns": ("ae_qt", SharingStrategy.NON_SHARED, ("none", 1.0, -1)),
-        "outputs_ns": ("ae_qt", SharingStrategy.NON_SHARED, ("outputs", 1.0, -1)),
-        "cmd_ns": ("ae_qt", SharingStrategy.NON_SHARED, ("cmd", 1.0, -1)),
+        "qt_shared": ("ae_qt", "shared", ("none", 1.0, -1)),
+        "raw_shared": ("ae", "shared", ("none", 1.0, -1)),
+        "qt_ns": ("ae_qt", "non_shared", ("none", 1.0, -1)),
+        "outputs_ns": ("ae_qt", "non_shared", ("outputs", 1.0, -1)),
+        "cmd_ns": ("ae_qt", "non_shared", ("cmd", 1.0, -1)),
     }
     battery = {}
     for name, (fd, sharing, diversity) in cases.items():
         battery[name] = [run_desk_search(fd, sharing, diversity, seed=s)
                          for s in DESK_SEEDS]
-    battery["single"] = [run_desk_search("hardcoded", SharingStrategy.SHARED,
+    battery["single"] = [run_desk_search("hardcoded", "shared",
                                          seed=DESK_SEEDS[0], n_containers=1)]
     return battery
 

@@ -263,6 +263,57 @@ class TestParsing:
         assert old.hash() == cfg.hash()
         assert "n_workers" not in old.to_yaml()
 
+    @pytest.mark.parametrize("value", ["[]", "0", "false", '""', "[1]"],
+                             ids=["empty-list", "zero", "false", "empty-string", "list"])
+    @pytest.mark.parametrize("section,line", [
+        ("containers", 1), ("task", 1), ("search", 1), ("training", 1),
+        ("training.diversity", 16),  # training's first line
+    ])
+    def test_non_mapping_section_is_an_error(self, section, line, value):
+        """Only null or an absent key reads as an empty section."""
+        parent, _, key = section.rpartition(".")
+        if parent:
+            text = re.sub(rf"(?m)^  {key}: .*$", f"  {key}: {value}", GOOD_YAML)
+        else:
+            text = re.sub(rf"(?m)^{key}:\n(?:  .*\n)*", f"{key}: {value}\n", GOOD_YAML)
+        assert text != GOOD_YAML
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(text)
+        assert str(err.value) == (
+            f"line {line}: section 'config.{section}' must be a mapping")
+
+    @pytest.mark.parametrize("value", ["[]", "0", "false", '""', "[[a, 1]]"],
+                             ids=["empty-list", "zero", "false", "empty-string", "pairs"])
+    def test_non_mapping_task_params_is_an_error(self, value):
+        text = GOOD_YAML.replace("  name: rastrigin_toy",
+                                 f"  name: rastrigin_toy\n  params: {value}")
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(text)
+        assert str(err.value).startswith(
+            "line 9: key 'params' in section 'config.task' must be dict")
+
+    def test_null_section_or_params_reads_as_empty(self):
+        absent = ExperimentConfig.from_yaml(
+            re.sub(r"(?m)^search:\n(?:  .*\n)*", "", GOOD_YAML))
+        null = ExperimentConfig.from_yaml(
+            re.sub(r"(?m)^search:\n(?:  .*\n)*", "search: null\n", GOOD_YAML))
+        assert null == absent
+        cfg = ExperimentConfig.from_yaml(GOOD_YAML.replace(
+            "  name: rastrigin_toy", "  name: rastrigin_toy\n  params: null"))
+        assert cfg == ExperimentConfig.from_yaml(GOOD_YAML) and cfg.task.params == {}
+
+    @pytest.mark.parametrize("old,new,key,line", [
+        ("shape: [6, 6]", 'shape: "66"', "shape", 7),
+        ("shape: [6, 6]", "shape: 66", "shape", 7),
+        ("  epochs: 2", '  epochs: 2\n  hidden: "16"', "hidden", 16),
+    ], ids=["shape-string", "shape-int", "hidden-string"])
+    def test_int_list_key_takes_only_a_list(self, old, new, key, line):
+        """A string is not split into its characters: "16" is not (1, 6)."""
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(GOOD_YAML.replace(old, new))
+        assert str(err.value).startswith(f"line {line}: key {key!r}")
+        assert "must be tuple[int, ...]" in str(err.value)
+
 
 # config.hash() and the sha256 of to_yaml() for every preset at both scales,
 # recorded before from_dict/to_dict were derived from the section classes.

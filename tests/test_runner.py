@@ -5,13 +5,23 @@ import multiprocessing
 import os
 import shutil
 import signal
+import tempfile
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from mcqd.config import ExperimentConfig, build_preset
+from mcqd.config import (
+    DIVERSITY_KINDS,
+    FD_TYPES,
+    SHARING_STRATEGIES,
+    TRAINING_STRATEGIES,
+    ExperimentConfig,
+    build_preset,
+)
 from mcqd.core import ConfigurationError
 from mcqd.runner import (
     build_engine,
@@ -613,6 +623,70 @@ def test_small_initial_collection_trains_under_cov(tmp_path, budget):
             "  quantiles: 40", "  quantiles: 40\n  diversity: {kind: cov}"))
     result = run_experiment(config, tmp_path / "run")
     assert not result.failed, [r.error for r in result.failed]
+
+
+@st.composite
+def small_toy_configs(draw):
+    """A one-replicate ``rastrigin_toy`` config dict over every fd type,
+    sharing, training strategy and diversity kind, with small budgets.  The
+    toy task declares no hardcoded FD, so hardcoded grids are drawn alone."""
+    first = draw(st.sampled_from(FD_TYPES))
+    learned = first != "hardcoded"
+    fds = [first] + draw(st.lists(st.sampled_from(("ae", "ae_qt")) if learned
+                                  else st.just(first), max_size=2))
+    latent = draw(st.integers(1, 2))
+    grids = [{"shape": draw(st.lists(st.integers(1, 4), min_size=latent,
+                                     max_size=latent)), "fd": fd} for fd in fds]
+    return {
+        "case": "fuzz", "seed": draw(st.integers(0, 99)), "replicates": 1,
+        "containers": {"bin_budget": sum(int(np.prod(g["shape"])) for g in grids),
+                       "grids": grids},
+        "task": {"name": "rastrigin_toy",
+                 "params": {"n_timepoints": draw(st.integers(1, 6))}},
+        "search": {
+            "sharing": draw(st.sampled_from(SHARING_STRATEGIES)),
+            "initialization_budget": draw(st.integers(1, 24)),
+            "evaluation_budget": draw(st.integers(1, 48)),
+            "batch_size": draw(st.integers(1, 16)),
+        },
+        "training": {
+            "strategy": draw(st.sampled_from(
+                [s for s in TRAINING_STRATEGIES if s != "none"] if learned
+                else ["none"])),
+            "period": draw(st.integers(1, 24)),
+            "epochs": draw(st.integers(1, 3)),
+            "learning_rate": draw(st.sampled_from((0.0, 0.01, 0.1))),
+            "batch_size": draw(st.integers(1, 16)),
+            "latent_dim": latent,
+            "hidden": draw(st.lists(st.integers(1, 6), max_size=2)),
+            "dropout": draw(st.sampled_from((0.0, 0.2))),
+            "quantiles": draw(st.integers(2, 20)),
+            "diversity": {"kind": draw(st.sampled_from(DIVERSITY_KINDS)),
+                          "weight": draw(st.sampled_from((0.0, 1.0))),
+                          "sign": draw(st.sampled_from((1, -1)))},
+        },
+    }
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(small_toy_configs())
+def test_a_config_that_loads_runs(data):
+    """Every small toy config that loads either runs its replicate to the
+    end or, with a hardcoded grid, is rejected before its run directory
+    exists: the toy task declares no hardcoded FDs."""
+    try:
+        config = ExperimentConfig.from_dict(data)
+    except ConfigurationError:
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = os.path.join(tmp, "run")
+        if any(g.fd == "hardcoded" for g in config.grids):
+            with pytest.raises(ConfigurationError, match="declares only 0 hardcoded"):
+                run_experiment(config, run_dir)
+            assert not os.path.exists(run_dir)
+            return
+        result = run_experiment(config, run_dir)
+        assert not result.failed, result.failed[0].error
 
 
 class TestOutputRoot:

@@ -445,16 +445,25 @@ def _decode_output(layer, h, y, tmp) -> np.ndarray:
     return _sigmoid(y, out=y, tmp=tmp)
 
 
+def _gradient(ensemble: ModularAutoEncoderEnsemble) -> tuple[np.ndarray, list]:
+    """A vector laid out like ``ensemble.theta`` and its ``views``, for
+    ``backward`` to write gradients into."""
+    grad = np.empty_like(ensemble.theta)
+    return grad, ensemble.views(grad)
+
+
 def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
-             buffers: np.ndarray | None = None, need_grads=True):
+             buffers: np.ndarray | None = None, need_grads=True, grad=None):
     """Combined loss and its gradient w.r.t. every parameter of every module.
 
-    Returns (loss, grad) with grad a fresh vector laid out like
-    ``ensemble.theta``; grad is None without ``need_grads`` or when the loss
-    is not finite.  With ``train=True`` dropout masks are sampled from
-    ``rng`` and the returned gradient incorporates them.  ``buffers``, from
-    ``_output_buffers`` with at least as many rows as the batch, lets a
-    training loop reuse one set of output-layer scratch arrays.
+    Returns (loss, grad) with grad a vector laid out like ``ensemble.theta``:
+    the vector of ``grad``, a (vector, views) pair from ``_gradient`` whose
+    every element is written, or else a fresh one.  The returned grad is
+    None without ``need_grads`` or when the loss is not finite.  With
+    ``train=True`` dropout masks are sampled from ``rng`` and the returned
+    gradient incorporates them.  ``buffers``, from ``_output_buffers`` with
+    at least as many rows as the batch, and ``grad`` let a training loop
+    reuse one set of scratch arrays.
 
     The wide decoder output layer runs one module at a time in the buffers:
     its forward pass, the loss terms, their gradient and the layer's
@@ -474,8 +483,7 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     dropout = ensemble.dropout if train else 0.0
     y, d, tmp, *mean = buffers[:, :b]
     mean_y = mean[0] if kind == "outputs" else None
-    grad = np.empty_like(ensemble.theta) if need_grads else None
-    grad_nets = ensemble.views(grad) if need_grads else None
+    grad, grad_nets = (grad or _gradient(ensemble)) if need_grads else (None, None)
 
     def finish(k, h, enc_cache, dec_cache, d_z_extra=None):
         """Module k's output layer, loss terms and backward pass; returns
@@ -564,17 +572,24 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
+        self._scratch = np.empty((2, *theta.shape))
 
     def step(self, grad) -> None:
+        """theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps) after the
+        moment updates, each operation of that expression in its order,
+        through two scratch vectors."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
+        s, r = self._scratch
         self.m *= b1
-        self.m += (1 - b1) * grad
+        self.m += np.multiply(1 - b1, grad, out=s)
         self.v *= b2
-        self.v += (1 - b2) * grad * grad
-        self.theta -= self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + self.eps)
+        self.v += np.multiply(np.multiply(1 - b2, grad, out=s), grad, out=s)
+        np.multiply(self.lr, np.divide(self.m, bias1, out=s), out=s)
+        np.add(np.sqrt(np.divide(self.v, bias2, out=r), out=r), self.eps, out=r)
+        self.theta -= np.divide(s, r, out=s)
 
 
 # perfbench/micro.py imports this name; ROADMAP item 6's benchmark change
@@ -617,6 +632,10 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     each epoch.  On a non-finite loss, or a module collapsed under the cmd
     loss (every latent constant), the pass aborts and the report is flagged
     diverged; the caller decides whether to keep the old model.
+
+    The corpus is the only corpus-sized array: each minibatch is gathered
+    from it into one array sized once, beside a copy of the validation rows,
+    the output buffers, one gradient vector and Adam's state.
     """
     x = _as_batch(inputs)
     n = x.shape[0]
@@ -627,27 +646,32 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
         n_val = min(n_val, n - 2)
         if n_val < 2:
             n_val = 0
-    val_idx = perm[:n_val]
+    x_val = x[perm[:n_val]]
     train_idx = perm[n_val:]
-    x_val = x[val_idx]
-    x_train = x[train_idx]
+    n_train = train_idx.shape[0]
 
     opt = Adam(ensemble.theta, training.learning_rate)
-    slices = _batch_slices(x_train.shape[0], training.batch_size)
-    buffers = _output_buffers(ensemble, max([hi - lo for lo, hi in slices] + [n_val]))
+    slices = _batch_slices(n_train, training.batch_size)
+    batch_rows = max(hi - lo for lo, hi in slices)
+    buffers = _output_buffers(ensemble, max(batch_rows, n_val))
+    minibatch = np.empty((batch_rows, x.shape[1]))
+    grad_out = _gradient(ensemble)
     report = TrainReport()
     try:
         for epoch in range(training.epochs):
-            order = rng.permutation(x_train.shape[0])
+            order = rng.permutation(n_train)
             epoch_loss = 0.0
             for lo, hi in slices:
-                xb = x_train[order[lo:hi]]
-                loss, grad = backward(ensemble, xb, train=True, rng=rng, buffers=buffers)
+                # the rows are in range; mode="raise" would gather into a copy
+                xb = np.take(x, train_idx[order[lo:hi]], axis=0,
+                             out=minibatch[:hi - lo], mode="clip")
+                loss, grad = backward(ensemble, xb, train=True, rng=rng,
+                                      buffers=buffers, grad=grad_out)
                 if not np.isfinite(loss):
                     raise InvalidValueError("non-finite training loss")
                 epoch_loss += loss * (hi - lo)
                 opt.step(grad)
-            report.train_losses.append(epoch_loss / x_train.shape[0])
+            report.train_losses.append(epoch_loss / n_train)
             if n_val > 0:
                 val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
                 if not np.isfinite(val):
@@ -693,7 +717,10 @@ class ObservationScaler:
         lo = self.lo[:, np.newaxis]
         span = (self.hi - self.lo)[:, np.newaxis]
         ok = span > 0
-        scaled = np.where(ok, (obs - lo) / np.where(ok, span, 1.0), 0.5)
+        # one (n, channels, t) array: (obs - lo) / span, 0.5 where constant
+        scaled = np.subtract(obs, lo)
+        np.divide(scaled, np.where(ok, span, 1.0), out=scaled)
+        np.copyto(scaled, 0.5, where=~ok)
         return scaled.reshape(obs.shape[0], -1)
 
 

@@ -21,12 +21,15 @@ _REQUIRED = object()
 
 
 class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that records the source line of every mapping."""
+    """SafeLoader that records the source line of every mapping, under
+    ``__line__``, and of each of its keys, under ``__key_lines__``."""
 
 
 def _mapping_with_line(loader, node, deep=False):
     mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
     mapping["__line__"] = node.start_mark.line + 1
+    mapping["__key_lines__"] = {loader.construct_object(key): key.start_mark.line + 1
+                                for key, _ in node.value}
     return mapping
 
 
@@ -34,10 +37,13 @@ _LineLoader.add_constructor(
     yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _mapping_with_line)
 
 
+_LINE_MARKERS = ("__line__", "__key_lines__")
+
+
 def _strip_lines(data):
     """Drop the line markers the loader injects into nested mappings."""
     if isinstance(data, dict):
-        return {k: _strip_lines(v) for k, v in data.items() if k != "__line__"}
+        return {k: _strip_lines(v) for k, v in data.items() if k not in _LINE_MARKERS}
     if isinstance(data, list):
         return [_strip_lines(v) for v in data]
     return data
@@ -58,6 +64,7 @@ class _Section:
         self._data = dict(data)
         self.name = name
         self.line = self._data.pop("__line__", line)
+        self._key_lines = self._data.pop("__key_lines__", {})
         # section name -> first line, shared by a root and its subsections
         self.lines = {} if lines is None else lines
         self.lines[name] = self.line
@@ -79,16 +86,17 @@ class _Section:
         except (TypeError, ValueError):
             raise _config_error(
                 self.line, f"key {key!r} in section {self.name!r} must be "
-                f"{kind}, got {value!r}") from None
+                f"{kind}, got {_strip_lines(value)!r}") from None
 
     def subsection(self, key, default=_REQUIRED):
-        """The mapping at ``key``; null reads as an empty one."""
+        """The mapping at ``key``; null reads as an empty one.  A value that
+        is not a mapping is an error at the key's own line."""
         value = self.take(key, default)
         return _Section({} if value is None else value, f"{self.name}.{key}",
-                        self.line, self.lines)
+                        self._key_lines.get(key, self.line), self.lines)
 
     def finish(self):
-        leftovers = [k for k in self._data if k != "__line__"]
+        leftovers = list(self._data)
         if leftovers:
             raise _config_error(
                 self.line, f"unknown key(s) {leftovers} in section {self.name!r}")
@@ -181,6 +189,14 @@ class TrainingSection:
 _RETIRED_KEYS = {SearchSection: ("n_workers",)}
 
 
+def _to_str(value) -> str:
+    """``str(value)`` of a scalar; a list or a mapping is an error rather
+    than becoming its repr."""
+    if isinstance(value, (list, tuple, dict)):
+        raise TypeError(value)
+    return str(value)
+
+
 def _to_int(value) -> int:
     """``int(value)``, except that a boolean or a float with a fractional part
     is an error rather than silently becoming 1 or a truncated count."""
@@ -215,7 +231,7 @@ def _to_dict(value) -> dict:
 
 # Field annotation -> conversion of the YAML value.
 _COERCE = {
-    "str": str,
+    "str": _to_str,
     "int": _to_int,
     "float": _to_float,
     "tuple[int, ...]": _to_int_tuple,
@@ -307,7 +323,7 @@ class ExperimentConfig:
         for g in raw_grids:
             gsec = _Section(g, "containers.grids[]", cont_sec.line)
             shape = gsec.take_as("shape", "tuple[int, ...]")
-            fd = str(gsec.take("fd"))
+            fd = gsec.take_as("fd", "str")
             count = gsec.take_as("count", "int", 1)
             gsec.finish()
             for _ in range(count):

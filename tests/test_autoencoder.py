@@ -1,6 +1,7 @@
 """Loss oracles, analytic-gradient checks, and training behaviour."""
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from mcqd.autoencoder import (
     Adam,
     ModularAutoEncoderEnsemble,
     ObservationScaler,
+    _gradient,
     backward,
     combined_loss,
     d_corr,
@@ -353,6 +355,22 @@ class TestGradients:
         assert loss == fresh_loss
         np.testing.assert_array_equal(grads, fresh_grads)
 
+    @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_caller_gradient_vector_gives_fresh_bits(self, kind, train):
+        """backward overwrites every element of a caller's gradient vector,
+        here pre-filled with NaN, with the bits a fresh call returns."""
+        ens = build_toy_ensemble(n_modules=3, diversity_kind=kind, dropout=0.3,
+                                 seed=19)
+        x = np.random.default_rng(9).random((10, 6))
+        grad = _gradient(ens)
+        grad[0].fill(np.nan)
+        loss, got = backward(ens, x, train, np.random.default_rng(10), grad=grad)
+        fresh_loss, fresh = backward(ens, x, train, np.random.default_rng(10))
+        assert got is grad[0] and not np.shares_memory(got, fresh)
+        assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
+        assert got.tobytes() == fresh.tobytes()
+
     def test_weight_gradient_sums_row_blocks_in_order(self):
         from mcqd.autoencoder import _weight_grad
         rng = np.random.default_rng(18)
@@ -580,6 +598,37 @@ class TestTraining:
         assert not report.diverged
         assert np.isnan(report.val_losses).all() == (held_out == 0)
 
+    @pytest.mark.parametrize("kind", ["none", "cmd"])
+    def test_working_set_is_the_named_arrays(self, kind):
+        """Above the scaled corpus it is given, a training holds the arrays
+        README § Performance names, plus every live module's forward caches
+        and a stated slack; no copy of the training rows, no second gradient
+        and no optimizer temporaries."""
+        rows, n_val, batch, dim, m = 600, 150, 128, 140, 3
+        ens = ModularAutoEncoderEnsemble.build(dim, 2, m, hidden=(16, 5),
+                                               diversity_kind=kind,
+                                               rng=np.random.default_rng(35))
+        cfg = TrainingSection(epochs=2, learning_rate=0.01, batch_size=batch,
+                              validation_split=n_val / rows)
+        x = np.random.default_rng(36).random((rows, dim))
+        named = (3 * max(batch, n_val) * dim  # output buffers
+                 + batch * dim  # the minibatch
+                 + n_val * dim  # x_val
+                 + 5 * ens.theta.size) * 8  # Adam's m, v and scratch; the gradient
+        # per row and module: a, activation, dropout mask and masked output
+        # of each hidden unit; a and sigmoid of each latent unit
+        caches = batch * (4 * 2 * (16 + 5) + 2 * 2) * 8 * (1 if kind == "none" else m)
+        slack = 256 * 1024  # backward's per-layer temporaries
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            report = train_ensemble(ens, x, cfg, np.random.default_rng(37))
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert not report.diverged
+        assert peak <= named + caches + slack, (peak, named, caches)
+
     def test_loss_curves_have_epoch_length(self):
         ens = build_toy_ensemble(n_modules=1, seed=34)
         cfg = TrainingSection(epochs=5, learning_rate=0.01, batch_size=8,
@@ -763,3 +812,18 @@ class TestObservationScaler:
         np.testing.assert_allclose(flat, [[0.0, 1.0, 0.5, 0.5]])  # const channel -> 0.5
         with pytest.raises(StructuralError):  # one matrix is a one-row batch
             scaler.transform(corpus[0])
+
+    def test_transform_is_bitwise_the_masked_formula(self):
+        """The in-place transform gives the bits of the former expression."""
+        rng = np.random.default_rng(38)
+        corpus = rng.normal(size=(40, 5, 7)) * 10.0 ** rng.integers(-3, 4, (1, 5, 1))
+        corpus[:, 2] = -1.25  # a constant channel
+        scaler = ObservationScaler.fit(corpus)
+        obs = rng.normal(size=(9, 5, 7)) * 100.0
+        lo = scaler.lo[:, np.newaxis]
+        span = (scaler.hi - scaler.lo)[:, np.newaxis]
+        ok = span > 0
+        want = np.where(ok, (obs - lo) / np.where(ok, span, 1.0), 0.5).reshape(9, -1)
+        got = scaler.transform(obs)
+        assert not ok.all() and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -265,12 +265,17 @@ class TestParsing:
 
     @pytest.mark.parametrize("value", ["[]", "0", "false", '""', "[1]"],
                              ids=["empty-list", "zero", "false", "empty-string", "list"])
-    @pytest.mark.parametrize("section,line", [
+    @pytest.mark.parametrize("section,parent_line", [
         ("containers", 1), ("task", 1), ("search", 1), ("training", 1),
         ("training.diversity", 16),  # training's first line
     ])
-    def test_non_mapping_section_is_an_error(self, section, line, value):
-        """Only null or an absent key reads as an empty section."""
+    def test_non_mapping_section_is_an_error(self, section, parent_line, value):
+        """Only null or an absent key reads as an empty section.  Any other
+        value is an error at the key's own line, not at the first line of
+        the mapping that holds the key."""
+        line = {"containers": 4, "task": 8, "search": 10, "training": 15,
+                "training.diversity": 19}[section]
+        assert line != parent_line
         parent, _, key = section.rpartition(".")
         if parent:
             text = re.sub(rf"(?m)^  {key}: .*$", f"  {key}: {value}", GOOD_YAML)
@@ -301,6 +306,23 @@ class TestParsing:
         cfg = ExperimentConfig.from_yaml(GOOD_YAML.replace(
             "  name: rastrigin_toy", "  name: rastrigin_toy\n  params: null"))
         assert cfg == ExperimentConfig.from_yaml(GOOD_YAML) and cfg.task.params == {}
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("case: demo", "case: {a: 1}",
+         "line 1: key 'case' in section 'config' must be str, got {'a': 1}"),
+        ("  name: rastrigin_toy", "  name: [rastrigin_toy]",
+         "line 9: key 'name' in section 'config.task' must be str, "
+         "got ['rastrigin_toy']"),
+        ("fd: ae_qt", "fd: [ae_qt]",
+         "line 7: key 'fd' in section 'containers.grids[]' must be str, "
+         "got ['ae_qt']"),
+    ], ids=["case-mapping", "task-name-list", "fd-list"])
+    def test_string_key_takes_only_a_scalar(self, old, new, message):
+        """A list or a mapping does not load as its repr, which would then
+        name the run directory or the task."""
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(GOOD_YAML.replace(old, new))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("old,new,key,line", [
         ("shape: [6, 6]", 'shape: "66"', "shape", 7),

@@ -208,13 +208,13 @@ class ModularAutoEncoderEnsemble:
             raise StructuralError(f"encode takes a (batch, in) matrix, not {x.shape}")
         return net_forward(self.nets[module_index][0], x)[0]
 
-    def forward_all(self, x: np.ndarray, train: bool = False, rng=None):
-        """Forward every module; returns (zs, ys, enc_caches, dec_caches)."""
-        dropout = self.dropout if train else 0.0
+    def forward_all(self, x: np.ndarray):
+        """Forward every module, inference mode; returns (zs, ys, enc_caches,
+        dec_caches)."""
         zs, ys, enc_caches, dec_caches = [], [], [], []
         for enc, dec in self.nets:
-            z, ec = net_forward(enc, x, dropout, rng)
-            y, dc = net_forward(dec, z, dropout, rng)
+            z, ec = net_forward(enc, x)
+            y, dc = net_forward(dec, z)
             zs.append(z)
             ys.append(y)
             enc_caches.append(ec)
@@ -250,14 +250,30 @@ def _outputs_value(ys) -> float:
     return total / (b * m)
 
 
-def _cov_value(zs) -> float:
+def _cov_term(zs, need_grads):
+    """The cov term and, with ``need_grads``, its gradient d term / d z_m for
+    each module (else None), from one covariance matrix of the concatenated
+    latents; the gradient is the centered latents times the sign of the
+    off-diagonal covariances."""
     z_cat = np.hstack(zs)
-    if z_cat.shape[0] < 2:
+    b = z_cat.shape[0]
+    if b < 2:
         raise StructuralError("covariance needs a batch of at least 2")
     if z_cat.shape[1] < 2:
-        return 0.0
+        return 0.0, [np.zeros_like(z) for z in zs] if need_grads else None
     c = np.cov(z_cat, rowvar=False, ddof=1)
-    return float(np.sum(np.abs(c)) - np.trace(np.abs(c)))
+    value = float(np.sum(np.abs(c)) - np.trace(np.abs(c)))
+    if not need_grads:
+        return value, None
+    sgn = np.sign(c)
+    np.fill_diagonal(sgn, 0.0)
+    centered = z_cat - z_cat.mean(axis=0)
+    g = 2.0 / (b - 1) * centered @ sgn
+    grads, col = [], 0
+    for z in zs:
+        grads.append(g[:, col:col + z.shape[1]])
+        col += z.shape[1]
+    return value, grads
 
 
 def _corr_matrix(z):
@@ -288,25 +304,62 @@ def d_corr(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(np.clip(raw, 0.0, 1.0))
 
 
-def _cmd_value(zs, latent_dim) -> float:
+def _d_corr_grad_h1(h1, h2):
+    """d d_corr(H1, H2) / d H1 (unclamped form)."""
+    n1 = np.linalg.norm(h1)
+    n2 = np.linalg.norm(h2)
+    tr = np.trace(h1 @ h2)
+    return -h2 / (n1 * n2) + tr * h1 / (n1 ** 3 * n2)
+
+
+def _corr_to_latent_grad(g_r, c, s, active, z):
+    """Chain d loss / d R into d loss / d Z for one module's latent batch."""
+    b = z.shape[0]
+    inv = 1.0 / s
+    g_c = g_r * np.outer(inv, inv)
+    g_sym = 0.5 * (g_r + g_r.T)
+    # std path: only columns above the floor feed gradients through s
+    diag_corr = active * inv ** 3 * np.sum(g_sym * c * inv[np.newaxis, :], axis=1)
+    g_c[np.diag_indices_from(g_c)] -= diag_corr
+    centered = z - z.mean(axis=0)
+    return centered @ (g_c + g_c.T) / (b - 1)
+
+
+def _cmd_term(zs, latent_dim, need_grads):
+    """The cmd term and, with ``need_grads``, its gradient d term / d z_m for
+    each module (else None), from one correlation matrix per module.  A
+    single module's term is 0."""
+    m = len(zs)
     if zs[0].shape[0] < 2:
         raise StructuralError("correlations need a batch of at least 2")
-    if len(zs) < 2:
-        return 0.0
-    if latent_dim < 2:
+    if m >= 2 and latent_dim < 2:
         raise StructuralError("cmd diversity needs latent_dim >= 2")
-    rs = [_corr_matrix(z)[0] for z in zs]
-    for k, r in enumerate(rs):
-        if not r.any():
-            raise InvalidValueError(
-                f"module {k} collapsed (its latents are constant): its "
-                f"correlation matrix is zero, so the cmd distance is undefined")
+    mats = [_corr_matrix(z) for z in zs]
     total = 0.0
-    for i in range(len(rs)):
-        for j in range(len(rs)):
-            if i != j:
-                total += d_corr(rs[i], rs[j])
-    return total
+    if m >= 2:
+        for k, (r, *_) in enumerate(mats):
+            if not r.any():
+                raise InvalidValueError(
+                    f"module {k} collapsed (its latents are constant): its "
+                    f"correlation matrix is zero, so the cmd distance is undefined")
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    total += d_corr(mats[i][0], mats[j][0])
+    if not need_grads:
+        return total, None
+    grads = []
+    for i in range(m):
+        r_i, c_i, s_i, active_i = mats[i]
+        g_r = np.zeros_like(r_i)
+        for j in range(m):
+            if j == i:
+                continue
+            # d_corr appears as both (i, j) and (j, i); it is symmetric in
+            # its arguments, so each pair contributes twice.
+            g_r += 2.0 * _d_corr_grad_h1(r_i, mats[j][0])
+        grads.append(_corr_to_latent_grad(g_r, c_i, s_i, active_i, zs[i]))
+    return total, grads
 
 
 def loss_recons(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
@@ -327,14 +380,14 @@ def loss_cov(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
     """Sum of |off-diagonal| covariance over all modules' concatenated latents."""
     x = _as_batch(batch)
     zs, _, _, _ = ensemble.forward_all(x)
-    return _cov_value(zs)
+    return _cov_term(zs, need_grads=False)[0]
 
 
 def loss_cmd(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
     """Sum over ordered module pairs of their correlation-matrix distance."""
     x = _as_batch(batch)
     zs, _, _, _ = ensemble.forward_all(x)
-    return _cmd_value(zs, ensemble.latent_dim)
+    return _cmd_term(zs, ensemble.latent_dim, need_grads=False)[0]
 
 
 def combined_loss(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
@@ -359,71 +412,15 @@ def _combined_value(ensemble, x, zs, ys) -> float:
     if kind == "outputs":
         div = _outputs_value(ys)
     elif kind == "cov":
-        div = _cov_value(zs)
+        div = _cov_term(zs, need_grads=False)[0]
     else:
-        div = _cmd_value(zs, ensemble.latent_dim)
+        div = _cmd_term(zs, ensemble.latent_dim, need_grads=False)[0]
     return value + ensemble.diversity_sign * ensemble.diversity_weight * div
 
 
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
-
-def _cov_latent_grads(zs):
-    """d cov-loss / d z_m for each module, via sign of the covariance matrix."""
-    z_cat = np.hstack(zs)
-    b = z_cat.shape[0]
-    if z_cat.shape[1] < 2:
-        return [np.zeros_like(z) for z in zs]
-    c = np.cov(z_cat, rowvar=False, ddof=1)
-    sgn = np.sign(c)
-    np.fill_diagonal(sgn, 0.0)
-    centered = z_cat - z_cat.mean(axis=0)
-    g = 2.0 / (b - 1) * centered @ sgn
-    grads, col = [], 0
-    for z in zs:
-        grads.append(g[:, col:col + z.shape[1]])
-        col += z.shape[1]
-    return grads
-
-
-def _d_corr_grad_h1(h1, h2):
-    """d d_corr(H1, H2) / d H1 (unclamped form)."""
-    n1 = np.linalg.norm(h1)
-    n2 = np.linalg.norm(h2)
-    tr = np.trace(h1 @ h2)
-    return -h2 / (n1 * n2) + tr * h1 / (n1 ** 3 * n2)
-
-
-def _corr_to_latent_grad(g_r, c, s, active, z):
-    """Chain d loss / d R into d loss / d Z for one module's latent batch."""
-    b = z.shape[0]
-    inv = 1.0 / s
-    g_c = g_r * np.outer(inv, inv)
-    g_sym = 0.5 * (g_r + g_r.T)
-    # std path: only columns above the floor feed gradients through s
-    diag_corr = active * inv ** 3 * np.sum(g_sym * c * inv[np.newaxis, :], axis=1)
-    g_c[np.diag_indices_from(g_c)] -= diag_corr
-    centered = z - z.mean(axis=0)
-    return centered @ (g_c + g_c.T) / (b - 1)
-
-
-def _cmd_latent_grads(zs):
-    mats = [_corr_matrix(z) for z in zs]
-    m = len(zs)
-    grads = []
-    for i in range(m):
-        r_i, c_i, s_i, active_i = mats[i]
-        g_r = np.zeros_like(r_i)
-        for j in range(m):
-            if j == i:
-                continue
-            # d_corr appears as both (i, j) and (j, i); it is symmetric in
-            # its arguments, so each pair contributes twice.
-            g_r += 2.0 * _d_corr_grad_h1(r_i, mats[j][0])
-        grads.append(_corr_to_latent_grad(g_r, c_i, s_i, active_i, zs[i]))
-    return grads
-
 
 def _output_buffers(ensemble: ModularAutoEncoderEnsemble, rows: int) -> np.ndarray:
     """Scratch (rows, input_dim) arrays for the decoders' wide output layer.
@@ -468,11 +465,12 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     The wide decoder output layer runs one module at a time in the buffers:
     its forward pass, the loss terms, their gradient and the layer's
     backward pass share three (n, input_dim) arrays.  Without a diversity
-    term each module finishes its backward pass before the next one starts,
-    so one module's activations are alive at a time.  Dropout masks are
-    drawn in ``forward_all``'s order, and each float operation, with its
-    operand order, is the one ``forward_all`` and ``_combined_value``
-    perform, so the loss is bit-identical to ``combined_loss``.
+    term each module finishes its backward pass, and drops its activations,
+    before the next one starts, so one module's activations are alive at a
+    time.  Dropout masks are drawn module by module, encoder then decoder,
+    layer by layer.  Each float operation, with its operand order, is the
+    one ``forward_all`` and ``_combined_value`` perform, so without dropout
+    the loss is bit-identical to ``combined_loss``.
     """
     x = _as_batch(batch)
     if buffers is None:
@@ -521,6 +519,7 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
         h, dec_cache = net_forward(dec, z, dropout, rng, stop=-1)
         if kind == "none":
             terms.append(finish(k, h, enc_cache, dec_cache))
+            del z, h, enc_cache, dec_cache  # free before the next module runs
         else:
             zs.append(z)
             passes.append((k, h, enc_cache, dec_cache))
@@ -532,14 +531,11 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
         for k, h, _, _ in passes:
             mean_y += _decode_output(ensemble.nets[k][1][-1], h, y, tmp)
         mean_y /= m
-    elif kind == "cov":
-        div = _cov_value(zs)
+    elif kind in COVARIANCE_KINDS:
+        div, latent_grads = (_cov_term(zs, need_grads) if kind == "cov"
+                             else _cmd_term(zs, ensemble.latent_dim, need_grads))
         if need_grads:
-            d_zs_extra = [lam * g for g in _cov_latent_grads(zs)]
-    elif kind == "cmd":
-        div = _cmd_value(zs, ensemble.latent_dim)
-        if need_grads:
-            d_zs_extra = [lam * g for g in _cmd_latent_grads(zs)]
+            d_zs_extra = [lam * g for g in latent_grads]
     for p, d_z_extra in zip(passes, d_zs_extra):
         terms.append(finish(*p, d_z_extra))
 

@@ -442,7 +442,7 @@ class ExperimentConfig:
                             ("evaluation_budget", self.search.evaluation_budget),
                             ("batch_size", self.search.batch_size)):
             if value < 1:
-                raise error("config.search", f"{name} must be >= 1")
+                raise error("config.search", f"search.{name} must be >= 1")
         # A covariance term needs two rows in every batch it sees, and a
         # quantile fit two samples.
         n_learned = sum(g.fd in learned for g in self.grids)

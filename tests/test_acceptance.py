@@ -160,7 +160,7 @@ def test_c01_gradient_correctness():
 def test_c02_loss_oracles():
     """Vectorized losses vs brute-force scalar loops, 50 random batches."""
     start = time.time()
-    from mcqd.autoencoder import (_cmd_value, _cov_value, _outputs_value,
+    from mcqd.autoencoder import (_cmd_term, _cov_term, _outputs_value,
                                   _recons_value)
     rng = np.random.default_rng(0)
     for trial in range(50):
@@ -171,8 +171,8 @@ def test_c02_loss_oracles():
         zs, ys, _, _ = ens.forward_all(x)
         assert abs(_recons_value(x, ys) - brute_recons(x, ys)) < 1e-10
         assert abs(_outputs_value(ys) - brute_outputs(ys)) < 1e-10
-        assert abs(_cov_value(zs) - brute_cov(zs)) < 1e-10
-        assert abs(_cmd_value(zs, 2) - brute_cmd(zs)) < 1e-10
+        assert abs(_cov_term(zs, False)[0] - brute_cov(zs)) < 1e-10
+        assert abs(_cmd_term(zs, 2, False)[0] - brute_cmd(zs)) < 1e-10
         for i in range(m):
             for j in range(m):
                 if i != j:

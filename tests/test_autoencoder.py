@@ -164,19 +164,19 @@ class TestLossOracles:
         rng = np.random.default_rng(4)
         col = rng.random(20)
         z = np.column_stack([col, col])
-        from mcqd.autoencoder import _cov_value
+        from mcqd.autoencoder import _cov_term
         v = np.var(col, ddof=1)
-        assert _cov_value([z]) == pytest.approx(2 * v, rel=1e-12)
+        assert _cov_term([z], False)[0] == pytest.approx(2 * v, rel=1e-12)
 
     def test_cov_independent_columns_near_zero(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(10_000, 2))
-        from mcqd.autoencoder import _cov_value
-        assert _cov_value([z]) < 0.05
+        from mcqd.autoencoder import _cov_term
+        assert _cov_term([z], False)[0] < 0.05
 
     def test_cov_single_column_is_zero(self):
-        from mcqd.autoencoder import _cov_value
-        assert _cov_value([np.random.default_rng(0).random((10, 1))]) == 0.0
+        from mcqd.autoencoder import _cov_term
+        assert _cov_term([np.random.default_rng(0).random((10, 1))], False)[0] == 0.0
 
     def test_cov_requires_batch_of_two(self):
         ens = build_toy_ensemble(n_modules=1, seed=0)
@@ -229,9 +229,9 @@ class TestDCorr:
         # module latents engineered to give R1 = I, R2 = all-ones
         z1 = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         z2 = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
-        from mcqd.autoencoder import _cmd_value
+        from mcqd.autoencoder import _cmd_term
         expected = 2 * (1.0 - 1.0 / np.sqrt(2.0))
-        assert _cmd_value([z1, z2], 2) == pytest.approx(expected, abs=1e-12)
+        assert _cmd_term([z1, z2], 2, False)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestCombinedLoss:
@@ -628,6 +628,30 @@ class TestTraining:
             tracemalloc.stop()
         assert not report.diverged
         assert peak <= named + caches + slack, (peak, named, caches)
+
+    def test_modules_without_a_diversity_term_run_one_at_a_time(self):
+        """Without a diversity term a module's activations are freed before
+        the next module runs: from 1 to 3 modules the traced peak grows by
+        the five parameter-sized vectors and at most 64 KiB more."""
+        rows, dim = 1400, 140
+        x = np.random.default_rng(38).random((rows, dim))
+        cfg = TrainingSection(epochs=1, learning_rate=0.01, batch_size=1024,
+                              validation_split=0.25)
+        peaks, sizes = [], []
+        for m in (1, 3):
+            ens = ModularAutoEncoderEnsemble.build(dim, 2, m, hidden=(16, 5),
+                                                   rng=np.random.default_rng(39))
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                report = train_ensemble(ens, x, cfg, np.random.default_rng(40))
+                peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+            finally:
+                tracemalloc.stop()
+            assert not report.diverged
+            sizes.append(ens.theta.size)
+        vectors = 5 * (sizes[1] - sizes[0]) * 8
+        assert peaks[1] - peaks[0] <= vectors + 64 * 1024, (peaks, vectors)
 
     def test_loss_curves_have_epoch_length(self):
         ens = build_toy_ensemble(n_modules=1, seed=34)

@@ -145,11 +145,34 @@ class TestParsing:
          "grid capacities sum to 72, bin budget is 70"),
         ("fd: ae_qt", "fd: pca", 7, "unknown fd type(s) ['pca']"),
         ("seed: 7", "seed: -7", 1, "seed must be >= 0"),
-    ], ids=["training", "diversity", "containers", "grid", "root"])
+        ("sharing: non_shared", "sharing: both", 11, "unknown sharing 'both'"),
+        ("strategy: online", "strategy: offline", 16,
+         "unknown training strategy 'offline'"),
+        ("kind: cmd", "kind: mmd", 19, "unknown diversity kind 'mmd'"),
+        ("replicates: 2", "replicates: 0", 1, "replicates must be >= 1"),
+        ("initialization_budget: 20", "initialization_budget: 0", 11,
+         "search.initialization_budget must be >= 1"),
+        ("evaluation_budget: 100", "evaluation_budget: 0", 11,
+         "search.evaluation_budget must be >= 1"),
+        ("  batch_size: 10", "  batch_size: 0", 11, "search.batch_size must be >= 1"),
+    ], ids=["training", "diversity", "containers", "grid", "root", "sharing",
+            "training-strategy", "diversity-kind", "replicates",
+            "initialization-budget", "evaluation-budget", "search-batch-size"])
     def test_validation_error_carries_the_section_line(self, old, new, line, message):
         with pytest.raises(ConfigurationError) as err:
             ExperimentConfig.from_yaml(GOOD_YAML.replace(old, new))
         assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("text,message", [
+        ("- case: demo\n- seed: 7\n", "line 1: config must be a YAML mapping"),
+        (GOOD_YAML.replace("  grids:\n    - {shape: [6, 6], fd: ae_qt, count: 2}",
+                           "  grids: []"),
+         "line 5: containers.grids must be a non-empty list"),
+    ], ids=["top-level-list", "no-grids"])
+    def test_malformed_structure_names_the_line(self, text, message):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(text)
+        assert str(err.value) == message
 
     def test_config_built_in_python_fails_without_a_line(self):
         cfg = ExperimentConfig.from_yaml(GOOD_YAML)

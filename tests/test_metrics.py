@@ -1,23 +1,28 @@
 """Coverage, QD-score, redundancy, FD correlation, KL-coverage."""
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcqd.core import GridContainer
 from mcqd.metrics import (
     METRIC_COLUMNS,
-    best_fitness,
-    coverage,
     fd_abs_correlation,
     kl_coverage,
-    qd_score,
-    redundancy,
     snapshot,
-    unique_variants,
 )
 
 from test_core import make_depot, offer
 
 BOUNDS = (0.0, 10.0)
+
+
+def metrics_of(containers, depot):
+    """The snapshot of a search state, whose fields the tests read."""
+    return snapshot(0, containers, depot, BOUNDS)
 
 
 def fill(containers, entries):
@@ -60,15 +65,15 @@ class TestCoverageAndScores:
     def test_empty_everything(self):
         cs = [GridContainer(0, (10, 10)), GridContainer(1, (5, 5))]
         depot = make_depot([], [np.empty((0, 2))] * 2)
-        assert coverage(cs) == 0.0
-        assert qd_score(cs, depot, BOUNDS) == 0.0
-        assert best_fitness(cs, depot) is None
+        assert metrics_of(cs, depot).coverage_pct == 0.0
+        assert metrics_of(cs, depot).qd_score == 0.0
+        assert metrics_of(cs, depot).best_fitness is None
 
     def test_full_coverage(self):
         c = GridContainer(0, (2, 2))
-        fill([c], [(1.0, {0: [0.1, 0.1]}), (1.0, {0: [0.9, 0.1]}),
-                   (1.0, {0: [0.1, 0.9]}), (1.0, {0: [0.9, 0.9]})])
-        assert coverage([c]) == 100.0
+        depot = fill([c], [(1.0, {0: [0.1, 0.1]}), (1.0, {0: [0.9, 0.1]}),
+                           (1.0, {0: [0.1, 0.9]}), (1.0, {0: [0.9, 0.9]})])
+        assert metrics_of([c], depot).coverage_pct == 100.0
 
     def test_direct_count(self):
         c = GridContainer(0, (10, 10))
@@ -81,21 +86,21 @@ class TestCoverageAndScores:
             if cell not in taken:
                 taken.add(cell)
                 entries.append((1.0, {0: fd}))
-        fill([c], entries)
-        assert coverage([c]) == 37.0
+        depot = fill([c], entries)
+        assert metrics_of([c], depot).coverage_pct == 37.0
 
     def test_qd_score_normalization(self):
         c = GridContainer(0, (10, 10))
         depot = fill([c], [(10.0, {0: [0.05 + 0.1 * i, 0.5]}) for i in range(10)])
-        assert qd_score([c], depot, BOUNDS) == pytest.approx(10.0)
+        assert metrics_of([c], depot).qd_score == pytest.approx(10.0)
         c2 = GridContainer(0, (10, 10))
         depot2 = fill([c2], [(5.0, {0: [0.05 + 0.1 * i, 0.5]}) for i in range(3)])
-        assert qd_score([c2], depot2, BOUNDS) == pytest.approx(1.5)
+        assert metrics_of([c2], depot2).qd_score == pytest.approx(1.5)
 
     def test_qd_score_clamps_out_of_bounds_fitness(self):
         c = GridContainer(0, (10, 10))
         depot = fill([c], [(99.0, {0: [0.1, 0.1]}), (-99.0, {0: [0.9, 0.9]})])
-        assert qd_score([c], depot, BOUNDS) == pytest.approx(1.0)
+        assert metrics_of([c], depot).qd_score == pytest.approx(1.0)
 
     def test_sums_run_left_to_right_in_first_fill_order(self):
         # the metric log's bits depend on the summation order: entries are
@@ -110,8 +115,8 @@ class TestCoverageAndScores:
         for c in cs:
             for row in c.rows():
                 expected += float(depot.fitness[row]) / 10.0
-        assert qd_score(cs, depot, BOUNDS) == expected
-        uq, _ = unique_variants(cs, depot, BOUNDS)
+        assert metrics_of(cs, depot).qd_score == expected
+        uq = metrics_of(cs, depot).unique_qd_score
         seen = dict.fromkeys(int(r) for c in cs for r in c.rows())
         assert uq == sum(float(depot.fitness[r]) / 10.0 for r in seen)
 
@@ -129,46 +134,50 @@ class TestUniqueAndRedundancy:
     def test_single_container_unique_equals_base(self):
         c = GridContainer(0, (10, 10))
         depot = fill([c], [(4.0, {0: [0.05 + 0.1 * i, 0.5]}) for i in range(7)])
-        uq, ucov = unique_variants([c], depot, BOUNDS)
-        assert uq == qd_score([c], depot, BOUNDS)
-        assert ucov == coverage([c])
-        assert redundancy([c]) == 0.0
+        snap = metrics_of([c], depot)
+        uq, ucov = snap.unique_qd_score, snap.unique_coverage_pct
+        assert uq == snap.qd_score
+        assert ucov == snap.coverage_pct
+        assert snap.redundancy == 0.0
 
     def test_shared_solution_counted_once(self):
         cs, depot = self.make_pair(share=True)
-        uq, ucov = unique_variants(cs, depot, BOUNDS)
+        snap = metrics_of(cs, depot)
+        uq, ucov = snap.unique_qd_score, snap.unique_coverage_pct
         assert uq == pytest.approx(0.5 + 0.7)
-        assert qd_score(cs, depot, BOUNDS) == pytest.approx(0.5 + 0.7 + 0.5)
+        assert snap.qd_score == pytest.approx(0.5 + 0.7 + 0.5)
         assert ucov == pytest.approx(100.0 * 2 / 200)
-        assert coverage(cs) == pytest.approx(100.0 * 3 / 200)
-        assert redundancy(cs) == pytest.approx(1 / 200)
+        assert snap.coverage_pct == pytest.approx(100.0 * 3 / 200)
+        assert snap.redundancy == pytest.approx(1 / 200)
 
     def test_disjoint_contents_not_redundant(self):
         cs, depot = self.make_pair(share=False)
-        uq, ucov = unique_variants(cs, depot, BOUNDS)
-        assert uq == qd_score(cs, depot, BOUNDS)
-        assert ucov == coverage(cs)
-        assert redundancy(cs) == 0.0
+        snap = metrics_of(cs, depot)
+        uq, ucov = snap.unique_qd_score, snap.unique_coverage_pct
+        assert uq == snap.qd_score
+        assert ucov == snap.coverage_pct
+        assert snap.redundancy == 0.0
 
     def test_one_solution_in_four_containers(self):
         containers = [GridContainer(cid, (10, 10)) for cid in range(4)]
         depot = fill(containers, [(5.0, {cid: [0.5, 0.5] for cid in range(4)})])
-        assert redundancy(containers) == pytest.approx(3 / 400)
-        _, ucov = unique_variants(containers, depot, BOUNDS)
+        snap = metrics_of(containers, depot)
+        assert snap.redundancy == pytest.approx(3 / 400)
+        ucov = snap.unique_coverage_pct
         assert ucov == pytest.approx(100.0 / 400)
-        assert coverage(containers) == pytest.approx(400.0 / 400)
+        assert snap.coverage_pct == pytest.approx(400.0 / 400)
 
 
 class TestBestFitness:
     def test_single(self):
         c = GridContainer(0, (4, 4))
         depot = fill([c], [(7.0, {0: [0.5, 0.5]})])
-        assert best_fitness([c], depot) == 7.0
+        assert metrics_of([c], depot).best_fitness == 7.0
 
     def test_max_over_containers(self):
         cs = [GridContainer(0, (4, 4)), GridContainer(1, (4, 4))]
         depot = fill(cs, [(3.0, {0: [0.5, 0.5]}), (9.0, {1: [0.5, 0.5]})])
-        assert best_fitness(cs, depot) == 9.0
+        assert metrics_of(cs, depot).best_fitness == 9.0
 
 
 class TestFdAbsCorrelation:
@@ -216,7 +225,7 @@ class TestKlCoverage:
         # reference uniform over bins 0..9 in dim 0; compared concentrated
         ref = self.solutions([(0.05 + 0.1 * k, 0.05) for k in range(10)])
         cmp_ = self.solutions([(0.05, 0.05)] * 10)
-        got = kl_coverage(ref, cmp_, self.extractors, smoothing=1e-9)
+        got = kl_coverage(ref, cmp_, self.extractors)  # smoothing 1e-9
 
         def hand_kl(ref_counts, cmp_counts):
             p = np.array(ref_counts, dtype=float) + 1e-9
@@ -255,7 +264,7 @@ class TestBestFitnessDepotCrossCheck:
         stored_ids = {int(depot.ids[r]) for c in engine.containers for r in c.rows()}
         oracle = max(f for i, f in zip(depot.ids.tolist(), depot.fitness.tolist())
                      if i in stored_ids)
-        assert best_fitness(engine.containers, depot) == oracle
+        assert metrics_of(engine.containers, depot).best_fitness == oracle
 
 
 class TestToyTaskClosedFormCorrelation:
@@ -292,3 +301,82 @@ class TestSnapshot:
         row = snap.as_row()
         assert len(row) == len(METRIC_COLUMNS)
         assert row[0] == 3
+
+    def test_readme_lists_the_metric_columns(self):
+        """README's ``metrics.csv`` column block is ``METRIC_COLUMNS``."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("`rep_<k>/metrics.csv`", 1)[1]
+        block = section.split("```\n", 2)[1]
+        assert tuple(name.strip() for name in block.split(",")) == METRIC_COLUMNS
+
+
+def per_metric_formulas(containers, depot, fitness_bounds) -> dict:
+    """The snapshot fields as the one-metric functions that ``snapshot``
+    replaced computed them, each on its own read of the elites."""
+    def total_capacity(containers):
+        return sum(c.capacity for c in containers)
+
+    def elite_rows(containers):
+        return np.concatenate([c.rows() for c in containers])
+
+    def normalized_fitness(fitness, bounds):
+        lo, hi = bounds
+        return np.minimum(np.maximum((fitness - lo) / (hi - lo), 0.0), 1.0)
+
+    def sum_in_order(values):
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        return total
+
+    rows = elite_rows(containers)
+    _, first = np.unique(rows, return_index=True)
+    unique = rows[np.sort(first)]
+    return {
+        "coverage_pct": 100.0 * sum(c.occupancy for c in containers)
+        / total_capacity(containers),
+        "unique_coverage_pct": 100.0 * len(unique) / total_capacity(containers),
+        "qd_score": sum_in_order(
+            normalized_fitness(depot.fitness[elite_rows(containers)], fitness_bounds)),
+        "unique_qd_score": sum_in_order(
+            normalized_fitness(depot.fitness[unique], fitness_bounds)),
+        "best_fitness": (float(depot.fitness[elite_rows(containers)].max())
+                         if len(elite_rows(containers)) else None),
+        "redundancy": (len(rows) - len(np.unique(rows))) / total_capacity(containers),
+    }
+
+
+def bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
+class TestSnapshotOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fields_equal_the_per_metric_formulas(self, data):
+        """Containers filled at random, with rows shared across containers
+        and empty containers: every field has the old formula's bits."""
+        shapes = data.draw(st.lists(
+            st.sampled_from([(1,), (3,), (2, 2), (3, 3), (4, 4)]), min_size=1, max_size=4))
+        containers = [GridContainer(cid, shape) for cid, shape in enumerate(shapes)]
+        # full-mantissa values, whose sums round differently in another order
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        fitness = rng.uniform(-20.0, 20.0, data.draw(st.integers(0, 40)))
+        fds = [rng.random((len(fitness), len(shape))) for shape in shapes]
+        depot = make_depot(fitness, fds)
+        for row in range(len(fitness)):
+            for cid in sorted(data.draw(st.sets(st.sampled_from(range(len(shapes)))))):
+                offer(containers[cid], depot, row)
+        lo = data.draw(st.floats(-25.0, 5.0))
+        bounds = (lo, lo + data.draw(st.floats(1.0, 50.0)))
+        snap = snapshot(4, containers, depot, bounds)
+        for name, expected in per_metric_formulas(containers, depot, bounds).items():
+            assert bits(getattr(snap, name)) == bits(expected), name
+        assert bits(snap.fd_abs_corr) == bits(fd_abs_correlation(containers, depot))
+        assert (snap.iteration, snap.depot_size) == (4, len(fitness))
+
+    def test_bounds_must_be_increasing(self):
+        c = GridContainer(0, (2, 2))
+        depot = fill([c], [(1.0, {0: [0.1, 0.1]})])
+        with pytest.raises(ValueError, match="hi > lo"):
+            snapshot(0, [c], depot, (1.0, 1.0))

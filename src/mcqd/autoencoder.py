@@ -425,10 +425,11 @@ def _combined_value(ensemble, x, zs, ys) -> float:
 def _output_buffers(ensemble: ModularAutoEncoderEnsemble, rows: int) -> np.ndarray:
     """Scratch (rows, input_dim) arrays for the decoders' wide output layer.
 
-    One set is sized per training and shared by every module, minibatch and
-    validation pass, which use the first n rows of each: the reconstruction
-    y, its gradient d, a temporary and, for the outputs diversity term, the
-    ensemble-mean reconstruction.
+    One set is sized per training, for the larger of the minibatch and the
+    held-out rows, and shared by every module, minibatch and the validation
+    pass after the last epoch, which use the first n rows of each: the
+    reconstruction y, its gradient d, a temporary and, for the outputs
+    diversity term, the ensemble-mean reconstruction.
     """
     k = 4 if _diversity_kind(ensemble) == "outputs" else 3
     return np.empty((k, rows, ensemble.input_dim))
@@ -596,7 +597,7 @@ TrainingConfig = TrainingSection
 @dataclass
 class TrainReport:
     train_losses: list[float] = field(default_factory=list)
-    val_losses: list[float] = field(default_factory=list)
+    val_loss: float = float("nan")  # after the last epoch; NaN: no row held out
     diverged: bool = False
     message: str = ""
 
@@ -617,23 +618,41 @@ def _batch_slices(n, batch_size):
     return slices
 
 
+def _gather(corpus, rows, out, scaler):
+    """corpus[rows] into the first rows of out and, with a scaler, scaled
+    there in place; returns them as a (len(rows), input_dim) matrix."""
+    # the rows are in range; mode="raise" would gather into a copy
+    xb = np.take(corpus, rows, axis=0, out=out[:len(rows)], mode="clip")
+    return xb if scaler is None else scaler.transform(xb, out=xb)
+
+
 def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
-                   training: TrainingSection, rng) -> TrainReport:
+                   training: TrainingSection, rng,
+                   scaler: ObservationScaler | None = None) -> TrainReport:
     """Mini-batch Adam on the combined loss; mutates the ensemble in place.
 
-    ``inputs`` is the (n, input_dim) corpus already min-max scaled to [0, 1].
-    ``training`` gives the epochs, learning rate, minibatch size and
-    validation split.
-    A validation fraction is held out and scored with dropout disabled after
-    each epoch.  On a non-finite loss, or a module collapsed under the cmd
-    loss (every latent constant), the pass aborts and the report is flagged
-    diverged; the caller decides whether to keep the old model.
+    ``inputs`` is the corpus: the raw (n, channels, t) observations that
+    ``scaler`` was fit on or, without a scaler, an (n, input_dim) matrix
+    already scaled to [0, 1].  ``training`` gives the epochs, learning
+    rate, minibatch size and validation split.
+    A validation fraction is held out and scored once, with dropout
+    disabled, after the last epoch.  On a non-finite loss, or a module
+    collapsed under the cmd loss (every latent constant), the pass aborts
+    and the report is flagged diverged; the caller decides whether to keep
+    the old model.
 
-    The corpus is the only corpus-sized array: each minibatch is gathered
-    from it into one array sized once, beside a copy of the validation rows,
-    the output buffers, one gradient vector and Adam's state.
+    The corpus is the only corpus-sized array.  Each minibatch is gathered
+    from it, and scaled in place, into one array sized once for the larger
+    of the minibatch and the held-out rows; after the last epoch the
+    held-out rows are gathered and scaled into it the same way.  Beside it
+    a training holds the output buffers, one gradient vector and Adam's
+    state.  Scaling is elementwise, so scaling the gathered rows gives the
+    bits of gathering from a scaled corpus.
     """
-    x = _as_batch(inputs)
+    x = np.asarray(inputs, dtype=float)
+    if x.ndim != (2 if scaler is None else 3) or not len(x):
+        raise StructuralError("the corpus must be a non-empty (n, input_dim) matrix, "
+                              "or (n, channels, t) observations with a scaler")
     n = x.shape[0]
     perm = rng.permutation(n)
     n_val = min(int(round(n * training.validation_split)), n - 1)
@@ -642,15 +661,16 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
         n_val = min(n_val, n - 2)
         if n_val < 2:
             n_val = 0
-    x_val = x[perm[:n_val]]
     train_idx = perm[n_val:]
     n_train = train_idx.shape[0]
 
     opt = Adam(ensemble.theta, training.learning_rate)
     slices = _batch_slices(n_train, training.batch_size)
     batch_rows = max(hi - lo for lo, hi in slices)
-    buffers = _output_buffers(ensemble, max(batch_rows, n_val))
-    minibatch = np.empty((batch_rows, x.shape[1]))
+    # each minibatch, and after the last epoch the held-out rows, is
+    # gathered into the first rows of one array
+    gathered = np.empty((max(batch_rows, n_val), *x.shape[1:]))
+    buffers = _output_buffers(ensemble, len(gathered))
     grad_out = _gradient(ensemble)
     report = TrainReport()
     try:
@@ -658,9 +678,7 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
             order = rng.permutation(n_train)
             epoch_loss = 0.0
             for lo, hi in slices:
-                # the rows are in range; mode="raise" would gather into a copy
-                xb = np.take(x, train_idx[order[lo:hi]], axis=0,
-                             out=minibatch[:hi - lo], mode="clip")
+                xb = _gather(x, train_idx[order[lo:hi]], gathered, scaler)
                 loss, grad = backward(ensemble, xb, train=True, rng=rng,
                                       buffers=buffers, grad=grad_out)
                 if not np.isfinite(loss):
@@ -668,13 +686,12 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
                 epoch_loss += loss * (hi - lo)
                 opt.step(grad)
             report.train_losses.append(epoch_loss / n_train)
-            if n_val > 0:
-                val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
-                if not np.isfinite(val):
-                    raise InvalidValueError("non-finite validation loss")
-                report.val_losses.append(float(val))
-            else:
-                report.val_losses.append(float("nan"))
+        if n_val > 0:
+            x_val = _gather(x, perm[:n_val], gathered, scaler)
+            val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
+            if not np.isfinite(val):
+                raise InvalidValueError("non-finite validation loss")
+            report.val_loss = float(val)
     except InvalidValueError as exc:
         report.diverged = True
         report.message = f"{exc} at epoch {epoch}"
@@ -704,8 +721,14 @@ class ObservationScaler:
         hi = corpus.max(axis=(0, 2))
         return cls(lo, hi)
 
-    def transform(self, observations: np.ndarray) -> np.ndarray:
-        """Scale (n, channels, t) and flatten each row channel-major."""
+    def transform(self, observations: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Scale (n, channels, t) and flatten each row channel-major.
+
+        ``out``, a float64 array shaped like the observations (it may be the
+        observations themselves), takes the scaled values instead of a new
+        array; the flattened rows are then a view into it.
+        """
         obs = np.asarray(observations, dtype=float)
         if obs.ndim != 3:
             raise StructuralError(
@@ -714,7 +737,7 @@ class ObservationScaler:
         span = (self.hi - self.lo)[:, np.newaxis]
         ok = span > 0
         # one (n, channels, t) array: (obs - lo) / span, 0.5 where constant
-        scaled = np.subtract(obs, lo)
+        scaled = np.subtract(obs, lo, out=out)
         np.divide(scaled, np.where(ok, span, 1.0), out=scaled)
         np.copyto(scaled, 0.5, where=~ok)
         return scaled.reshape(obs.shape[0], -1)

@@ -138,8 +138,8 @@ class ContainerReindex:
 class RetrainReport:
     diverged: bool = False
     message: str = ""
-    train_loss: float | None = None  # None: diverged, or not finite
-    val_loss: float | None = None
+    train_loss: float | None = None  # None: diverged
+    val_loss: float | None = None  # None: diverged, or no row held out
     epochs: int = 0
     corpus: int = 0  # depot rows trained on
     reindex: list[ContainerReindex] = field(default_factory=list)
@@ -248,19 +248,19 @@ class Engine:
 
     def _train(self, corpus):
         """Fit the scaling and train the ensemble (built fresh on the first
-        pass, else a warm-started copy) on ``corpus``.  Unless training
-        diverged, publish the ensemble, scaler, quantile transforms and
-        extractors.  Returns the train report and, unless training diverged,
-        each learned container's FD matrix of the corpus, in ``learned``
-        order, taken from the encoding its quantile transform is fit on.
+        pass, else a warm-started copy) on ``corpus``, which the training
+        scales minibatch by minibatch.  Unless training diverged, publish
+        the ensemble, scaler, quantile transforms and extractors.  Returns
+        the train report and, unless training diverged, each learned
+        container's FD matrix of the corpus, in ``learned`` order, taken
+        from the encoding its quantile transform is fit on.
         """
         rng = substream(self.seed, STREAM_TRAINING, self.retrain_count)
         scaler = ObservationScaler.fit(corpus)
-        inputs = scaler.transform(corpus)
         if self.ensemble is None:
             t = self.training
             candidate = ModularAutoEncoderEnsemble.build(
-                input_dim=inputs.shape[1],
+                input_dim=corpus[0].size,
                 latent_dim=t.latent_dim,
                 n_modules=len(self.learned),
                 hidden=t.hidden,
@@ -272,9 +272,10 @@ class Engine:
             )
         else:
             candidate = self.ensemble.clone()
-        report = train_ensemble(candidate, inputs, self.training, rng)
+        report = train_ensemble(candidate, corpus, self.training, rng, scaler=scaler)
         if report.diverged:
             return report, None
+        inputs = scaler.transform(corpus)
         self.retrain_count += 1
         self.ensemble = candidate
         self.scaler = scaler
@@ -387,9 +388,8 @@ class Engine:
                                epochs=report.epochs_run, corpus=len(corpus))
         if report.diverged:
             return result
-        if report.train_losses:
-            result.train_loss = _finite_or_none(report.train_losses[-1])
-            result.val_loss = _finite_or_none(report.val_losses[-1])
+        result.train_loss = _finite_or_none(report.train_losses[-1])
+        result.val_loss = _finite_or_none(report.val_loss)
         for cid, fd in zip(self.learned, fds):
             self.depot.fds[cid] = fd
         result.reindex = self.reindex_all()

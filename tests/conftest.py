@@ -27,6 +27,27 @@ def build_toy_ensemble(n_modules=2, input_dim=6, latent_dim=2, hidden=(3,),
         rng=rng)
 
 
+def poison_theta_after_epoch(monkeypatch, epoch):
+    """Make every later training's parameters NaN once its ``epoch``
+    (0-based) has taken its last Adam step."""
+    import mcqd.autoencoder as ae
+    steps_per_epoch = []
+    real_slices, real_step = ae._batch_slices, ae.Adam.step
+
+    def batch_slices(n, batch_size):
+        slices = real_slices(n, batch_size)
+        steps_per_epoch.append(len(slices))
+        return slices
+
+    def step(self, grad):
+        real_step(self, grad)
+        if self.t == steps_per_epoch[-1] * (epoch + 1):
+            self.theta[...] = np.nan
+
+    monkeypatch.setattr(ae, "_batch_slices", batch_slices)
+    monkeypatch.setattr(ae.Adam, "step", step)
+
+
 def outputs_at_blas_threads(script: str) -> list[str]:
     """Standard output of ``python -c script`` in a fresh process at one and
     at two BLAS threads; BLAS reads its thread count once, when numpy loads."""

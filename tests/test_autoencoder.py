@@ -6,11 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcqd.autoencoder import (
     Adam,
     ModularAutoEncoderEnsemble,
     ObservationScaler,
+    _gather,
     _gradient,
     backward,
     combined_loss,
@@ -30,7 +34,7 @@ from mcqd.config import TrainingSection
 from mcqd.core import InvalidValueError, StructuralError
 from mcqd.postprocess import QuantileTransform
 
-from conftest import build_toy_ensemble, outputs_at_blas_threads
+from conftest import build_toy_ensemble, outputs_at_blas_threads, poison_theta_after_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +549,7 @@ class TestTraining:
                               validation_split=0.25)
         report = train_ensemble(ens, x, cfg, np.random.default_rng(3))
         assert not report.diverged
-        assert report.val_losses[-1] < 1e-3 * baseline
+        assert report.val_loss < 1e-3 * baseline
 
     def test_training_is_deterministic_given_seed(self):
         x = np.random.default_rng(4).random((24, 6))
@@ -596,38 +600,100 @@ class TestTraining:
         x = np.random.default_rng(12).random((rows, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(13))
         assert not report.diverged
-        assert np.isnan(report.val_losses).all() == (held_out == 0)
+        assert np.isnan(report.val_loss) == (held_out == 0)
 
     @pytest.mark.parametrize("kind", ["none", "cmd"])
     def test_working_set_is_the_named_arrays(self, kind):
-        """Above the scaled corpus it is given, a training holds the arrays
-        README § Performance names, plus every live module's forward caches
-        and a stated slack; no copy of the training rows, no second gradient
-        and no optimizer temporaries."""
-        rows, n_val, batch, dim, m = 600, 150, 128, 140, 3
+        """Given the raw corpus and its scaler, a training holds above it the
+        arrays README § Performance names, plus every live module's forward
+        caches and a stated slack: no scaled copy of the corpus, no array of
+        held-out rows beside the minibatch, no second gradient and no
+        optimizer temporaries."""
+        rows, n_val, batch, channels, t, m = 600, 150, 128, 7, 20, 3
+        dim = channels * t
         ens = ModularAutoEncoderEnsemble.build(dim, 2, m, hidden=(16, 5),
                                                diversity_kind=kind,
                                                rng=np.random.default_rng(35))
         cfg = TrainingSection(epochs=2, learning_rate=0.01, batch_size=batch,
                               validation_split=n_val / rows)
-        x = np.random.default_rng(36).random((rows, dim))
-        named = (3 * max(batch, n_val) * dim  # output buffers
-                 + batch * dim  # the minibatch
-                 + n_val * dim  # x_val
+        corpus = np.random.default_rng(36).normal(size=(rows, channels, t)) * 3.0
+        scaler = ObservationScaler.fit(corpus)
+        gathered = max(batch, n_val)  # the minibatch, then the held-out rows
+        named = (3 * gathered * dim  # output buffers
+                 + gathered * dim  # the gathered rows
                  + 5 * ens.theta.size) * 8  # Adam's m, v and scratch; the gradient
-        # per row and module: a, activation, dropout mask and masked output
-        # of each hidden unit; a and sigmoid of each latent unit
-        caches = batch * (4 * 2 * (16 + 5) + 2 * 2) * 8 * (1 if kind == "none" else m)
-        slack = 256 * 1024  # backward's per-layer temporaries
+        # per row and module, training: a, activation, dropout mask and
+        # masked output of each hidden unit; a and sigmoid of each latent
+        # unit.  Validation keeps no mask and no masked output.
+        live = 1 if kind == "none" else m
+        caches = max(batch * (4 * 2 * (16 + 5) + 2 * 2),
+                     n_val * (2 * 2 * (16 + 5) + 2 * 2)) * 8 * live
+        slack = 192 * 1024  # backward's per-layer temporaries
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            report = train_ensemble(ens, x, cfg, np.random.default_rng(37))
+            report = train_ensemble(ens, corpus, cfg, np.random.default_rng(37), scaler)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert not report.diverged
+        assert not report.diverged and np.isfinite(report.val_loss)
         assert peak <= named + caches + slack, (peak, named, caches)
+
+    def test_raw_corpus_and_scaler_train_like_the_scaled_corpus(self):
+        """Scaling each gathered minibatch gives the parameters and losses
+        of a training on the corpus scaled up front, bit for bit."""
+        corpus = np.random.default_rng(44).normal(size=(29, 4, 6)) * 5.0
+        corpus[:, 1] = 2.0  # a constant channel
+        scaler = ObservationScaler.fit(corpus)
+        cfg = TrainingSection(epochs=3, learning_rate=0.01, batch_size=7,
+                              validation_split=0.25)
+        runs = []
+        for args in ((scaler.transform(corpus),), (corpus, scaler)):
+            ens = build_toy_ensemble(n_modules=2, input_dim=24, hidden=(6, 3),
+                                     diversity_kind="cov", dropout=0.2, seed=45)
+            report = train_ensemble(ens, args[0], cfg, np.random.default_rng(46),
+                                    *args[1:])
+            runs.append((_int64_sha256(ens.parameters()), report.train_losses,
+                         report.val_loss))
+        assert runs[0] == runs[1]
+
+    def test_scaler_needs_a_three_dimensional_corpus(self):
+        x = np.random.default_rng(47).random((16, 6))
+        scaler = ObservationScaler.fit(x.reshape(16, 2, 3))
+        cfg = TrainingSection(epochs=1, learning_rate=0.01, batch_size=8,
+                              validation_split=0.25)
+        with pytest.raises(StructuralError):
+            train_ensemble(build_toy_ensemble(), x, cfg, np.random.default_rng(48),
+                           scaler)
+
+    @pytest.mark.parametrize("kind", ["none", "cov"])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_divergence_shows_at_the_next_epoch(self, monkeypatch, kind, k):
+        """Parameters that turn non-finite after epoch k are caught as epoch
+        k+1's non-finite training loss: no validation runs before the
+        last epoch."""
+        poison_theta_after_epoch(monkeypatch, k)
+        ens = build_toy_ensemble(n_modules=2, diversity_kind=kind, seed=43)
+        cfg = TrainingSection(epochs=5, learning_rate=0.01, batch_size=4,
+                              validation_split=0.25)
+        x = np.random.default_rng(14).random((16, 6))
+        report = train_ensemble(ens, x, cfg, np.random.default_rng(15))
+        assert report.diverged
+        assert report.message == f"non-finite training loss at epoch {k + 1}"
+        assert report.epochs_run == k + 1
+        assert np.isfinite(report.train_losses).all() and np.isnan(report.val_loss)
+
+    def test_non_finite_final_validation_is_a_divergence(self, monkeypatch):
+        poison_theta_after_epoch(monkeypatch, 2)  # the last epoch's last step
+        ens = build_toy_ensemble(n_modules=2, seed=43)
+        cfg = TrainingSection(epochs=3, learning_rate=0.01, batch_size=4,
+                              validation_split=0.25)
+        x = np.random.default_rng(14).random((16, 6))
+        report = train_ensemble(ens, x, cfg, np.random.default_rng(15))
+        assert report.diverged
+        assert report.message == "non-finite validation loss at epoch 2"
+        assert report.epochs_run == 3
+        assert np.isfinite(report.train_losses).all() and np.isnan(report.val_loss)
 
     def test_modules_without_a_diversity_term_run_one_at_a_time(self):
         """Without a diversity term a module's activations are freed before
@@ -659,8 +725,7 @@ class TestTraining:
                               validation_split=0.25)
         x = np.random.default_rng(8).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(9))
-        assert report.epochs_run == 5
-        assert len(report.val_losses) == 5
+        assert report.epochs_run == len(report.train_losses) == 5
 
 
 def _int64_sha256(arrays) -> str:
@@ -670,26 +735,28 @@ def _int64_sha256(arrays) -> str:
     return digest.hexdigest()
 
 
-# Parameters (sha256 of their int64 views, in ``parameters()`` order) and
-# exact loss curves after ``TestTrainingGolden``'s run, recorded before the
-# training step was restructured.  They hold at 1 and 2 BLAS threads.
+# Parameters (sha256 of their int64 views, in ``parameters()`` order), the
+# exact training-loss curve and validation loss after ``TestTrainingGolden``'s
+# run, recorded before the training step was restructured.  The validation
+# loss is the last value of the per-epoch curve that training once kept.  They
+# hold at 1 and 2 BLAS threads.
 TRAINING_GOLDEN = {
     "none": (
         "3090e8eb29c6817f20997fc3c9406de0162db54de3ba29dd16f6a6bf0f285b29",
         [2.1447193303233636, 2.083051194282705, 2.040310095272463],
-        [2.14891636326699, 2.1329365484322964, 2.1320316450935155]),
+        2.1320316450935155),
     "outputs": (
         "5d333f6c5704f630405ea398970d6e0e3ba1ea89cc96cc2a1843ea641d429717",
         [2.092817051673205, 2.057630366648749, 2.015166245177451],
-        [2.1401454869617664, 2.1369019931189612, 2.1407112137828204]),
+        2.1407112137828204),
     "cov": (
         "c880ffe9fd6351e132f60676290e16938ceb81cbe9099c2901921f6c90c7974f",
         [2.021261680479683, 1.9574323356389824, 1.7707275348618319],
-        [2.1124793628879983, 2.0501271095516733, 1.9885267506362592]),
+        1.9885267506362592),
     "cmd": (
         "1589a89471b688b7cebe985c603f91d614fe2282a02d48f629f9cfe747fc8271",
         [-0.41163713458898316, 0.26911275679341684, -0.5035982057139882],
-        [-1.2968418354092828, -1.6212593921591627, -1.7419197714966876]),
+        -1.7419197714966876),
 }
 
 
@@ -706,7 +773,7 @@ class TestTrainingGolden:
         report = train_ensemble(ens, x, cfg, np.random.default_rng(52))
         assert not report.diverged
         got = (_int64_sha256(ens.parameters()), report.train_losses,
-               report.val_losses)
+               report.val_loss)
         assert got == TRAINING_GOLDEN[kind]
 
 
@@ -824,7 +891,38 @@ class TestCheckpoint:
         np.testing.assert_array_equal(combined_loss(ens, x), combined_loss(loaded, x))
 
 
+@st.composite
+def _corpora_and_rows(draw):
+    """A corpus with some constant channels, -0.0 among its values, and row
+    indices into it that may repeat."""
+    n = draw(st.integers(1, 8))
+    channels = draw(st.integers(1, 3))
+    t = draw(st.sampled_from((1, 4)))
+    values = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                       st.sampled_from((0.0, -0.0, 1.5)))
+    corpus = draw(arrays(float, (n, channels, t), elements=values))
+    for ch in range(channels):
+        if draw(st.booleans()):
+            corpus[:, ch] = draw(st.sampled_from((0.0, -0.0, 2.5)))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return corpus, np.array(rows)
+
+
 class TestObservationScaler:
+    @settings(max_examples=200, deadline=None)
+    @given(_corpora_and_rows())
+    def test_scaling_gathered_rows_is_gathering_scaled_rows(self, case):
+        """What training does to a minibatch, gathering rows and scaling
+        them in place, gives the bits of scaling the corpus and gathering."""
+        corpus, rows = case
+        scaler = ObservationScaler.fit(corpus)
+        want = scaler.transform(corpus)[rows]
+        out = np.full((len(rows) + 2, *corpus.shape[1:]), np.nan)
+        got = _gather(corpus, rows, out, scaler)
+        assert got.shape == want.shape and np.shares_memory(got, out)
+        # int64 views compare bits, so a flipped zero sign fails too
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_scales_to_unit_interval_and_flattens(self):
         corpus = np.stack([
             np.array([[0.0, 2.0], [5.0, 5.0]]),

@@ -26,6 +26,7 @@ from mcqd.engine import (
 )
 from mcqd.tasks import Task, TaskDefinition, make_task
 
+from conftest import poison_theta_after_epoch
 from test_core import make_depot, offer
 
 
@@ -670,7 +671,7 @@ class TestRetraining:
         import mcqd.engine as engine_mod
         from mcqd.autoencoder import TrainReport
 
-        def always_diverges(ensemble, inputs, cfg, rng):
+        def always_diverges(ensemble, inputs, cfg, rng, scaler):
             return TrainReport(diverged=True, message="synthetic blow-up")
 
         monkeypatch.setattr(engine_mod, "train_ensemble", always_diverges)
@@ -682,6 +683,30 @@ class TestRetraining:
         assert engine.depot.added_since_last_training == 0
         engine.depot.added_since_last_training = 9
         assert engine.maybe_retrain() is None
+
+    def test_retrain_diverged_mid_training_keeps_previous_models(self, monkeypatch):
+        """Parameters that turn non-finite after the first epoch fail the
+        second epoch's training loss; the engine keeps every model and FD."""
+        engine = toy_engine(learned=True, training_period=10)
+        engine.initialize()
+        old_ensemble, old_theta = engine.ensemble, engine.ensemble.theta.copy()
+        old_scaler, old_qts = engine.scaler, dict(engine.quantile_transforms)
+        old_extractors = list(engine.extractors)
+        old_fds = [fd.copy() for fd in engine.depot.fds]
+        engine.depot.added_since_last_training = 50
+        poison_theta_after_epoch(monkeypatch, 0)
+        report = engine.maybe_retrain()
+        assert report.diverged
+        assert report.message == "non-finite training loss at epoch 1"
+        assert report.epochs == 1
+        assert report.train_loss is None and report.val_loss is None
+        assert report.reindex == []
+        assert engine.ensemble is old_ensemble and engine.scaler is old_scaler
+        np.testing.assert_array_equal(engine.ensemble.theta, old_theta)
+        assert engine.quantile_transforms == old_qts
+        assert engine.extractors == old_extractors
+        for fd, old in zip(engine.depot.fds, old_fds):
+            np.testing.assert_array_equal(fd, old)
 
     def test_grid_invariants_hold_after_retrain(self):
         engine = toy_engine(learned=True, training_period=30)

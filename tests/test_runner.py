@@ -132,10 +132,10 @@ class TestArtifacts:
         real = engine_mod.train_ensemble
         calls = {"n": 0}
 
-        def diverges_after_initial(ensemble, inputs, cfg, rng):
+        def diverges_after_initial(ensemble, inputs, cfg, rng, scaler):
             calls["n"] += 1
             if calls["n"] == 1:
-                return real(ensemble, inputs, cfg, rng)
+                return real(ensemble, inputs, cfg, rng, scaler)
             return TrainReport(train_losses=[0.5], diverged=True,
                                message="non-finite training loss at epoch 1")
 

@@ -77,6 +77,8 @@ def net_forward(net, x, dropout=0.0, rng=None, stop=None):
     an inverted dropout mask drawn from ``rng`` (mask / keep_prob, so
     inference needs no rescaling); the last layer applies a sigmoid.  With
     ``stop`` the pass ends before ``net[stop]``.  Returns (out, cache).
+    The cache keeps a layer's activation before dropout only for the last
+    layer, the one ``net_backward`` reads it for.
     """
     h, cache, last = x, [], len(net) - 1
     for i, (w, b) in enumerate(net[:stop]):
@@ -90,7 +92,7 @@ def net_forward(net, x, dropout=0.0, rng=None, stop=None):
                 keep = 1.0 - dropout
                 mask = (rng.random(h_act.shape) < keep) / keep
                 out = h_act * mask
-        cache.append((h, a, h_act, mask))
+        cache.append((h, a, h_act if i == last else None, mask))
         h = out
     return h, cache
 
@@ -157,7 +159,8 @@ class ModularAutoEncoderEnsemble:
         sizes = [self.input_dim, *hidden, self.latent_dim]
         self._layer_shapes = [(fan_out, fan_in) for s in (sizes, sizes[::-1])
                               for fan_in, fan_out in zip(s, s[1:])]
-        size = self.n_modules * sum(o * i + o for o, i in self._layer_shapes)
+        self.module_size = sum(o * i + o for o, i in self._layer_shapes)
+        size = self.n_modules * self.module_size
         self.theta = np.zeros(size) if theta is None else theta
         self.nets = self.views(self.theta)
 
@@ -180,16 +183,21 @@ class ModularAutoEncoderEnsemble:
     def views(self, flat: np.ndarray) -> list:
         """Per module, (encoder, decoder) lists of (W, b) views into a
         vector laid out like ``theta``."""
-        nets, at, depth = [], 0, len(self.hidden) + 1
-        for _ in range(self.n_modules):
-            layers = []
-            for fan_out, fan_in in self._layer_shapes:
-                w = flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
-                at += w.size
-                layers.append((w, flat[at:at + fan_out]))
-                at += fan_out
-            nets.append((layers[:depth], layers[depth:]))
-        return nets
+        n = self.module_size
+        return [self.module_views(flat[k * n:(k + 1) * n])
+                for k in range(self.n_modules)]
+
+    def module_views(self, flat: np.ndarray) -> tuple[list, list]:
+        """(encoder, decoder) lists of (W, b) views into a vector laid out
+        like one module's ``module_size`` elements of ``theta``."""
+        layers, at = [], 0
+        for fan_out, fan_in in self._layer_shapes:
+            w = flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
+            at += w.size
+            layers.append((w, flat[at:at + fan_out]))
+            at += fan_out
+        depth = len(self.hidden) + 1
+        return layers[:depth], layers[depth:]
 
     def clone(self) -> "ModularAutoEncoderEnsemble":
         return ModularAutoEncoderEnsemble(
@@ -425,11 +433,10 @@ def _combined_value(ensemble, x, zs, ys) -> float:
 def _output_buffers(ensemble: ModularAutoEncoderEnsemble, rows: int) -> np.ndarray:
     """Scratch (rows, input_dim) arrays for the decoders' wide output layer.
 
-    One set is sized per training, for the larger of the minibatch and the
-    held-out rows, and shared by every module, minibatch and the validation
-    pass after the last epoch, which use the first n rows of each: the
-    reconstruction y, its gradient d, a temporary and, for the outputs
-    diversity term, the ensemble-mean reconstruction.
+    One set is sized per training, for its largest minibatch, and shared by
+    every module, minibatch and chunk of held-out rows, which use the first
+    rows of each: the reconstruction y, its gradient d, a temporary and, for
+    the outputs diversity term, the ensemble-mean reconstruction.
     """
     k = 4 if _diversity_kind(ensemble) == "outputs" else 3
     return np.empty((k, rows, ensemble.input_dim))
@@ -443,25 +450,76 @@ def _decode_output(layer, h, y, tmp) -> np.ndarray:
     return _sigmoid(y, out=y, tmp=tmp)
 
 
-def _gradient(ensemble: ModularAutoEncoderEnsemble) -> tuple[np.ndarray, list]:
-    """A vector laid out like ``ensemble.theta`` and its ``views``, for
-    ``backward`` to write gradients into."""
-    grad = np.empty_like(ensemble.theta)
-    return grad, ensemble.views(grad)
+def _mean_output(ensemble, hs, y, tmp, mean_y) -> None:
+    """The ensemble-mean reconstruction into mean_y, from hs, each module's
+    input to its decoder's output layer in module order."""
+    mean_y[...] = 0.0
+    for k, h in enumerate(hs):
+        mean_y += _decode_output(ensemble.nets[k][1][-1], h, y, tmp)
+    mean_y /= len(hs)
+
+
+def _output_terms(y, x, d, tmp, n, mean_y) -> tuple[float, float]:
+    """One module's loss terms from its reconstruction y of x: the
+    reconstruction error sum((y - x)^2) / n and, with the ensemble mean
+    mean_y, the outputs sum sum((y - mean_y)^2), else 0.  Leaves y - x in d."""
+    np.subtract(y, x, out=d)
+    recons = np.sum(np.multiply(d, d, out=tmp)) / n
+    outputs = 0.0
+    if mean_y is not None:
+        outputs = np.sum(np.square(np.subtract(y, mean_y, out=tmp), out=tmp))
+    return recons, outputs
+
+
+def _loss(ensemble, terms, div, n) -> float:
+    """recons + sign * weight * diversity over n rows, from each module's
+    (recons, outputs) terms in module order; ``div`` is the cov or cmd term."""
+    kind, m = _diversity_kind(ensemble), ensemble.n_modules
+    recons = outputs = 0.0
+    for r, o in terms:
+        recons += r
+        outputs += o
+    loss = recons / m
+    if kind == "outputs":
+        div = outputs / (n * m)
+    if kind != "none":
+        loss = loss + ensemble.diversity_sign * ensemble.diversity_weight * div
+    return loss
+
+
+def _gradient(ensemble: ModularAutoEncoderEnsemble, per_module=False) -> tuple[np.ndarray, list]:
+    """A vector for ``backward`` to write gradients into and, per module,
+    its views.  The vector is laid out like ``ensemble.theta`` or, with
+    ``per_module``, like one module's slice of it, and then every module
+    shares its one set of views."""
+    if not per_module:
+        grad = np.empty_like(ensemble.theta)
+        return grad, ensemble.views(grad)
+    grad = np.empty(ensemble.module_size)
+    return grad, [ensemble.module_views(grad)] * ensemble.n_modules
 
 
 def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
-             buffers: np.ndarray | None = None, need_grads=True, grad=None):
+             buffers: np.ndarray | None = None, grad=None, step=None):
     """Combined loss and its gradient w.r.t. every parameter of every module.
 
     Returns (loss, grad) with grad a vector laid out like ``ensemble.theta``:
     the vector of ``grad``, a (vector, views) pair from ``_gradient`` whose
-    every element is written, or else a fresh one.  The returned grad is
-    None without ``need_grads`` or when the loss is not finite.  With
-    ``train=True`` dropout masks are sampled from ``rng`` and the returned
-    gradient incorporates them.  ``buffers``, from ``_output_buffers`` with
-    at least as many rows as the batch, and ``grad`` let a training loop
-    reuse one set of scratch arrays.
+    every element is written, or else a fresh one.  With ``train=True``
+    dropout masks are sampled from ``rng`` and the returned gradient
+    incorporates them.  ``buffers``, from ``_output_buffers`` with at least
+    as many rows as the batch, and ``grad`` let a training loop reuse one
+    set of scratch arrays.  The returned grad is None when the loss is not
+    finite.
+
+    With ``step``, an optimizer step such as ``Adam.step``, module k's
+    gradient goes into one module-sized vector (``grad`` from
+    ``_gradient(ensemble, per_module=True)``, else a fresh one), and
+    ``step(vector, k)`` runs as soon as module k's backward pass has written
+    it; the returned grad is then None.  No module's backward pass reads
+    another module's parameters, and a diversity term's coupling is taken
+    from the forward passes, which all run first, so stepping module k
+    early changes no other module's gradient.
 
     The wide decoder output layer runs one module at a time in the buffers:
     its forward pass, the loss terms, their gradient and the layer's
@@ -482,20 +540,14 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     dropout = ensemble.dropout if train else 0.0
     y, d, tmp, *mean = buffers[:, :b]
     mean_y = mean[0] if kind == "outputs" else None
-    grad, grad_nets = (grad or _gradient(ensemble)) if need_grads else (None, None)
+    grad, grad_nets = grad or _gradient(ensemble, per_module=step is not None)
 
     def finish(k, h, enc_cache, dec_cache, d_z_extra=None):
         """Module k's output layer, loss terms and backward pass; returns
         its (recons, outputs) loss terms and writes its gradients."""
         enc, dec = ensemble.nets[k]
         _decode_output(dec[-1], h, y, tmp)
-        np.subtract(y, x, out=d)
-        recons = np.sum(np.multiply(d, d, out=tmp)) / b
-        outputs = 0.0
-        if mean_y is not None:
-            outputs = np.sum(np.square(np.subtract(y, mean_y, out=tmp), out=tmp))
-        if not need_grads:
-            return recons, outputs
+        terms = _output_terms(y, x, d, tmp, b, mean_y)
         np.multiply(2.0 / (b * m), d, out=d)  # d loss / d y
         if mean_y is not None:
             np.add(d, np.multiply(lam * 2.0 / (b * m),
@@ -510,7 +562,9 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
         if d_z_extra is not None:
             d_z = d_z + d_z_extra
         net_backward(enc, g_enc, enc_cache, d_z, input_grad=False)
-        return recons, outputs
+        if step is not None:
+            step(grad, k)
+        return terms
 
     # A diversity term couples the modules, so their backward passes wait
     # until every module has run forward.
@@ -528,30 +582,62 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     div, d_zs_extra = 0.0, [None] * len(passes)
     if kind == "outputs":
         # finish() computes each reconstruction again, to the same bits
-        mean_y[...] = 0.0
-        for k, h, _, _ in passes:
-            mean_y += _decode_output(ensemble.nets[k][1][-1], h, y, tmp)
-        mean_y /= m
+        _mean_output(ensemble, [h for _, h, _, _ in passes], y, tmp, mean_y)
     elif kind in COVARIANCE_KINDS:
-        div, latent_grads = (_cov_term(zs, need_grads) if kind == "cov"
-                             else _cmd_term(zs, ensemble.latent_dim, need_grads))
-        if need_grads:
-            d_zs_extra = [lam * g for g in latent_grads]
+        div, latent_grads = (_cov_term(zs, True) if kind == "cov"
+                             else _cmd_term(zs, ensemble.latent_dim, True))
+        d_zs_extra = [lam * g for g in latent_grads]
     for p, d_z_extra in zip(passes, d_zs_extra):
         terms.append(finish(*p, d_z_extra))
 
-    recons = outputs = 0.0
-    for r, o in terms:
-        recons += r
-        outputs += o
-    loss = recons / m
-    if kind == "outputs":
-        div = outputs / (b * m)
-    if kind != "none":
-        loss = loss + lam * div
+    loss = _loss(ensemble, terms, div, b)
     if not np.isfinite(loss):
         return loss, None  # diverged; gradients would be garbage
-    return loss, grad
+    return loss, None if step is not None else grad
+
+
+def _decoder_heads(ensemble, x, zs=None):
+    """Each module's input to its decoder's output layer, in module order
+    and inference mode; with ``zs``, module k's latents go into zs[k]."""
+    for k, (enc, dec) in enumerate(ensemble.nets):
+        z = net_forward(enc, x)[0]
+        if zs is not None:
+            zs[k] = z
+        yield net_forward(dec, z, stop=-1)[0]
+
+
+def _heldout_loss(ensemble: ModularAutoEncoderEnsemble, chunks, n: int,
+                  buffers: np.ndarray) -> float:
+    """The combined loss, inference mode, over n rows that come as
+    ``chunks``: (rows, input_dim) matrices of at most the buffers' rows.
+
+    Each module's reconstruction and outputs terms add up chunk by chunk.
+    The cov and cmd terms come from every row's latents, kept in one
+    (n, latent_dim) matrix per module, the only arrays that span all n
+    rows.  One chunk gives the bits of ``backward``'s loss on its rows.
+    """
+    m, kind = ensemble.n_modules, _diversity_kind(ensemble)
+    terms = np.zeros((m, 2))  # each module's (recons, outputs), summed over chunks
+    zs = np.empty((m, n, ensemble.latent_dim)) if kind in COVARIANCE_KINDS else None
+    lo = 0
+    for x in chunks:
+        b = x.shape[0]
+        y, d, tmp, *mean = buffers[:, :b]
+        heads = _decoder_heads(ensemble, x, None if zs is None else zs[:, lo:lo + b])
+        mean_y = None
+        if kind == "outputs":
+            mean_y, heads = mean[0], list(heads)
+            _mean_output(ensemble, heads, y, tmp, mean_y)
+        for k, h in enumerate(heads):
+            _decode_output(ensemble.nets[k][1][-1], h, y, tmp)
+            terms[k] += _output_terms(y, x, d, tmp, n, mean_y)
+        lo += b
+    div = 0.0
+    if kind == "cov":
+        div = _cov_term(list(zs), False)[0]
+    elif kind == "cmd":
+        div = _cmd_term(list(zs), ensemble.latent_dim, False)[0]
+    return _loss(ensemble, terms, div, n)
 
 
 # ---------------------------------------------------------------------------
@@ -559,34 +645,49 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam over one parameter vector, updated in place."""
+    """Adam over one parameter vector, updated in place, whole or one
+    equal-sized block at a time."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, theta, lr):
+    def __init__(self, theta, lr, block_size=None):
+        """``block_size``, the size of the blocks that ``step`` takes, sizes
+        its scratch vectors; by default it is the whole vector."""
         self.theta = theta
         self.lr = lr
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
-        self._scratch = np.empty((2, *theta.shape))
+        self._scratch = np.empty((2, block_size or theta.size))
 
-    def step(self, grad) -> None:
-        """theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps) after the
-        moment updates, each operation of that expression in its order,
-        through two scratch vectors."""
-        self.t += 1
+    def step(self, grad, block=0) -> None:
+        """Step block ``block`` of ``grad.size`` elements of theta, m and v
+        (by default, with a whole-vector grad, all of them): theta -= lr *
+        (m / bias1) / (sqrt(v / bias2) + eps) after the moment updates, each
+        operation of that expression in its order, through the two scratch
+        vectors, which grad's size must match.
+
+        A step of block 0 advances t, so a training that steps every
+        module's block in module order takes one Adam step per minibatch.
+        Each operation is elementwise, so stepping the blocks one at a time
+        gives the bits of one whole-vector step.
+        """
+        n = grad.size
+        at = slice(block * n, (block + 1) * n)
+        if block == 0:
+            self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         s, r = self._scratch
-        self.m *= b1
-        self.m += np.multiply(1 - b1, grad, out=s)
-        self.v *= b2
-        self.v += np.multiply(np.multiply(1 - b2, grad, out=s), grad, out=s)
-        np.multiply(self.lr, np.divide(self.m, bias1, out=s), out=s)
-        np.add(np.sqrt(np.divide(self.v, bias2, out=r), out=r), self.eps, out=r)
-        self.theta -= np.divide(s, r, out=s)
+        theta, m, v = self.theta[at], self.m[at], self.v[at]
+        m *= b1
+        m += np.multiply(1 - b1, grad, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(1 - b2, grad, out=s), grad, out=s)
+        np.multiply(self.lr, np.divide(m, bias1, out=s), out=s)
+        np.add(np.sqrt(np.divide(v, bias2, out=r), out=r), self.eps, out=r)
+        theta -= np.divide(s, r, out=s)
 
 
 # perfbench/micro.py imports this name; ROADMAP item 6's benchmark change
@@ -639,14 +740,21 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     disabled, after the last epoch.  On a non-finite loss, or a module
     collapsed under the cmd loss (every latent constant), the pass aborts
     and the report is flagged diverged; the caller decides whether to keep
-    the old model.
+    the old model.  A minibatch's modules are stepped before its loss is
+    known, so after a non-finite training loss the ensemble holds that
+    minibatch's step, which may have made its parameters non-finite.
 
-    The corpus is the only corpus-sized array.  Each minibatch is gathered
-    from it, and scaled in place, into one array sized once for the larger
-    of the minibatch and the held-out rows; after the last epoch the
-    held-out rows are gathered and scaled into it the same way.  Beside it
-    a training holds the output buffers, one gradient vector and Adam's
-    state.  Scaling is elementwise, so scaling the gathered rows gives the
+    One minibatch bounds every rows-sized array that a training allocates.
+    Each minibatch is gathered from the corpus, and scaled in place, into
+    one array sized for the largest minibatch; after the last epoch the
+    held-out rows are gathered and scaled into it the same way, in chunks
+    of at most that many rows.  The output buffers have the same rows.
+    Beside them a training holds Adam's ``m`` and ``v``, one module-sized
+    gradient vector and Adam's module-sized scratch: ``backward`` steps
+    module k's slice of ``theta``, ``m`` and ``v`` as soon as it has written
+    module k's gradient.  The held-out rows' latents, one (n_val,
+    latent_dim) matrix per module, are kept only under the cov and cmd
+    terms.  Scaling is elementwise, so scaling the gathered rows gives the
     bits of gathering from a scaled corpus.
     """
     x = np.asarray(inputs, dtype=float)
@@ -664,14 +772,14 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     train_idx = perm[n_val:]
     n_train = train_idx.shape[0]
 
-    opt = Adam(ensemble.theta, training.learning_rate)
+    opt = Adam(ensemble.theta, training.learning_rate, ensemble.module_size)
     slices = _batch_slices(n_train, training.batch_size)
-    batch_rows = max(hi - lo for lo, hi in slices)
-    # each minibatch, and after the last epoch the held-out rows, is
-    # gathered into the first rows of one array
-    gathered = np.empty((max(batch_rows, n_val), *x.shape[1:]))
-    buffers = _output_buffers(ensemble, len(gathered))
-    grad_out = _gradient(ensemble)
+    rows = max(hi - lo for lo, hi in slices)
+    # each minibatch, and after the last epoch each chunk of held-out rows,
+    # is gathered into the first rows of one array
+    gathered = np.empty((rows, *x.shape[1:]))
+    buffers = _output_buffers(ensemble, rows)
+    grad = _gradient(ensemble, per_module=True)
     report = TrainReport()
     try:
         for epoch in range(training.epochs):
@@ -679,16 +787,16 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
             epoch_loss = 0.0
             for lo, hi in slices:
                 xb = _gather(x, train_idx[order[lo:hi]], gathered, scaler)
-                loss, grad = backward(ensemble, xb, train=True, rng=rng,
-                                      buffers=buffers, grad=grad_out)
+                loss, _ = backward(ensemble, xb, train=True, rng=rng, buffers=buffers,
+                                   grad=grad, step=opt.step)
                 if not np.isfinite(loss):
                     raise InvalidValueError("non-finite training loss")
                 epoch_loss += loss * (hi - lo)
-                opt.step(grad)
             report.train_losses.append(epoch_loss / n_train)
         if n_val > 0:
-            x_val = _gather(x, perm[:n_val], gathered, scaler)
-            val, _ = backward(ensemble, x_val, buffers=buffers, need_grads=False)
+            chunks = (_gather(x, perm[lo:min(lo + rows, n_val)], gathered, scaler)
+                      for lo in range(0, n_val, rows))
+            val = _heldout_loss(ensemble, chunks, n_val, buffers)
             if not np.isfinite(val):
                 raise InvalidValueError("non-finite validation loss")
             report.val_loss = float(val)

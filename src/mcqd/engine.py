@@ -44,6 +44,12 @@ STREAM_MUTATION = 2
 STREAM_EPISODES = 3
 STREAM_TRAINING = 4
 
+# Most rows per product of the FD encoding after a training: one full-scale
+# minibatch.  On OpenBLAS's SkylakeX kernel an encoded row kept its bits in
+# products of 100 rows or more, and equal parts of more than ENCODE_ROWS
+# rows have at least ENCODE_ROWS // 2.
+ENCODE_ROWS = 1024
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a named substream of the master seed."""
@@ -100,6 +106,13 @@ def select_curiosity_roulette(container: GridContainer, curiosity: np.ndarray,
     cumulative = np.cumsum(np.maximum(curiosity[rows], floor))
     idx = np.searchsorted(cumulative, np.asarray(draws) * cumulative[-1], side="right")
     return rows[np.minimum(idx, len(rows) - 1)]
+
+
+def row_parts(n: int, most: int) -> list[int]:
+    """Edges of the fewest equal row ranges of at most ``most`` rows that
+    cover n rows; their sizes differ by at most one."""
+    parts = -(-n // most)
+    return [n * i // parts for i in range(parts + 1)]
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -211,16 +224,20 @@ class Engine:
         return np.arange(base, base + len(genomes)), fitness, observations
 
     def _commit(self, ids, genomes, fitness, observations, attempted, parents,
-                stats: BatchStats) -> int:
+                stats: BatchStats, learned_fds=()) -> int:
         """Insert a batch of evaluated children in iteration order.
 
         ``attempted[i]`` lists the indices of the containers child i competes
         in, ``parents[i]`` is its parent's depot row (-1 for none).  Every
-        container extracts the whole batch once.  A child accepted anywhere
-        takes the next depot row, and the accepted rows are appended in one
-        step at the end.  Returns the number of accepted children.
+        container extracts the whole batch once, except the learned ones
+        whose FD matrices of the batch ``learned_fds`` gives, in ``learned``
+        order.  A child accepted anywhere takes the next depot row, and the
+        accepted rows are appended in one step at the end.  Returns the
+        number of accepted children.
         """
-        fds = [ex.extract_many(observations) for ex in self.extractors]
+        given = dict(zip(self.learned, learned_fds))
+        fds = [given[cid] if cid in given else ex.extract_many(observations)
+               for cid, ex in enumerate(self.extractors)]
         cells = [c.cells(fd).tolist() for c, fd in zip(self.containers, fds)]
         first_row = len(self.depot)
         # fitness by depot row, with room for the rows this batch adds
@@ -254,6 +271,11 @@ class Engine:
         the train report and, unless training diverged, each learned
         container's FD matrix of the corpus, in ``learned`` order, taken
         from the encoding its quantile transform is fit on.
+
+        The corpus is scaled and encoded in equal row chunks of at most
+        ``ENCODE_ROWS`` rows, into one (n, latent_dim) matrix per module, so
+        no scaled copy of the corpus is built; a corpus of at most
+        ``ENCODE_ROWS`` rows is one chunk.
         """
         rng = substream(self.seed, STREAM_TRAINING, self.retrain_count)
         scaler = ObservationScaler.fit(corpus)
@@ -275,28 +297,32 @@ class Engine:
         report = train_ensemble(candidate, corpus, self.training, rng, scaler=scaler)
         if report.diverged:
             return report, None
-        inputs = scaler.transform(corpus)
         self.retrain_count += 1
         self.ensemble = candidate
         self.scaler = scaler
         self.quantile_transforms = {}
-        fds = []
+        # each module's latents of the corpus, replaced by its FD matrix
+        fds = [np.empty((len(corpus), candidate.latent_dim)) for _ in self.learned]
+        edges = row_parts(len(corpus), ENCODE_ROWS)
+        for lo, hi in zip(edges, edges[1:]):
+            inputs = scaler.transform(corpus[lo:hi])
+            for module, z in enumerate(fds):
+                z[lo:hi] = candidate.encode(inputs, module)
         for module, cid in enumerate(self.learned):
-            fd = candidate.encode(inputs, module)
             qt = None
             if self.grids[cid].fd == "ae_qt":
-                qt = QuantileTransform.fit(fd, self.training.quantiles)
+                qt = QuantileTransform.fit(fds[module], self.training.quantiles)
                 self.quantile_transforms[cid] = qt
-                fd = qt.apply(fd)
+                fds[module] = qt.apply(fds[module])
             self.extractors[cid] = LearnedExtractor(candidate, module, scaler, qt)
-            fds.append(fd)
         return report, fds
 
     # -- lifecycle --------------------------------------------------------
 
     def initialize(self) -> None:
         """Draw and evaluate the initial collection, train the initial
-        descriptor models on it, then seed every container from it."""
+        descriptor models on it, then seed every container from it, the
+        learned ones at the FDs that the training's encoding gave."""
         if self.initialized:
             raise RuntimeError("engine already initialized")
         lo, hi = self.task.definition.genome_bounds
@@ -304,14 +330,15 @@ class Engine:
         n = self.search.initialization_budget
         genomes = rng.uniform(lo, hi, (n, self.task.definition.genome_dim))
         ids, fitness, observations = self._evaluate_genomes(genomes)
+        learned_fds = []
         if self.learned:
-            report, _ = self._train(observations)
+            report, learned_fds = self._train(observations)
             if report.diverged:
                 raise RuntimeError(
                     f"initial descriptor training diverged: {report.message}")
         everywhere = range(len(self.containers))
         self._commit(ids, genomes, fitness, observations, [everywhere] * n,
-                     [-1] * n, BatchStats(evals=n))
+                     [-1] * n, BatchStats(evals=n), learned_fds)
         self.depot.added_since_last_training = 0
         self.initialized = True
 

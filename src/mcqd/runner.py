@@ -9,10 +9,12 @@ timestamps anywhere):
 * ``batches.jsonl``  one record per batch: its index, the fields of
                      ``engine.BatchStats`` and ``engine.RetrainReport``
                      (null without a retrain), per-container occupancy.
+* ``checkpoint.npz`` descriptor model(s), input scaling, quantile landmarks.
 * ``containers.jsonl`` final container snapshots, one record per occupied
                      cell with fields (container_id, bin, solution_id,
-                     fitness, fd, genome) in that order.
-* ``checkpoint.npz`` descriptor model(s), input scaling, quantile landmarks.
+                     fitness, fd, genome) in that order.  Written last, and
+                     atomically: a replicate has finished when it has this
+                     file and no ``FAILED`` (``replicate_finished``).
 * ``FAILED``         only when the replicate failed: a first line
                      ``phase=<initialize|batch|retrain|write> batch=<k>``
                      (``unknown`` for both when its worker process died),
@@ -158,10 +160,17 @@ def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path,
                       "occupancy": [c.occupancy for c in engine.containers]}
             bfh.write(json.dumps(record) + "\n")
 
-    write_container_snapshots(engine, rep_dir / "containers.jsonl", config, seed)
     if engine.ensemble is not None:
         save_checkpoint(rep_dir / "checkpoint.npz", engine.ensemble, engine.scaler,
                         engine.quantile_transforms)
+    write_container_snapshots(engine, rep_dir / "containers.jsonl", config, seed)
+
+
+def replicate_finished(rep_dir: Path) -> bool:
+    """Whether a replicate ran to its end: it wrote ``containers.jsonl``, its
+    last artifact, and no ``FAILED``.  A replicate killed from outside has
+    neither."""
+    return (rep_dir / "containers.jsonl").exists() and not (rep_dir / "FAILED").exists()
 
 
 def _write_failed(rep_dir: Path, where: str, error: str) -> None:
@@ -238,9 +247,12 @@ def write_container_snapshots(engine: Engine, path: Path,
 
     Field order per record: container_id, bin, solution_id, fitness, fd,
     genome.  Bins come in the grid's C order, which is sorted bin order.
+    The records go to a temporary file that then replaces ``path``, so
+    ``path`` exists only once it is whole.
     """
     depot = engine.depot
-    with open(path, "w") as fh:
+    part = path.with_name(path.name + ".part")
+    with open(part, "w") as fh:
         fh.write(json.dumps(_json_meta(config, seed)) + "\n")
         for container in engine.containers:
             cid = container.container_id
@@ -256,6 +268,7 @@ def write_container_snapshots(engine: Engine, path: Path,
                     "genome": depot.genomes[row].tolist(),
                 }
                 fh.write(json.dumps(record) + "\n")
+    os.replace(part, path)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
@@ -314,35 +327,41 @@ def read_metrics_csv(path: Path) -> dict[int, dict[str, float]]:
     return rows
 
 
-def _replicate_metric_files(run_dirs) -> list[Path]:
-    files = []
+def _finished_replicates(run_dirs) -> list[Path]:
+    """The finished replicates' directories under ``run_dirs``, in order.
+    Logs a warning that names every other ``rep_*`` directory, and raises
+    FileNotFoundError when no replicate has finished."""
+    finished, skipped = [], []
     for run_dir in run_dirs:
-        run_dir = Path(run_dir)
-        for rep in sorted(run_dir.glob("rep_*")):
-            if (rep / "FAILED").exists():
-                continue
-            path = rep / "metrics.csv"
-            if path.exists():
-                files.append(path)
-    return files
+        for rep in sorted(Path(run_dir).glob("rep_*")):
+            (finished if replicate_finished(rep) else skipped).append(rep)
+    if skipped:
+        log.warning("skipping %d unfinished replicate(s), FAILED or without "
+                    "containers.jsonl: %s", len(skipped), ", ".join(map(str, skipped)))
+    if not finished:
+        raise FileNotFoundError(
+            f"no finished replicate under {[str(d) for d in run_dirs]}; expected "
+            "rep_*/metrics.csv and rep_*/containers.jsonl, without rep_*/FAILED")
+    return finished
 
 
 def write_aggregate(run_dirs, out_path: Path) -> Path:
-    """Per-iteration mean/std/min/q25/q75/max of every metric over replicates.
+    """Per-iteration mean/std/min/q25/q75/max of every metric over the
+    finished replicates (``replicate_finished``); the others are named in a
+    warning and skipped.
 
     Recomputing this from the per-replicate logs always reproduces the file
     byte for byte.
     """
-    files = _replicate_metric_files(run_dirs)
-    if not files:
-        raise FileNotFoundError(
-            f"no replicate metrics found under {[str(d) for d in run_dirs]}; "
-            "expected rep_*/metrics.csv")
-    tables = [read_metrics_csv(f) for f in files]
+    return _write_aggregate(_finished_replicates(run_dirs), out_path)
+
+
+def _write_aggregate(reps: list[Path], out_path: Path) -> Path:
+    tables = [read_metrics_csv(rep / "metrics.csv") for rep in reps]
     iterations = sorted({it for table in tables for it in table})
     out_path = Path(out_path)
     with open(out_path, "w", newline="") as fh:
-        fh.write(f"# mcqd-aggregate v1 replicates={len(files)} version={__version__}\n")
+        fh.write(f"# mcqd-aggregate v1 replicates={len(reps)} version={__version__}\n")
         writer = csv.writer(fh)
         writer.writerow(["iteration", "metric", "mean", "std", "min", "q25",
                          "q75", "max"])
@@ -374,8 +393,9 @@ def emit_plot_data(run_dir) -> Path:
 
     ``curves.csv`` repeats the aggregate statistics (one row per iteration
     per metric); ``heatmap_rep<k>_c<i>.csv`` holds one fitness matrix per
-    container per replicate, with empty cells as nan.  Only 2-D grids can be
-    rendered as heatmaps.
+    container per finished replicate, with empty cells as nan.  Only 2-D
+    grids can be rendered as heatmaps.  Unfinished replicates are named in
+    a warning and skipped, as ``write_aggregate`` skips them.
     """
     run_dir = Path(run_dir)
     missing = []
@@ -393,15 +413,13 @@ def emit_plot_data(run_dir) -> Path:
 
     plot_dir = run_dir / "plot"
     plot_dir.mkdir(exist_ok=True)
-    write_aggregate([run_dir], plot_dir / "curves.csv")
+    reps = _finished_replicates([run_dir])
+    _write_aggregate(reps, plot_dir / "curves.csv")
 
-    for rep in sorted(run_dir.glob("rep_*")):
-        snap_path = rep / "containers.jsonl"
-        if (rep / "FAILED").exists() or not snap_path.exists():
-            continue
+    for rep in reps:
         grids = {cid: np.full(g.shape, np.nan)
                  for cid, g in enumerate(config.grids) if len(g.shape) == 2}
-        with open(snap_path) as fh:
+        with open(rep / "containers.jsonl") as fh:
             for line in fh:
                 record = json.loads(line)
                 if record.get("record") == "meta":

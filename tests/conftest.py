@@ -29,7 +29,8 @@ def build_toy_ensemble(n_modules=2, input_dim=6, latent_dim=2, hidden=(3,),
 
 def poison_theta_after_epoch(monkeypatch, epoch):
     """Make every later training's parameters NaN once its ``epoch``
-    (0-based) has taken its last Adam step."""
+    (0-based) has taken its last Adam step: the step of the last block
+    (module) of its last minibatch."""
     import mcqd.autoencoder as ae
     steps_per_epoch = []
     real_slices, real_step = ae._batch_slices, ae.Adam.step
@@ -39,9 +40,10 @@ def poison_theta_after_epoch(monkeypatch, epoch):
         steps_per_epoch.append(len(slices))
         return slices
 
-    def step(self, grad):
-        real_step(self, grad)
-        if self.t == steps_per_epoch[-1] * (epoch + 1):
+    def step(self, grad, block=0):
+        real_step(self, grad, block)
+        last_block = (block + 1) * grad.size == self.theta.size
+        if last_block and self.t == steps_per_epoch[-1] * (epoch + 1):
             self.theta[...] = np.nan
 
     monkeypatch.setattr(ae, "_batch_slices", batch_slices)

@@ -484,6 +484,14 @@ class TestDenseNet:
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(b1, b2)
 
+    def test_cache_keeps_the_last_layer_activation_only(self, rng):
+        """net_backward reads a layer's activation before dropout only at
+        the last layer, so only that one is cached."""
+        ens = ModularAutoEncoderEnsemble.build(6, 2, 1, hidden=(4, 3), rng=rng)
+        _, cache = net_forward(ens.nets[0][0], rng.random((5, 6)), 0.5, rng)
+        assert [h_act is None for _, _, h_act, _ in cache] == [True, True, False]
+        assert [mask is None for _, _, _, mask in cache] == [False, False, True]
+
     def test_forward_deterministic_in_eval_mode(self, rng):
         ens = build_toy_ensemble(n_modules=1, dropout=0.5, seed=21)
         x = rng.random((3, 6))
@@ -606,9 +614,9 @@ class TestTraining:
     def test_working_set_is_the_named_arrays(self, kind):
         """Given the raw corpus and its scaler, a training holds above it the
         arrays README § Performance names, plus every live module's forward
-        caches and a stated slack: no scaled copy of the corpus, no array of
-        held-out rows beside the minibatch, no second gradient and no
-        optimizer temporaries."""
+        caches and a stated slack: one minibatch sizes every rows-sized
+        array, though more rows are held out than a minibatch has, and
+        beside Adam's m and v only a module-sized gradient and scratch."""
         rows, n_val, batch, channels, t, m = 600, 150, 128, 7, 20, 3
         dim = channels * t
         ens = ModularAutoEncoderEnsemble.build(dim, 2, m, hidden=(16, 5),
@@ -618,16 +626,16 @@ class TestTraining:
                               validation_split=n_val / rows)
         corpus = np.random.default_rng(36).normal(size=(rows, channels, t)) * 3.0
         scaler = ObservationScaler.fit(corpus)
-        gathered = max(batch, n_val)  # the minibatch, then the held-out rows
-        named = (3 * gathered * dim  # output buffers
-                 + gathered * dim  # the gathered rows
-                 + 5 * ens.theta.size) * 8  # Adam's m, v and scratch; the gradient
-        # per row and module, training: a, activation, dropout mask and
-        # masked output of each hidden unit; a and sigmoid of each latent
-        # unit.  Validation keeps no mask and no masked output.
+        named = (3 * batch * dim  # output buffers
+                 + batch * dim  # the gathered rows
+                 + 2 * ens.theta.size  # Adam's m and v
+                 + 3 * ens.module_size) * 8  # the gradient and Adam's scratch
+        # per row and module, training: a, dropout mask and masked output of
+        # each hidden unit; a and sigmoid of each latent unit.  Validation
+        # keeps no caches, and under cmd every held-out row's latents.
         live = 1 if kind == "none" else m
-        caches = max(batch * (4 * 2 * (16 + 5) + 2 * 2),
-                     n_val * (2 * 2 * (16 + 5) + 2 * 2)) * 8 * live
+        caches = batch * (3 * 2 * (16 + 5) + 2 * 2) * 8 * live
+        latents = 0 if kind == "none" else n_val * 2 * m * 8
         slack = 192 * 1024  # backward's per-layer temporaries
         tracemalloc.start()
         try:
@@ -637,7 +645,7 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert not report.diverged and np.isfinite(report.val_loss)
-        assert peak <= named + caches + slack, (peak, named, caches)
+        assert peak <= named + caches + latents + slack, (peak, named, caches)
 
     def test_raw_corpus_and_scaler_train_like_the_scaled_corpus(self):
         """Scaling each gathered minibatch gives the parameters and losses
@@ -698,7 +706,8 @@ class TestTraining:
     def test_modules_without_a_diversity_term_run_one_at_a_time(self):
         """Without a diversity term a module's activations are freed before
         the next module runs: from 1 to 3 modules the traced peak grows by
-        the five parameter-sized vectors and at most 64 KiB more."""
+        Adam's m and v, the only ensemble-sized vectors a training
+        allocates, and at most 64 KiB more."""
         rows, dim = 1400, 140
         x = np.random.default_rng(38).random((rows, dim))
         cfg = TrainingSection(epochs=1, learning_rate=0.01, batch_size=1024,
@@ -716,7 +725,7 @@ class TestTraining:
                 tracemalloc.stop()
             assert not report.diverged
             sizes.append(ens.theta.size)
-        vectors = 5 * (sizes[1] - sizes[0]) * 8
+        vectors = 2 * (sizes[1] - sizes[0]) * 8
         assert peaks[1] - peaks[0] <= vectors + 64 * 1024, (peaks, vectors)
 
     def test_loss_curves_have_epoch_length(self):
@@ -726,6 +735,66 @@ class TestTraining:
         x = np.random.default_rng(8).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(9))
         assert report.epochs_run == len(report.train_losses) == 5
+
+    @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
+    def test_per_module_steps_equal_whole_vector_steps(self, kind):
+        """Stepping each module's slice as soon as its gradient is written
+        gives, bit for bit, the parameters and losses of a loop that takes
+        the whole gradient from ``backward`` and steps the whole vector."""
+        x = np.random.default_rng(53).random((29, 24))
+        cfg = TrainingSection(epochs=3, learning_rate=0.01, batch_size=7,
+                              validation_split=0.25)
+
+        def ensemble():
+            return build_toy_ensemble(n_modules=3, input_dim=24, hidden=(6, 3),
+                                      diversity_kind=kind, dropout=0.2, seed=54)
+
+        ens = ensemble()
+        report = train_ensemble(ens, x, cfg, np.random.default_rng(55))
+        # the reference loop: 7 rows held out, minibatches of 7, 7 and 8 rows
+        ref, rng = ensemble(), np.random.default_rng(55)
+        perm = rng.permutation(29)
+        train_idx, opt, losses = perm[7:], Adam(ref.theta, 0.01), []
+        for _ in range(3):
+            order, total = rng.permutation(22), 0.0
+            for lo, hi in ((0, 7), (7, 14), (14, 22)):
+                loss, grad = backward(ref, x[train_idx[order[lo:hi]]], True, rng)
+                total += loss * (hi - lo)
+                opt.step(grad)
+            losses.append(total / 22)
+        val = combined_loss(ref, x[perm[:7]])
+        assert not report.diverged
+        assert (_int64_sha256(ens.parameters()), report.train_losses, report.val_loss) \
+            == (_int64_sha256(ref.parameters()), losses, val)
+
+    @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
+    def test_held_out_rows_in_chunks_give_the_loss_over_all_of_them(self, kind):
+        """30 held-out rows are scored in chunks of the 8-row minibatch; the
+        reconstruction and outputs terms add up chunk by chunk, and the cov
+        and cmd terms come from all 30 rows' latents."""
+        x = np.random.default_rng(56).random((60, 6))
+        cfg = TrainingSection(epochs=2, learning_rate=0.01, batch_size=8,
+                              validation_split=0.5)
+        ens = build_toy_ensemble(n_modules=3, diversity_kind=kind, dropout=0.2,
+                                 seed=57)
+        report = train_ensemble(ens, x, cfg, np.random.default_rng(58))
+        held_out = x[np.random.default_rng(58).permutation(60)[:30]]
+        whole = backward(ens, held_out)[0]
+        assert not report.diverged
+        assert whole == combined_loss(ens, held_out)
+        assert report.val_loss == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+    def test_held_out_rows_within_one_minibatch_give_backward_bits(self):
+        """Held-out rows that fit one minibatch are one chunk, scored to the
+        bits of one ``backward`` over them."""
+        x = np.random.default_rng(59).random((40, 6))
+        cfg = TrainingSection(epochs=1, learning_rate=0.01, batch_size=30,
+                              validation_split=0.25)
+        for kind in ("none", "outputs", "cov", "cmd"):
+            ens = build_toy_ensemble(n_modules=3, diversity_kind=kind, seed=60)
+            report = train_ensemble(ens, x, cfg, np.random.default_rng(61))
+            held_out = x[np.random.default_rng(61).permutation(40)[:10]]
+            assert report.val_loss == backward(ens, held_out)[0]
 
 
 def _int64_sha256(arrays) -> str:
@@ -793,6 +862,24 @@ def reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 class TestAdam:
+    def test_block_steps_are_bit_identical_to_whole_vector_steps(self):
+        """Module by module, one block per module and minibatch, with t
+        advanced by block 0, gives the bits of whole-vector steps."""
+        ens = build_toy_ensemble(n_modules=3, input_dim=24, hidden=(6, 3), seed=62)
+        rng = np.random.default_rng(63)
+        steps = [rng.normal(size=ens.theta.size) * 10.0 ** rng.integers(-6, 3, ens.theta.size)
+                 for _ in range(5)]
+        whole, blocks = ens.theta.copy(), ens.theta.copy()
+        opt_whole, opt_blocks = Adam(whole, 0.01), Adam(blocks, 0.01, ens.module_size)
+        for step in steps:
+            opt_whole.step(step)
+            for k, g in enumerate(np.split(step, 3)):
+                opt_blocks.step(g, k)
+        assert opt_blocks.t == opt_whole.t == 5
+        assert blocks.tobytes() == whole.tobytes()
+        assert opt_blocks.m.tobytes() == opt_whole.m.tobytes()
+        assert opt_blocks.v.tobytes() == opt_whole.v.tobytes()
+
     def test_single_step_matches_reference_formula(self):
         p = np.array([1.0, -2.0])
         g = np.array([0.5, 0.25])

@@ -15,12 +15,14 @@ from mcqd.config import (
     TrainingSection,
 )
 from mcqd.core import EmptyContainerError, GridContainer, InvalidValueError
-from mcqd.descriptors import ChannelReduction
+from mcqd.descriptors import ChannelReduction, LearnedExtractor
 from mcqd.engine import (
+    ENCODE_ROWS,
     STREAM_MUTATION,
     STREAM_SELECTION,
     Engine,
     mutate_polynomial,
+    row_parts,
     select_curiosity_roulette,
     substream,
 )
@@ -397,6 +399,20 @@ def engine_fingerprint(engine):
     return cells, list(zip(d.ids.tolist(), d.fitness.tolist()))
 
 
+def test_row_parts_are_equal_and_at_least_half_of_the_most():
+    """The FD encoding's chunks: one for at most ENCODE_ROWS rows, else
+    equal parts of ENCODE_ROWS // 2 to ENCODE_ROWS rows."""
+    assert row_parts(700, ENCODE_ROWS) == [0, 700]
+    assert row_parts(ENCODE_ROWS, ENCODE_ROWS) == [0, ENCODE_ROWS]
+    for n in [*range(ENCODE_ROWS + 1, 3 * ENCODE_ROWS + 2), 20_000, 100_003]:
+        edges = row_parts(n, ENCODE_ROWS)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == n
+        assert sizes.max() - sizes.min() <= 1
+        assert ENCODE_ROWS // 2 <= sizes.min() and sizes.max() <= ENCODE_ROWS
+        assert len(sizes) == -(-n // ENCODE_ROWS)
+
+
 class TestHardcodedPairing:
     def test_interleaved_grids_take_the_task_pairs_in_order(self):
         """Hardcoded grids take the task's declared FDs in grid order, and a
@@ -636,6 +652,59 @@ class TestRetraining:
             expected = extractor.extract_many(engine.depot.observations)
             np.testing.assert_array_equal(engine.depot.fds[cid].view(np.int64),
                                           expected.view(np.int64))
+
+    def test_initialize_seeds_learned_containers_from_the_training_encoding(
+            self, monkeypatch):
+        """The initial batch is scaled and encoded once, by the training:
+        the depot's initial learned FDs are that encoding's rows, with the
+        bits the new extractors give over the batch."""
+        trained, extracted = [], []
+        real_train, real_extract = Engine._train, LearnedExtractor.extract_many
+
+        def train(engine, corpus):
+            report, fds = real_train(engine, corpus)
+            trained.append((corpus, fds))
+            return report, fds
+
+        def extract_many(extractor, observations):
+            extracted.append(len(observations))
+            return real_extract(extractor, observations)
+
+        monkeypatch.setattr(Engine, "_train", train)
+        monkeypatch.setattr(LearnedExtractor, "extract_many", extract_many)
+        engine = toy_engine(learned=True, learned_fds=("ae", "ae_qt"))
+        engine.initialize()
+        assert extracted == [] and len(trained) == 1
+        (corpus, fds), depot = trained[0], engine.depot
+        for cid, fd in zip(engine.learned, fds):
+            assert depot.fds[cid].tobytes() == fd[depot.ids].tobytes()
+            batch = real_extract(engine.extractors[cid], corpus)
+            assert depot.fds[cid].tobytes() == batch[depot.ids].tobytes()
+
+    @pytest.mark.parametrize("rows", [1025, 2049, 5000])
+    def test_chunked_encoding_keeps_the_one_product_bits(self, rows):
+        """``_train`` scales and encodes the corpus in equal chunks of at
+        most ENCODE_ROWS rows, 512 to 1024 rows here.  On the OpenBLAS
+        kernel the golden pins were recorded with (SkylakeX), each encoded
+        row keeps the bits of one product over the whole scaled corpus, and
+        so do the quantile fit and its FDs."""
+        task = make_task("surrogate_walker")  # 14 channels x 10 timepoints
+        grids = [GridSpec(shape=(5, 5), fd="ae"), GridSpec(shape=(5, 5), fd="ae_qt")]
+        engine = Engine(task, grids, SearchSection(),
+                        TrainingSection(epochs=1, quantiles=20), seed=7)
+        d = task.definition
+        corpus = np.random.default_rng(rows).normal(
+            size=(rows, d.n_obs_channels, d.n_timepoints))
+        report, fds = engine._train(corpus)
+        assert not report.diverged
+        inputs = engine.scaler.transform(corpus)
+        for module, (cid, fd) in enumerate(zip(engine.learned, fds)):
+            z = engine.ensemble.encode(inputs, module)
+            if cid in engine.quantile_transforms:
+                qt = engine.quantile_transforms[cid]
+                assert qt.landmarks.tobytes() == type(qt).fit(z, 20).landmarks.tobytes()
+                z = qt.apply(z)
+            assert fd.tobytes() == z.tobytes()
 
     def test_reindex_idempotent_with_unchanged_extractor(self):
         engine = toy_engine(learned=True)

@@ -1,19 +1,24 @@
 """End-to-end runs: artifacts, determinism, aggregation, plot data."""
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import mcqd
 from mcqd.config import (
     DIVERSITY_KINDS,
     FD_TYPES,
@@ -27,6 +32,7 @@ from mcqd.runner import (
     build_engine,
     emit_plot_data,
     read_metrics_csv,
+    replicate_finished,
     resolve_run_dir,
     run_experiment,
     run_replicate,
@@ -543,6 +549,102 @@ class TestWorkers:
         assert not thread.is_alive()
         assert multiprocessing.active_children() == []
         assert {name: os.environ.get(name) for name in BLAS_ENV} == env
+
+
+def _mcqd_cli(*args) -> subprocess.Popen:
+    """``python -m mcqd.cli args`` in a new process, its output piped."""
+    src = str(Path(mcqd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "mcqd.cli", *map(str, args)],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+class TestUnfinishedReplicates:
+    """A replicate has finished when it has ``containers.jsonl``, written
+    last, and no ``FAILED``.  Aggregates and plot data skip every other
+    replicate and name it in a warning."""
+
+    def test_killed_in_process_replicate_is_skipped_and_named(self, toy_run,
+                                                              tmp_path):
+        config = tmp_path / "long.yaml"
+        config.write_text(TOY_YAML.replace("replicates: 2", "replicates: 1").replace(
+            "evaluation_budget: 80", "evaluation_budget: 100000000"))
+        run_dir = tmp_path / "killed"
+        killed = run_dir / "rep_000"
+        run = _mcqd_cli("run", config, "--out", run_dir)
+        try:
+            deadline = time.monotonic() + 120
+            # a few batches in, mid-search
+            while not ((killed / "metrics.csv").exists() and
+                       (killed / "metrics.csv").read_text().count("\n") >= 6):
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            run.kill()
+            run.communicate()
+        assert sorted(p.name for p in killed.iterdir()) == ["batches.jsonl",
+                                                            "metrics.csv"]
+        assert not replicate_finished(killed)
+
+        alone = _mcqd_cli("aggregate", run_dir)
+        _, err = alone.communicate(timeout=120)
+        assert alone.returncode == 2
+        assert "no finished replicate" in err and str(killed) in err
+
+        finished = toy_run[1].run_dir / "rep_001"
+        shutil.copytree(finished, run_dir / "rep_001")
+        shutil.copytree(finished, tmp_path / "only" / "rep_001")
+        both = _mcqd_cli("aggregate", run_dir, "--out", tmp_path / "agg.csv")
+        _, err = both.communicate(timeout=120)
+        assert both.returncode == 0
+        assert "WARNING skipping 1 unfinished replicate" in err and str(killed) in err
+        expected = write_aggregate([tmp_path / "only"], tmp_path / "only.csv")
+        assert (tmp_path / "agg.csv").read_bytes() == expected.read_bytes()
+
+    def test_half_written_last_metrics_line_is_skipped(self, toy_run, tmp_path,
+                                                       caplog):
+        """A replicate killed while it wrote a metrics row: the row is cut
+        short and no ``containers.jsonl`` or ``checkpoint.npz`` exists."""
+        _, result = toy_run
+        run = tmp_path / "run"
+        shutil.copytree(result.run_dir, run,
+                        ignore=shutil.ignore_patterns("plot", "aggregate.csv"))
+        cut = run / "rep_001"
+        text = (cut / "metrics.csv").read_text()
+        (cut / "metrics.csv").write_text(text[:-25])
+        (cut / "containers.jsonl").unlink()
+        (cut / "checkpoint.npz").unlink()
+        shutil.copytree(result.run_dir / "rep_000", tmp_path / "only" / "rep_000")
+        expected = write_aggregate([tmp_path / "only"], tmp_path / "only.csv")
+        with caplog.at_level(logging.WARNING, logger="mcqd.runner"):
+            got = write_aggregate([run], tmp_path / "agg.csv")
+            plot_dir = emit_plot_data(run)
+        assert got.read_bytes() == expected.read_bytes()
+        assert (plot_dir / "curves.csv").read_bytes() == expected.read_bytes()
+        assert (plot_dir / "heatmap_rep_000_c0.csv").exists()
+        assert not list(plot_dir.glob("heatmap_rep_001_*"))
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 2 and all(str(cut) in w for w in warnings)
+
+    def test_containers_are_written_last(self, tmp_path, monkeypatch):
+        import mcqd.runner as runner_mod
+
+        real, seen = runner_mod.save_checkpoint, []
+
+        def save_checkpoint(path, *args):
+            seen.append(sorted(p.name for p in path.parent.iterdir()))
+            real(path, *args)
+
+        monkeypatch.setattr(runner_mod, "save_checkpoint", save_checkpoint)
+        config = ExperimentConfig.from_yaml(TOY_YAML.replace("replicates: 2",
+                                                             "replicates: 1"))
+        rep = run_experiment(config, tmp_path / "run").run_dir / "rep_000"
+        assert seen == [["batches.jsonl", "metrics.csv"]]
+        assert sorted(p.name for p in rep.iterdir()) == [
+            "batches.jsonl", "checkpoint.npz", "containers.jsonl", "metrics.csv"]
+        assert replicate_finished(rep)
 
 
 class TestTaskDependentConfigErrors:

@@ -26,6 +26,7 @@ from mcqd.engine import (
     select_curiosity_roulette,
     substream,
 )
+from mcqd.postprocess import QuantileTransform
 from mcqd.tasks import Task, TaskDefinition, make_task
 
 from conftest import poison_theta_after_epoch
@@ -702,7 +703,7 @@ class TestRetraining:
             z = engine.ensemble.encode(inputs, module)
             if cid in engine.quantile_transforms:
                 qt = engine.quantile_transforms[cid]
-                assert qt.landmarks.tobytes() == type(qt).fit(z, 20).landmarks.tobytes()
+                assert qt.landmarks.tobytes() == QuantileTransform.fit(z, 20).landmarks.tobytes()
                 z = qt.apply(z)
             assert fd.tobytes() == z.tobytes()
 

@@ -398,14 +398,9 @@ def emit_plot_data(run_dir) -> Path:
     a warning and skipped, as ``write_aggregate`` skips them.
     """
     run_dir = Path(run_dir)
-    missing = []
     if not (run_dir / "config.yaml").exists():
-        missing.append("config.yaml")
-    if not list(run_dir.glob("rep_*/metrics.csv")):
-        missing.append("rep_*/metrics.csv")
-    if missing:
-        raise FileNotFoundError(
-            f"{run_dir} is not a run directory; missing: {', '.join(missing)}")
+        raise FileNotFoundError(f"{run_dir} is not a run directory; missing: config.yaml")
+    reps = _finished_replicates([run_dir])
 
     config_text = (run_dir / "config.yaml").read_text()
     body = "\n".join(ln for ln in config_text.splitlines() if not ln.startswith("#"))
@@ -413,7 +408,6 @@ def emit_plot_data(run_dir) -> Path:
 
     plot_dir = run_dir / "plot"
     plot_dir.mkdir(exist_ok=True)
-    reps = _finished_replicates([run_dir])
     _write_aggregate(reps, plot_dir / "curves.csv")
 
     for rep in reps:

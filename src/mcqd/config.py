@@ -5,36 +5,44 @@ Configs are plain YAML with named sections.  Unknown keys are hard errors
 diagnostics carry the line number of the offending section.  Every preset of
 the case matrix is available at full scale and at a desk scale that divides
 the budgets by ten and shrinks each grid to 10x10.
+
+YAML is read and written only by ``ExperimentConfig.from_yaml`` (which
+``from_file`` calls) and ``to_yaml``, which import PyYAML when first called.
+A replicate worker receives its config pickled and never loads PyYAML.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-
-import yaml
 
 from .core import ConfigurationError
 
 _REQUIRED = object()
 
 
-class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that records the source line of every mapping, under
-    ``__line__``, and of each of its keys, under ``__key_lines__``."""
+@functools.cache
+def _line_loader():
+    """A SafeLoader that records the source line of every mapping, under
+    ``__line__``, and of each of its keys, under ``__key_lines__``; built on
+    the first parse."""
+    import yaml
 
+    def mapping_with_line(loader, node, deep=False):
+        mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
+        mapping["__line__"] = node.start_mark.line + 1
+        mapping["__key_lines__"] = {loader.construct_object(key): key.start_mark.line + 1
+                                    for key, _ in node.value}
+        return mapping
 
-def _mapping_with_line(loader, node, deep=False):
-    mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
-    mapping["__line__"] = node.start_mark.line + 1
-    mapping["__key_lines__"] = {loader.construct_object(key): key.start_mark.line + 1
-                                for key, _ in node.value}
-    return mapping
+    class LineLoader(yaml.SafeLoader):
+        pass
 
-
-_LineLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _mapping_with_line)
+    LineLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
+                               mapping_with_line)
+    return LineLoader
 
 
 _LINE_MARKERS = ("__line__", "__key_lines__")
@@ -292,8 +300,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":
+        import yaml
+
         try:
-            data = yaml.load(text, Loader=_LineLoader)
+            data = yaml.load(text, Loader=_line_loader())
         except yaml.MarkedYAMLError as exc:
             mark = exc.problem_mark
             raise _config_error(mark.line + 1 if mark else 0,
@@ -347,6 +357,8 @@ class ExperimentConfig:
         return {**head, "containers": containers, **d}
 
     def to_yaml(self) -> str:
+        import yaml
+
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
 
     def hash(self) -> str:

@@ -120,6 +120,24 @@ def _finite_or_none(value: float) -> float | None:
     return float(value) if np.isfinite(value) else None
 
 
+def check_task_grids(task: Task, grids: list[GridSpec]) -> None:
+    """Check the grids against the task: it must declare a hardcoded FD pair
+    for every hardcoded grid, with one reduction per grid dimension.  These
+    are the config checks that need the task but no evaluation;
+    ``run_experiment`` makes them before it writes anything."""
+    d = task.definition
+    hardcoded = [g for g in grids if g.fd == "hardcoded"]
+    if len(hardcoded) > len(d.hardcoded_fds):
+        raise ConfigurationError(
+            f"task {d.name!r} declares only {len(d.hardcoded_fds)} hardcoded FD "
+            f"pairs, the config has {len(hardcoded)} hardcoded grids")
+    for grid, reductions in zip(hardcoded, d.hardcoded_fds):
+        if len(reductions) != len(grid.shape):
+            raise ConfigurationError(
+                f"FD spec has {len(reductions)} dims, grid "
+                f"{list(grid.shape)} has {len(grid.shape)}")
+
+
 # A batch's batches.jsonl record holds these two reports' fields, in order.
 
 @dataclass
@@ -164,9 +182,8 @@ class Engine:
     def __init__(self, task: Task, grids: list[GridSpec], search: SearchSection,
                  training: TrainingSection, seed: int):
         """One container per grid.  The hardcoded grids take the task's
-        declared FD pairs in order; the checks against them need the task
-        but no evaluation, so ``run_experiment`` builds an engine before it
-        writes anything."""
+        declared FD pairs in order, after ``check_task_grids``."""
+        check_task_grids(task, grids)
         self.task = task
         self.grids = list(grids)
         self.search = search
@@ -174,16 +191,6 @@ class Engine:
         self.seed = int(seed)
 
         d = task.definition
-        hardcoded = [g for g in self.grids if g.fd == "hardcoded"]
-        if len(hardcoded) > len(d.hardcoded_fds):
-            raise ConfigurationError(
-                f"task {d.name!r} declares only {len(d.hardcoded_fds)} hardcoded FD "
-                f"pairs, the config has {len(hardcoded)} hardcoded grids")
-        for grid, reductions in zip(hardcoded, d.hardcoded_fds):
-            if len(reductions) != len(grid.shape):
-                raise ConfigurationError(
-                    f"FD spec has {len(reductions)} dims, grid "
-                    f"{list(grid.shape)} has {len(grid.shape)}")
         pairs = iter(d.hardcoded_fds)
         # extractors[c] defines container c's FDs; _train sets the learned ones
         self.extractors = [HardcodedExtractor(next(pairs), d.channel_names)

@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .autoencoder import save_checkpoint
 from .config import ExperimentConfig
-from .engine import Engine
+from .engine import Engine, check_task_grids
 from .metrics import METRIC_COLUMNS, snapshot
 from .tasks import make_task
 
@@ -281,11 +281,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
     and skipped by the aggregate; its partial artifacts are kept.  The
     aggregate is written once every replicate has finished; with no
     successful replicate there is nothing to aggregate, and none is
-    written.  Every config error, with or without the task, is raised
-    before the run directory is created.
+    written.  Every config error is raised before the run directory is
+    created: ``config.validate`` makes the checks that need no task, and
+    ``make_task`` and ``check_task_grids`` the ones that do, without
+    building an engine.
     """
     config.validate()
-    build_engine(config, config.seed)
+    check_task_grids(make_task(config.task.name, config.task.params), config.grids)
     run_dir = resolve_run_dir(config, out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.yaml").write_text(

@@ -4,6 +4,7 @@ import json
 import logging
 import multiprocessing
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -28,6 +29,7 @@ from mcqd.config import (
     build_preset,
 )
 from mcqd.core import ConfigurationError
+from mcqd.engine import Engine
 from mcqd.runner import (
     build_engine,
     emit_plot_data,
@@ -38,6 +40,7 @@ from mcqd.runner import (
     run_replicate,
     write_aggregate,
 )
+from mcqd.tasks import make_task
 
 from conftest import outputs_at_blas_threads
 
@@ -551,6 +554,60 @@ class TestWorkers:
         assert {name: os.environ.get(name) for name in BLAS_ENV} == env
 
 
+def _python(script: str, stdin: bytes = b"") -> str:
+    """Standard output of ``python -c script`` in a fresh process."""
+    src = str(Path(mcqd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, input=stdin,
+                         capture_output=True, timeout=300)
+    assert out.returncode == 0, out.stderr.decode()
+    return out.stdout.decode()
+
+
+class TestWhatEachProcessLoads:
+    """A process imports only what it uses."""
+
+    def test_replicate_worker_loads_no_yaml(self, tmp_path):
+        """A spawned worker gets its config pickled and never parses YAML:
+        a fresh process that does what the worker does has no PyYAML."""
+        config = ExperimentConfig.from_yaml(TOY_YAML.replace("replicates: 2",
+                                                             "replicates: 1"))
+        rep_dir = tmp_path / "rep_000"
+        out = _python(
+            "import pickle, sys\n"
+            "from mcqd.runner import _replicate_job\n"
+            "print(repr(_replicate_job(*pickle.loads(sys.stdin.buffer.read()))))\n"
+            "print('yaml' in sys.modules)\n",
+            pickle.dumps((config, config.seed, rep_dir)))
+        assert out.splitlines() == ["''", "False"]
+        assert replicate_finished(rep_dir)
+
+    def test_no_module_imports_yaml(self):
+        """PyYAML is imported where a config is parsed or dumped, never when
+        a module of mcqd is."""
+        out = _python(
+            "import importlib, pkgutil, sys, mcqd\n"
+            "for m in pkgutil.iter_modules(mcqd.__path__):\n"
+            "    importlib.import_module('mcqd.' + m.name)\n"
+            "print('yaml' in sys.modules)\n")
+        assert out == "False\n"
+
+    def test_multi_replicate_parent_loads_no_random(self, tmp_path):
+        """The parent of a multi-replicate run builds no engine, so it never
+        imports ``numpy.random``; its workers do."""
+        out = _python(
+            "import sys\n"
+            "from mcqd.config import ExperimentConfig\n"
+            "from mcqd.runner import run_experiment\n"
+            "config = ExperimentConfig.from_yaml(sys.stdin.read())\n"
+            f"result = run_experiment(config, {str(tmp_path / 'run')!r})\n"
+            "print(len(result.replicates), len(result.failed))\n"
+            "print('numpy.random' in sys.modules)\n",
+            TOY_YAML.encode())
+        assert out.splitlines() == ["2 0", "False"]
+
+
 def _mcqd_cli(*args) -> subprocess.Popen:
     """``python -m mcqd.cli args`` in a new process, its output piped."""
     src = str(Path(mcqd.__file__).resolve().parent.parent)
@@ -651,7 +708,7 @@ class TestTaskDependentConfigErrors:
     """Errors that need the task's definition surface before any run
     directory exists, not as a FAILED file in every replicate."""
 
-    @pytest.mark.parametrize("task,budget,grid,message", [
+    GRID_CASES = pytest.mark.parametrize("task,budget,grid,message", [
         ("rastrigin_toy", 25, "{shape: [5, 5], fd: hardcoded}",
          "task 'rastrigin_toy' declares only 0 hardcoded FD pairs"),
         ("surrogate_walker", 125, "{shape: [5, 5], fd: hardcoded, count: 5}",
@@ -659,16 +716,36 @@ class TestTaskDependentConfigErrors:
         ("surrogate_walker", 50, "{shape: [5, 5, 2], fd: hardcoded}",
          "FD spec has 2 dims"),
     ], ids=["missing-channel", "too-many-grids", "grid-dimension"])
-    def test_raised_before_the_run_directory(self, tmp_path, task, budget, grid,
-                                             message):
-        config = ExperimentConfig.from_yaml(
+
+    @staticmethod
+    def _grid_config(task, budget, grid):
+        return ExperimentConfig.from_yaml(
             f"case: task-error\ncontainers:\n  bin_budget: {budget}\n"
             f"  grids:\n    - {grid}\ntask:\n  name: {task}\n"
             "training:\n  strategy: none\n")
+
+    @GRID_CASES
+    def test_raised_before_the_run_directory(self, tmp_path, task, budget, grid,
+                                             message):
+        config = self._grid_config(task, budget, grid)
         with pytest.raises(ConfigurationError) as err:
             run_experiment(config, tmp_path / "run")
         assert message in str(err.value)
         assert not (tmp_path / "run").exists()
+
+    @GRID_CASES
+    def test_engine_raises_the_same_error(self, tmp_path, task, budget, grid,
+                                          message):
+        """``run_experiment`` checks without building an engine; an engine
+        built from the same config fails with the same message."""
+        config = self._grid_config(task, budget, grid)
+        with pytest.raises(ConfigurationError) as from_run:
+            run_experiment(config, tmp_path / "run")
+        with pytest.raises(ConfigurationError) as from_engine:
+            Engine(make_task(config.task.name, config.task.params), config.grids,
+                   config.search, config.training, config.seed)
+        assert str(from_engine.value) == str(from_run.value)
+        assert message in str(from_engine.value)
 
     @pytest.mark.parametrize("task,params,key", [
         ("surrogate_walker", "{episode_step: 150}", "episode_step"),

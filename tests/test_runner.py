@@ -554,12 +554,16 @@ class TestWorkers:
         assert {name: os.environ.get(name) for name in BLAS_ENV} == env
 
 
+def _src_env() -> dict:
+    """This process's environment with mcqd's source tree on PYTHONPATH."""
+    src = str(Path(mcqd.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _python(script: str, stdin: bytes = b"") -> str:
     """Standard output of ``python -c script`` in a fresh process."""
-    src = str(Path(mcqd.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, input=stdin,
+    out = subprocess.run([sys.executable, "-c", script], env=_src_env(), input=stdin,
                          capture_output=True, timeout=300)
     assert out.returncode == 0, out.stderr.decode()
     return out.stdout.decode()
@@ -610,11 +614,8 @@ class TestWhatEachProcessLoads:
 
 def _mcqd_cli(*args) -> subprocess.Popen:
     """``python -m mcqd.cli args`` in a new process, its output piped."""
-    src = str(Path(mcqd.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.Popen([sys.executable, "-m", "mcqd.cli", *map(str, args)],
-                            env=env, stdout=subprocess.PIPE,
+                            env=_src_env(), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
 
 

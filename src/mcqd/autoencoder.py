@@ -113,7 +113,7 @@ def net_backward(net, grads, cache, g, input_grad=True):
         if i == last:
             da = g * (h_act * (1.0 - h_act))
         else:
-            da = g * np.where(a > 0, 1.0, np.exp(a))
+            da = g * np.exp(np.minimum(a, 0.0))  # ELU's slope: exp(a), or exp(0) = 1 above 0
         dw, db = grads[i]
         _weight_grad(da, x_in, dw)
         da.sum(axis=0, out=db)
@@ -205,29 +205,12 @@ class ModularAutoEncoderEnsemble:
             self.dropout, self.diversity_kind, self.diversity_weight,
             self.diversity_sign, theta=self.theta.copy())
 
-    def parameters(self) -> list[np.ndarray]:
-        """Every weight and bias view, in ``theta`` order."""
-        return [p for enc, dec in self.nets for layer in enc + dec for p in layer]
-
     def encode(self, x: np.ndarray, module_index: int) -> np.ndarray:
         """Latent codes for a (batch, in) matrix, inference mode."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise StructuralError(f"encode takes a (batch, in) matrix, not {x.shape}")
         return net_forward(self.nets[module_index][0], x)[0]
-
-    def forward_all(self, x: np.ndarray):
-        """Forward every module, inference mode; returns (zs, ys, enc_caches,
-        dec_caches)."""
-        zs, ys, enc_caches, dec_caches = [], [], [], []
-        for enc, dec in self.nets:
-            z, ec = net_forward(enc, x)
-            y, dc = net_forward(dec, z)
-            zs.append(z)
-            ys.append(y)
-            enc_caches.append(ec)
-            dec_caches.append(dc)
-        return zs, ys, enc_caches, dec_caches
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +222,6 @@ def _as_batch(batch) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] < 1:
         raise StructuralError("batch must be a non-empty (n, dim) matrix")
     return x
-
-
-def _recons_value(x, ys) -> float:
-    b, m = x.shape[0], len(ys)
-    total = 0.0
-    for y in ys:
-        total += np.sum((y - x) ** 2) / b
-    return total / m
-
-
-def _outputs_value(ys) -> float:
-    b, m = ys[0].shape[0], len(ys)
-    mean_y = sum(ys) / m
-    total = 0.0
-    for y in ys:
-        total += np.sum((y - mean_y) ** 2)
-    return total / (b * m)
 
 
 def _cov_term(zs, need_grads):
@@ -370,60 +336,11 @@ def _cmd_term(zs, latent_dim, need_grads):
     return total, grads
 
 
-def loss_recons(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
-    """Mean over modules of per-module mean squared reconstruction error."""
-    x = _as_batch(batch)
-    _, ys, _, _ = ensemble.forward_all(x)
-    return _recons_value(x, ys)
-
-
-def loss_outputs(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
-    """Mean squared deviation of each module's output from the ensemble mean."""
-    x = _as_batch(batch)
-    _, ys, _, _ = ensemble.forward_all(x)
-    return _outputs_value(ys)
-
-
-def loss_cov(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
-    """Sum of |off-diagonal| covariance over all modules' concatenated latents."""
-    x = _as_batch(batch)
-    zs, _, _, _ = ensemble.forward_all(x)
-    return _cov_term(zs, need_grads=False)[0]
-
-
-def loss_cmd(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
-    """Sum over ordered module pairs of their correlation-matrix distance."""
-    x = _as_batch(batch)
-    zs, _, _, _ = ensemble.forward_all(x)
-    return _cmd_term(zs, ensemble.latent_dim, need_grads=False)[0]
-
-
-def combined_loss(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
-    """recons + sign * weight * diversity; bit-identical to recons when inactive."""
-    x = _as_batch(batch)
-    zs, ys, _, _ = ensemble.forward_all(x)
-    return _combined_value(ensemble, x, zs, ys)
-
-
 def _diversity_kind(ensemble) -> str:
     """The diversity term that takes part in the loss ("none" at weight 0)."""
     if ensemble.diversity_weight == 0.0:
         return "none"
     return ensemble.diversity_kind
-
-
-def _combined_value(ensemble, x, zs, ys) -> float:
-    value = _recons_value(x, ys)
-    kind = _diversity_kind(ensemble)
-    if kind == "none":
-        return value
-    if kind == "outputs":
-        div = _outputs_value(ys)
-    elif kind == "cov":
-        div = _cov_term(zs, need_grads=False)[0]
-    else:
-        div = _cmd_term(zs, ensemble.latent_dim, need_grads=False)[0]
-    return value + ensemble.diversity_sign * ensemble.diversity_weight * div
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +445,9 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     before the next one starts, so one module's activations are alive at a
     time.  Dropout masks are drawn module by module, encoder then decoder,
     layer by layer.  Each float operation, with its operand order, is the
-    one ``forward_all`` and ``_combined_value`` perform, so without dropout
-    the loss is bit-identical to ``combined_loss``.
+    one that a plain forward pass of every module and then the loss
+    formulas perform, so without dropout the loss is bit-identical to the
+    tests' reference loss.
     """
     x = _as_batch(batch)
     if buffers is None:

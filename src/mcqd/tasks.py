@@ -59,7 +59,7 @@ class Task:
 class SurrogateWalkerTask(Task):
     """Planar segmented walker with torque-controlled hips and knees.
 
-    The body is a point mass with an orientation angle; each leg is a
+    The body is a unit point mass with an orientation angle; each leg is a
     two-joint chain whose foot can contact the heightfield.  Contact feet
     support the body on a stiff spring-damper and convert backward foot speed
     into forward traction, so locomotion requires coordinated joint motion.
@@ -67,15 +67,14 @@ class SurrogateWalkerTask(Task):
 
     The controller is a one-hidden-layer tanh MLP whose flattened weights are
     the genome (14 inputs, 8 hidden units, 4 torque outputs -> 156 genes).
+    Its output tanh bounds each joint torque to [-1, 1].
     """
 
     DT = 0.02
     GRAVITY = 9.81
-    BODY_MASS = 1.0
     BODY_INERTIA = 0.5
     THIGH_LEN = 0.5
     SHANK_LEN = 0.5
-    TORQUE_MAX = 1.0
     JOINT_GAIN = 12.0
     JOINT_DAMPING = 1.5
     JOINT_LIMIT = 1.2
@@ -206,14 +205,6 @@ class SurrogateWalkerTask(Task):
         left, right = knot_heights
         return left.take(idx) * (1.0 - frac) + right.take(idx) * frac
 
-    @staticmethod
-    def _abs_total(torque):
-        """``np.abs(torque).sum(axis=-1)`` over the four joints, bit for bit:
-        numpy reduces a 4-long last axis left to right, and the explicit adds
-        skip the reduction's per-call overhead."""
-        a = np.abs(torque)
-        return a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3]
-
     def evaluate_many(self, genomes, seed_seqs):
         """Run a batch of evaluations in lockstep, ``CHUNK`` rows at a time.
 
@@ -307,7 +298,6 @@ class SurrogateWalkerTask(Task):
             np.matmul(hidden, w2t, out=out)
             out += b2
             np.tanh(out, out=out)
-            out *= self.TORQUE_MAX
             torque = step[6:10]  # computed where it is recorded
             np.multiply(out.transpose(2, 0, 1), alive, out=torque)
 
@@ -338,11 +328,10 @@ class SurrogateWalkerTask(Task):
             np.maximum(self.GROUND_SPRING * pen - self.GROUND_DAMPING * vy, 0.0,
                        out=support)
             # each force summed from zero, leg 1 then leg 2, into (x, y)
-            # forces that become the body's accelerations in place
+            # forces that become the unit mass's accelerations in place
             leg_forces = np.where(touching, forces, 0.0)
             accel = (0.0 + leg_forces[:, 0]) + leg_forces[:, 1]
             np.subtract(accel[0], self.DRAG * vx, out=accel[0])
-            accel /= self.BODY_MASS
             accel[1] -= self.GRAVITY
             np.add(vel, self.DT * accel, out=new_vel)
             np.add(pos, self.DT * new_vel, out=new_pos)
@@ -356,7 +345,8 @@ class SurrogateWalkerTask(Task):
             # frozen episodes keep their final state
             np.copyto(state, new, where=alive)
 
-            torque_total = self._abs_total(torque.transpose(1, 2, 0))
+            # the joints' planes added in order, from the first
+            torque_total = np.abs(torque).sum(axis=0)
             abs_theta = np.abs(theta)
             stability = self.STABILITY_REWARD * (1.0 - abs_theta / self.FALL_ANGLE)
             # a frozen episode's reward is left as it is: reward is never -0.0,

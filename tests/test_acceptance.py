@@ -33,6 +33,7 @@ from mcqd.runner import run_experiment
 from mcqd.tasks import make_task
 
 from conftest import build_toy_ensemble
+from reference_losses import _outputs_value, _recons_value, forward_all
 from test_autoencoder import (
     brute_cmd,
     brute_cov,
@@ -158,21 +159,34 @@ def test_c01_gradient_correctness():
 
 
 def test_c02_loss_oracles():
-    """Vectorized losses vs brute-force scalar loops, 50 random batches."""
+    """Vectorized losses vs brute-force scalar loops, 50 random batches: the
+    reference loss terms, and the combined loss of every diversity kind as
+    the training step (``backward``) and the held-out score
+    (``_heldout_loss``, one chunk) compute it."""
     start = time.time()
-    from mcqd.autoencoder import (_cmd_term, _cov_term, _outputs_value,
-                                  _recons_value)
+    from mcqd.autoencoder import (_cmd_term, _cov_term, _heldout_loss,
+                                  _output_buffers)
     rng = np.random.default_rng(0)
     for trial in range(50):
         m = 1 + trial % 3
+        kind = ("none", "outputs", "cov", "cmd")[trial % 4]
         ens = build_toy_ensemble(n_modules=m, input_dim=5, latent_dim=2,
-                                 hidden=(3,), seed=3000 + trial)
+                                 hidden=(3,), diversity_kind=kind,
+                                 diversity_sign=(-1, 1)[trial % 2],
+                                 seed=3000 + trial)
         x = rng.random((2 + trial % 6, 5))
-        zs, ys, _, _ = ens.forward_all(x)
+        zs, ys, _, _ = forward_all(ens, x)
         assert abs(_recons_value(x, ys) - brute_recons(x, ys)) < 1e-10
         assert abs(_outputs_value(ys) - brute_outputs(ys)) < 1e-10
         assert abs(_cov_term(zs, False)[0] - brute_cov(zs)) < 1e-10
         assert abs(_cmd_term(zs, 2, False)[0] - brute_cmd(zs)) < 1e-10
+        div = {"none": 0.0, "outputs": brute_outputs(ys), "cov": brute_cov(zs),
+               "cmd": brute_cmd(zs)}[kind]
+        want = brute_recons(x, ys) + ens.diversity_sign * ens.diversity_weight * div
+        loss, _ = backward(ens, x, train=False)
+        assert abs(loss - want) < 1e-10
+        held_out = _heldout_loss(ens, [x], len(x), _output_buffers(ens, len(x)))
+        assert abs(held_out - want) < 1e-10
         for i in range(m):
             for j in range(m):
                 if i != j:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,13 +17,8 @@ from mcqd.autoencoder import (
     _gather,
     _gradient,
     backward,
-    combined_loss,
     d_corr,
     load_checkpoint,
-    loss_cmd,
-    loss_cov,
-    loss_outputs,
-    loss_recons,
     net_backward,
     net_forward,
     save_checkpoint,
@@ -35,6 +30,15 @@ from mcqd.core import InvalidValueError, StructuralError
 from mcqd.postprocess import QuantileTransform
 
 from conftest import build_toy_ensemble, outputs_at_blas_threads, poison_theta_after_epoch
+from reference_losses import (
+    combined_loss,
+    forward_all,
+    loss_cmd,
+    loss_cov,
+    loss_outputs,
+    loss_recons,
+    parameters,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +130,7 @@ class TestLossOracles:
         m = 1 + seed % 3
         ens = build_toy_ensemble(n_modules=m, seed=seed)
         x = rng.random((4 + seed % 5, 6))
-        zs, ys, _, _ = ens.forward_all(x)
+        zs, ys, _, _ = forward_all(ens, x)
         assert loss_recons(ens, x) == pytest.approx(brute_recons(x, ys), abs=1e-10)
         assert loss_outputs(ens, x) == pytest.approx(brute_outputs(ys), abs=1e-10)
         assert loss_cov(ens, x) == pytest.approx(brute_cov(zs), abs=1e-10)
@@ -431,6 +435,38 @@ class TestSigmoid:
                                           self.masked_sigmoid(a).view(np.int64))
 
 
+class TestEluSlope:
+    """The ELU factor of ``net_backward``, exp(min(a, 0)), against the
+    former ``np.where(a > 0, 1.0, np.exp(a))``, as int64 bit patterns."""
+
+    EDGE = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                     5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310,
+                     *(sign * 10.0 ** p for sign in (1, -1)
+                       for p in range(-300, 301, 20))])
+
+    @staticmethod
+    def backward_slope(a):
+        """The factor by which ``net_backward`` multiplies a hidden layer's
+        gradient: its bias gradient at an output gradient of ones, for a
+        one-row batch through the first of two layers."""
+        n = a.size
+        net = [(np.zeros((n, 1)), np.zeros(n)), (np.zeros((1, n)), np.zeros(1))]
+        grads = [(np.empty((n, 1)), np.empty(n)), (np.empty((1, n)), np.empty(1))]
+        cache = [(np.ones((1, 1)), a.reshape(1, n), None, None)]
+        net_backward(net, grads, cache, np.ones((1, n)), input_grad=False)
+        return grads[0][1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64), elements=st.floats(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    @example(EDGE)
+    def test_bit_identical_to_where_form(self, a):
+        with np.errstate(over="ignore"):
+            want = np.where(a > 0, 1.0, np.exp(a))
+        np.testing.assert_array_equal(self.backward_slope(a).view(np.int64),
+                                      want.view(np.int64))
+
+
 class TestDenseNet:
     """One encoder or decoder: (W, b) views run by net_forward/net_backward."""
 
@@ -461,7 +497,7 @@ class TestDenseNet:
     def test_latent_strictly_inside_unit_interval(self, rng):
         ens = build_toy_ensemble(n_modules=2, seed=20)
         x = rng.random((20, 6))
-        zs, _, _, _ = ens.forward_all(x)
+        zs, _, _, _ = forward_all(ens, x)
         for z in zs:
             assert np.all(z > 0.0) and np.all(z < 1.0)
 
@@ -495,8 +531,8 @@ class TestDenseNet:
     def test_forward_deterministic_in_eval_mode(self, rng):
         ens = build_toy_ensemble(n_modules=1, dropout=0.5, seed=21)
         x = rng.random((3, 6))
-        z1, y1, *_ = ens.forward_all(x)[:2]
-        z2, y2, *_ = ens.forward_all(x)[:2]
+        z1, y1, *_ = forward_all(ens, x)[:2]
+        z2, y2, *_ = forward_all(ens, x)[:2]
         np.testing.assert_array_equal(z1[0], z2[0])
         np.testing.assert_array_equal(y1[0], y2[0])
 
@@ -504,7 +540,7 @@ class TestDenseNet:
 class TestEnsembleLayout:
     def test_parameters_are_views_into_theta(self):
         ens = build_toy_ensemble(n_modules=3, hidden=(4, 3), seed=22)
-        params = ens.parameters()
+        params = parameters(ens)
         assert all(np.shares_memory(p, ens.theta) for p in params)
         np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]),
                                       ens.theta)
@@ -522,7 +558,7 @@ class TestEnsembleLayout:
         assert (twin.hidden, twin.dropout, twin.diversity_kind) == (
             ens.hidden, ens.dropout, ens.diversity_kind)
         twin.theta += 1.0  # the clone's views follow its own vector only
-        np.testing.assert_array_equal(twin.parameters()[0], ens.parameters()[0] + 1.0)
+        np.testing.assert_array_equal(parameters(twin)[0], parameters(ens)[0] + 1.0)
 
     @pytest.mark.parametrize("dropout", [1.0, -0.5])
     def test_rejects_dropout_outside_unit_interval(self, dropout):
@@ -537,13 +573,13 @@ class TestEnsembleLayout:
 class TestTraining:
     def test_zero_learning_rate_keeps_parameters(self):
         ens = build_toy_ensemble(n_modules=2, seed=30)
-        before = [p.copy() for p in ens.parameters()]
+        before = [p.copy() for p in parameters(ens)]
         cfg = TrainingSection(epochs=1, learning_rate=0.0, batch_size=4,
                               validation_split=0.25)
         x = np.random.default_rng(1).random((16, 6))
         report = train_ensemble(ens, x, cfg, np.random.default_rng(2))
         assert not report.diverged
-        for p, q in zip(ens.parameters(), before):
+        for p, q in zip(parameters(ens), before):
             np.testing.assert_array_equal(p, q)
 
     def test_convergence_on_constant_corpus(self):
@@ -567,7 +603,7 @@ class TestTraining:
         for _ in range(2):
             ens = build_toy_ensemble(n_modules=2, dropout=0.2, seed=32)
             train_ensemble(ens, x, cfg, np.random.default_rng(5))
-            runs.append([p.copy() for p in ens.parameters()])
+            runs.append([p.copy() for p in parameters(ens)])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
 
@@ -661,7 +697,7 @@ class TestTraining:
                                      diversity_kind="cov", dropout=0.2, seed=45)
             report = train_ensemble(ens, args[0], cfg, np.random.default_rng(46),
                                     *args[1:])
-            runs.append((_int64_sha256(ens.parameters()), report.train_losses,
+            runs.append((_int64_sha256(parameters(ens)), report.train_losses,
                          report.val_loss))
         assert runs[0] == runs[1]
 
@@ -764,8 +800,8 @@ class TestTraining:
             losses.append(total / 22)
         val = combined_loss(ref, x[perm[:7]])
         assert not report.diverged
-        assert (_int64_sha256(ens.parameters()), report.train_losses, report.val_loss) \
-            == (_int64_sha256(ref.parameters()), losses, val)
+        assert (_int64_sha256(parameters(ens)), report.train_losses, report.val_loss) \
+            == (_int64_sha256(parameters(ref)), losses, val)
 
     @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
     def test_held_out_rows_in_chunks_give_the_loss_over_all_of_them(self, kind):
@@ -841,7 +877,7 @@ class TestTrainingGolden:
                               validation_split=0.25)
         report = train_ensemble(ens, x, cfg, np.random.default_rng(52))
         assert not report.diverged
-        got = (_int64_sha256(ens.parameters()), report.train_losses,
+        got = (_int64_sha256(parameters(ens)), report.train_losses,
                report.val_loss)
         assert got == TRAINING_GOLDEN[kind]
 
@@ -896,7 +932,7 @@ class TestAdam:
         # gradients spanning nine orders of magnitude, with exact zeros
         steps = [rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size)
                  * (rng.random(size) > 0.05) for _ in range(6)]
-        params = [p.copy() for p in ens.parameters()]
+        params = [p.copy() for p in parameters(ens)]
         edges = np.cumsum([p.size for p in params])[:-1]
         reference_adam(params, [[g.reshape(p.shape) for g, p in
                                  zip(np.split(step, edges), params)]
@@ -904,8 +940,8 @@ class TestAdam:
         opt = Adam(ens.theta, lr=0.01)
         for step in steps:
             opt.step(step)
-        assert len(ens.parameters()) == 3 * 12
-        for got, want in zip(ens.parameters(), params):
+        assert len(parameters(ens)) == 3 * 12
+        for got, want in zip(parameters(ens), params):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -970,7 +1006,7 @@ class TestCheckpoint:
         loaded, scaler2, qts2 = load_checkpoint(path)
         assert loaded.diversity_kind == "cmd"
         assert loaded.diversity_sign == ens.diversity_sign
-        for a, b in zip(ens.parameters(), loaded.parameters()):
+        for a, b in zip(parameters(ens), parameters(loaded)):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(scaler.lo, scaler2.lo)
         np.testing.assert_array_equal(qts2[1].landmarks, qt.landmarks)

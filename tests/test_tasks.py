@@ -163,21 +163,27 @@ def test_walker_golden_fitness_drift_is_last_bits(walker):
                                rtol=0.0, atol=1e-12)
 
 
-def _torque_batches():
+def _torque_planes():
+    """(4, batch, episodes) joint torques, as the walker's step records them."""
     return st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
-        lambda shape: arrays(np.float64, shape + (4,),
-                             elements=st.floats(-1e3, 1e3, allow_subnormal=True)))
+        lambda shape: arrays(np.float64, (4,) + shape, elements=st.one_of(
+            st.just(-0.0), st.floats(allow_subnormal=True))))
 
 
 class TestStepRewrites:
-    """The step loop's explicit forms against the numpy reductions they
-    replace, compared as int64 bit patterns."""
+    """The step loop's forms against the ones they replaced, compared as
+    int64 bit patterns."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_torque_batches())
+    @given(_torque_planes())
+    @example(np.array([-0.0, np.nan, -np.nan, np.inf]).reshape(4, 1, 1))
     def test_abs_total_is_abs_sum(self, torque):
-        got = SurrogateWalkerTask._abs_total(torque)
-        want = np.abs(torque).sum(axis=-1)
+        """The walker's total absolute torque, the sum over the planes'
+        first axis, against the four joints added left to right."""
+        a = np.abs(torque)
+        with np.errstate(over="ignore"):
+            got = a.sum(axis=0)
+            want = a[0] + a[1] + a[2] + a[3]
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=100, deadline=None)

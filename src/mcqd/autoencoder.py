@@ -299,15 +299,13 @@ def _corr_to_latent_grad(g_r, c, s, active, z):
     return centered @ (g_c + g_c.T) / (b - 1)
 
 
-def _cmd_term(zs, latent_dim, need_grads):
+def _cmd_term(zs, need_grads):
     """The cmd term and, with ``need_grads``, its gradient d term / d z_m for
     each module (else None), from one correlation matrix per module.  A
     single module's term is 0."""
     m = len(zs)
     if zs[0].shape[0] < 2:
         raise StructuralError("correlations need a batch of at least 2")
-    if m >= 2 and latent_dim < 2:
-        raise StructuralError("cmd diversity needs latent_dim >= 2")
     mats = [_corr_matrix(z) for z in zs]
     total = 0.0
     if m >= 2:
@@ -503,7 +501,7 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
         _mean_output(ensemble, [h for _, h, _, _ in passes], y, tmp, mean_y)
     elif kind in COVARIANCE_KINDS:
         div, latent_grads = (_cov_term(zs, True) if kind == "cov"
-                             else _cmd_term(zs, ensemble.latent_dim, True))
+                             else _cmd_term(zs, True))
         d_zs_extra = [lam * g for g in latent_grads]
     for p, d_z_extra in zip(passes, d_zs_extra):
         terms.append(finish(*p, d_z_extra))
@@ -554,7 +552,7 @@ def _heldout_loss(ensemble: ModularAutoEncoderEnsemble, chunks, n: int,
     if kind == "cov":
         div = _cov_term(list(zs), False)[0]
     elif kind == "cmd":
-        div = _cmd_term(list(zs), ensemble.latent_dim, False)[0]
+        div = _cmd_term(list(zs), False)[0]
     return _loss(ensemble, terms, div, n)
 
 

@@ -84,6 +84,11 @@ def main(argv=None) -> int:
             print(f"plot data written to {plot_dir}")
             return 0
 
+        if args.out is None and len(args.run_dirs) > 1:
+            # the first run's own aggregate.csv is one of its artifacts
+            print("error: aggregating several run directories needs --out",
+                  file=sys.stderr)
+            return 2
         out = Path(args.out) if args.out else Path(args.run_dirs[0]) / "aggregate.csv"
         path = write_aggregate(args.run_dirs, out)
         print(f"aggregate written to {path}")

@@ -510,7 +510,7 @@ _PRESET_ROWS = {
                     [(4, (25, 25))]),
 }
 
-DESK_SCALE = 10  # budgets divided by this factor; desk grids are 10x10
+DESK_SCALE = 10  # desk budgets, batch and period divided by this; grids 10x10
 
 
 def preset_names() -> list[str]:
@@ -521,29 +521,29 @@ def build_preset(name: str, desk: bool = False, seed: int = 0,
                  replicates: int = 1, output_dir: str | None = None) -> ExperimentConfig:
     """One row of the case matrix as a ready-to-run config.
 
-    ``desk`` keeps every categorical field and divides the budgets by ten,
-    with one 10x10 grid per container and a shorter episode.  Both scales
-    share the auto-encoder topology; the learning rate is 0.1 at full scale
-    and 0.01 at desk scale.
+    ``desk`` keeps every categorical field and divides the initialization
+    and evaluation budgets, the batch size and the training period by
+    ``DESK_SCALE``, with one 10x10 grid per container and a shorter
+    episode.  Both scales share the auto-encoder topology; the learning rate
+    is 0.1 at full scale and 0.01 at desk scale.
     """
     if name not in _PRESET_ROWS:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(_PRESET_ROWS)}")
     fd, sharing, strategy, (div_kind, div_weight, div_sign), layout = _PRESET_ROWS[name]
 
+    init_budget, eval_budget, batch, period = 10000, 100000, 1000, 5000
     if desk:
         grids = [GridSpec(shape=(10, 10), fd=fd)
                  for count, _ in layout for _ in range(count)]
         task_params = {"episode_steps": 150, "obs_window": 15, "episodes_per_eval": 5}
-        init_budget, eval_budget = 1000, 10000
-        batch, period = 100, 500
+        init_budget, eval_budget, batch, period = (
+            v // DESK_SCALE for v in (init_budget, eval_budget, batch, period))
         lr, epochs = 0.01, 50
     else:
         grids = [GridSpec(shape=shape, fd=fd)
                  for count, shape in layout for _ in range(count)]
         task_params = {"episode_steps": 300, "obs_window": 30, "episodes_per_eval": 5}
-        init_budget, eval_budget = 10000, 100000
-        batch, period = 1000, 5000
         lr, epochs = 0.1, 200
 
     return ExperimentConfig(

@@ -44,12 +44,6 @@ STREAM_MUTATION = 2
 STREAM_EPISODES = 3
 STREAM_TRAINING = 4
 
-# Most rows per product of the FD encoding after a training: one full-scale
-# minibatch.  On OpenBLAS's SkylakeX kernel an encoded row kept its bits in
-# products of 100 rows or more, and equal parts of more than ENCODE_ROWS
-# rows have at least ENCODE_ROWS // 2.
-ENCODE_ROWS = 1024
-
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a named substream of the master seed."""
@@ -106,13 +100,6 @@ def select_curiosity_roulette(container: GridContainer, curiosity: np.ndarray,
     cumulative = np.cumsum(np.maximum(curiosity[rows], floor))
     idx = np.searchsorted(cumulative, np.asarray(draws) * cumulative[-1], side="right")
     return rows[np.minimum(idx, len(rows) - 1)]
-
-
-def row_parts(n: int, most: int) -> list[int]:
-    """Edges of the fewest equal row ranges of at most ``most`` rows that
-    cover n rows; their sizes differ by at most one."""
-    parts = -(-n // most)
-    return [n * i // parts for i in range(parts + 1)]
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -230,17 +217,18 @@ class Engine:
         self.total_evaluations += len(genomes)
         return np.arange(base, base + len(genomes)), fitness, observations
 
-    def _commit(self, ids, genomes, fitness, observations, attempted, parents,
+    def _commit(self, ids, genomes, fitness, observations, focus, parents,
                 stats: BatchStats, learned_fds=()) -> int:
         """Insert a batch of evaluated children in iteration order.
 
-        ``attempted[i]`` lists the indices of the containers child i competes
-        in, ``parents[i]`` is its parent's depot row (-1 for none).  Every
-        container extracts the whole batch once, except the learned ones
-        whose FD matrices of the batch ``learned_fds`` gives, in ``learned``
-        order.  A child accepted anywhere takes the next depot row, and the
-        accepted rows are appended in one step at the end.  Returns the
-        number of accepted children.
+        ``focus[i]`` is the one container child i competes in; ``focus``
+        None means every child competes in every container.  ``parents[i]``
+        is its parent's depot row (-1 for none).  Every container extracts
+        the whole batch once, except the learned ones whose FD matrices of
+        the batch ``learned_fds`` gives, in ``learned`` order.  A child
+        accepted anywhere takes the next depot row, and the accepted rows
+        are appended in one step at the end.  Returns the number of
+        accepted children.
         """
         given = dict(zip(self.learned, learned_fds))
         fds = [given[cid] if cid in given else ex.extract_many(observations)
@@ -251,12 +239,13 @@ class Engine:
         row_fitness = np.concatenate([self.depot.fitness, fitness])
         curiosity = self.depot.curiosity
         cfg = self.search.curiosity
+        everywhere = range(len(self.containers))
         accepted = []
         for i, parent in enumerate(parents):
             row = first_row + len(accepted)
             row_fitness[row] = fitness[i]
             hit = False
-            for cidx in attempted[i]:
+            for cidx in everywhere if focus is None else (focus[i],):
                 outcome, _ = self.containers[cidx].add(cells[cidx][i], row, row_fitness)
                 stats.tally(outcome)
                 hit |= outcome.accepted
@@ -276,13 +265,9 @@ class Engine:
         scales minibatch by minibatch.  Unless training diverged, publish
         the ensemble, scaler, quantile transforms and extractors.  Returns
         the train report and, unless training diverged, each learned
-        container's FD matrix of the corpus, in ``learned`` order, taken
-        from the encoding its quantile transform is fit on.
-
-        The corpus is scaled and encoded in equal row chunks of at most
-        ``ENCODE_ROWS`` rows, into one (n, latent_dim) matrix per module, so
-        no scaled copy of the corpus is built; a corpus of at most
-        ``ENCODE_ROWS`` rows is one chunk.
+        container's FD matrix of the corpus, in ``learned`` order: its
+        module's encoding, which its quantile transform is fit on, through
+        that transform.
         """
         rng = substream(self.seed, STREAM_TRAINING, self.retrain_count)
         scaler = ObservationScaler.fit(corpus)
@@ -308,20 +293,16 @@ class Engine:
         self.ensemble = candidate
         self.scaler = scaler
         self.quantile_transforms = {}
-        # each module's latents of the corpus, replaced by its FD matrix
-        fds = [np.empty((len(corpus), candidate.latent_dim)) for _ in self.learned]
-        edges = row_parts(len(corpus), ENCODE_ROWS)
-        for lo, hi in zip(edges, edges[1:]):
-            inputs = scaler.transform(corpus[lo:hi])
-            for module, z in enumerate(fds):
-                z[lo:hi] = candidate.encode(inputs, module)
+        fds = []
         for module, cid in enumerate(self.learned):
+            fd = LearnedExtractor(candidate, module, scaler).extract_many(corpus)
             qt = None
             if self.grids[cid].fd == "ae_qt":
-                qt = QuantileTransform.fit(fds[module], self.training.quantiles)
+                qt = QuantileTransform.fit(fd, self.training.quantiles)
                 self.quantile_transforms[cid] = qt
-                fds[module] = qt.apply(fds[module])
+                fd = qt.apply(fd)
             self.extractors[cid] = LearnedExtractor(candidate, module, scaler, qt)
+            fds.append(fd)
         return report, fds
 
     # -- lifecycle --------------------------------------------------------
@@ -343,9 +324,8 @@ class Engine:
             if report.diverged:
                 raise RuntimeError(
                     f"initial descriptor training diverged: {report.message}")
-        everywhere = range(len(self.containers))
-        self._commit(ids, genomes, fitness, observations, [everywhere] * n,
-                     [-1] * n, BatchStats(evals=n), learned_fds)
+        self._commit(ids, genomes, fitness, observations, None, [-1] * n,
+                     BatchStats(evals=n), learned_fds)
         self.depot.added_since_last_training = 0
         self.initialized = True
 
@@ -394,12 +374,9 @@ class Engine:
         ids, fitness, observations = self._evaluate_genomes(genomes)
         self.eval_budget_used += n
 
-        if self.search.sharing == "shared":
-            attempted = [range(len(self.containers))] * n
-        else:
-            attempted = plan[:, np.newaxis].tolist()
+        focus = None if self.search.sharing == "shared" else plan.tolist()
         stats.accepted_solutions = self._commit(ids, genomes, fitness, observations,
-                                                attempted, parents.tolist(), stats)
+                                                focus, parents.tolist(), stats)
         return stats
 
     def maybe_retrain(self) -> RetrainReport | None:

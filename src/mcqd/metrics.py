@@ -108,38 +108,28 @@ def fd_abs_correlation(containers, depot) -> float | None:
     return float(np.mean(np.abs(corr[off])))
 
 
-def kl_coverage(reference_observations, compared_observations, extractors,
-                mode: str = "marginal") -> float:
+def kl_coverage(reference_observations, compared_observations, extractors) -> float:
     """Summed KL divergence between two solution sets' binned FD distributions.
 
     Each set is given by its (n, channels, timepoints) observations.  Per
     extractor (one per container, as ``Engine.extractors``), both sets' FDs
-    are computed with it and histogrammed over [0, 1] in 10 bins per
-    dimension; histograms get 1e-9 added to every bin before normalization,
-    and D_KL(reference || compared) is summed over the extractors.
-    ``marginal`` histograms each FD dimension separately; ``joint`` uses the
-    full n-d histogram.  Keep the asymmetry in mind: KLC(A, B) != KLC(B, A) in
+    are computed with it and each FD dimension is histogrammed over [0, 1]
+    in 10 bins; histograms get 1e-9 added to every bin before normalization,
+    and D_KL(reference || compared) is summed over the extractors and their
+    dimensions.  Keep the asymmetry in mind: KLC(A, B) != KLC(B, A) in
     general.
     """
     if not len(reference_observations) or not len(compared_observations):
         raise ValueError("both solution sets must be non-empty")
-    if mode not in ("marginal", "joint"):
-        raise ValueError(f"unknown histogram mode {mode!r}")
+    edges = np.linspace(0.0, 1.0, _KL_BINS + 1)
     total = 0.0
     for extractor in extractors:
         ref_fd = extractor.extract_many(reference_observations)
         cmp_fd = extractor.extract_many(compared_observations)
-        dims = ref_fd.shape[1]
-        edges = np.linspace(0.0, 1.0, _KL_BINS + 1)
-        if mode == "marginal":
-            for k in range(dims):
-                he, _ = np.histogram(ref_fd[:, k], bins=edges)
-                ha, _ = np.histogram(cmp_fd[:, k], bins=edges)
-                total += _kl(he, ha)
-        else:
-            he, _ = np.histogramdd(ref_fd, bins=[edges] * dims)
-            ha, _ = np.histogramdd(cmp_fd, bins=[edges] * dims)
-            total += _kl(he.ravel(), ha.ravel())
+        for k in range(ref_fd.shape[1]):
+            he, _ = np.histogram(ref_fd[:, k], bins=edges)
+            ha, _ = np.histogram(cmp_fd[:, k], bins=edges)
+            total += _kl(he, ha)
     return total
 
 

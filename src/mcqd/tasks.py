@@ -30,18 +30,15 @@ class TaskDefinition:
     name: str
     genome_dim: int
     genome_bounds: tuple[float, float]
-    n_obs_channels: int
     n_timepoints: int
-    obs_averaging_window: int
-    episodes_per_eval: int
     fitness_bounds: tuple[float, float]
     channel_names: tuple[str, ...]
     # hardcoded grids take these FDs in order, one reduction per dimension
     hardcoded_fds: tuple[tuple[ChannelReduction, ...], ...] = ()
 
     @property
-    def episode_steps(self) -> int:
-        return self.n_timepoints * self.obs_averaging_window
+    def n_obs_channels(self) -> int:
+        return len(self.channel_names)
 
 
 class Task:
@@ -124,6 +121,9 @@ class SurrogateWalkerTask(Task):
             raise ConfigurationError(
                 f"episode_steps {episode_steps} not divisible by window {obs_window}"
             )
+        self.episode_steps = episode_steps
+        self.obs_window = obs_window
+        self.episodes_per_eval = episodes_per_eval
         self.terrain_roughness = float(terrain_roughness)
         genome_dim = (self.N_INPUTS + 1) * self.N_HIDDEN + (self.N_HIDDEN + 1) * self.N_TORQUES
         # the usual hand-designed characterization: how far and how upright
@@ -145,10 +145,7 @@ class SurrogateWalkerTask(Task):
             name="surrogate_walker",
             genome_dim=genome_dim,
             genome_bounds=(-1.0, 1.0),
-            n_obs_channels=len(self.CHANNELS),
             n_timepoints=episode_steps // obs_window,
-            obs_averaging_window=obs_window,
-            episodes_per_eval=episodes_per_eval,
             fitness_bounds=(-120.0, 40.0),
             channel_names=self.CHANNELS,
             hardcoded_fds=hardcoded_fds,
@@ -236,7 +233,7 @@ class SurrogateWalkerTask(Task):
         ``obs_out``, (b, channels, timepoints)."""
         d = self.definition
         b = genomes.shape[0]
-        e = d.episodes_per_eval
+        e = self.episodes_per_eval
         w1, b1, w2, b2 = self._unpack_controllers(genomes)
         # contiguous (batch, in, out) stacks for the per-step matmuls, which
         # ran about 3x slower over the transposed views
@@ -273,7 +270,7 @@ class SurrogateWalkerTask(Task):
         # each step's observation is added into its window's running sum;
         # at the window's end the sum is divided by the window length and
         # then averaged over the episodes
-        window = d.obs_averaging_window
+        window = self.obs_window
         step = np.empty((d.n_obs_channels, b, e))
         window_mean = np.empty((d.n_obs_channels, b, e))
         input_planes = np.empty((self.N_INPUTS, b, e))
@@ -286,7 +283,7 @@ class SurrogateWalkerTask(Task):
         forces = np.empty((2, 2, b, e))  # (traction, support) x leg
         traction, support = forces
 
-        for t in range(d.episode_steps):
+        for t in range(self.episode_steps):
             k, w = divmod(t, window)
             np.multiply(state[2:], self._INPUT_SCALE, out=input_planes)
             # the matmul's bits depend on its operands' layout: it reads a
@@ -398,10 +395,7 @@ class RastriginToyTask(Task):
             name="rastrigin_toy",
             genome_dim=2,
             genome_bounds=(-lim, lim),
-            n_obs_channels=4,
             n_timepoints=n_timepoints,
-            obs_averaging_window=1,
-            episodes_per_eval=1,
             fitness_bounds=(-85.0, 0.0),
             channel_names=self.CHANNELS,
         )

@@ -79,7 +79,7 @@ def loss_cmd(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
     """Sum over ordered module pairs of their correlation-matrix distance."""
     x = _as_batch(batch)
     zs, _, _, _ = forward_all(ensemble, x)
-    return _cmd_term(zs, ensemble.latent_dim, need_grads=False)[0]
+    return _cmd_term(zs, need_grads=False)[0]
 
 
 def combined_loss(ensemble: ModularAutoEncoderEnsemble, batch) -> float:
@@ -99,5 +99,5 @@ def _combined_value(ensemble, x, zs, ys) -> float:
     elif kind == "cov":
         div = _cov_term(zs, need_grads=False)[0]
     else:
-        div = _cmd_term(zs, ensemble.latent_dim, need_grads=False)[0]
+        div = _cmd_term(zs, need_grads=False)[0]
     return value + ensemble.diversity_sign * ensemble.diversity_weight * div

@@ -179,7 +179,7 @@ def test_c02_loss_oracles():
         assert abs(_recons_value(x, ys) - brute_recons(x, ys)) < 1e-10
         assert abs(_outputs_value(ys) - brute_outputs(ys)) < 1e-10
         assert abs(_cov_term(zs, False)[0] - brute_cov(zs)) < 1e-10
-        assert abs(_cmd_term(zs, 2, False)[0] - brute_cmd(zs)) < 1e-10
+        assert abs(_cmd_term(zs, False)[0] - brute_cmd(zs)) < 1e-10
         div = {"none": 0.0, "outputs": brute_outputs(ys), "cov": brute_cov(zs),
                "cmd": brute_cmd(zs)}[kind]
         want = brute_recons(x, ys) + ens.diversity_sign * ens.diversity_weight * div

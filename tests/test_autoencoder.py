@@ -239,7 +239,7 @@ class TestDCorr:
         z2 = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
         from mcqd.autoencoder import _cmd_term
         expected = 2 * (1.0 - 1.0 / np.sqrt(2.0))
-        assert _cmd_term([z1, z2], 2, False)[0] == pytest.approx(expected, abs=1e-12)
+        assert _cmd_term([z1, z2], False)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestCombinedLoss:

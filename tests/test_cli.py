@@ -191,5 +191,17 @@ class TestPlotAndAggregate:
         assert main(["aggregate", str(out), "--out", str(agg)]) == 0
         assert agg.exists()
 
+    def test_aggregate_of_several_runs_needs_out(self, config_file, tmp_path, capsys):
+        """Without --out, aggregating two runs would overwrite the first
+        run's own aggregate.csv; it exits 2 and leaves every byte."""
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            assert main(["run", str(config_file), "--out", str(run)]) == 0
+        before = (runs[0] / "aggregate.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["aggregate", *map(str, runs)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert (runs[0] / "aggregate.csv").read_bytes() == before
+
     def test_aggregate_missing_dir(self, tmp_path, capsys):
         assert main(["aggregate", str(tmp_path / "nope")]) == 2

@@ -560,8 +560,12 @@ class TestPresets:
             assert desk.training.diversity == full.training.diversity
             assert {g.fd for g in desk.grids} == {g.fd for g in full.grids}
             assert len(desk.grids) == len(full.grids)
-            assert desk.search.evaluation_budget * DESK_SCALE == \
-                full.search.evaluation_budget
+            for section, key in [("search", "initialization_budget"),
+                                 ("search", "evaluation_budget"),
+                                 ("search", "batch_size"), ("training", "period")]:
+                desk_value = getattr(getattr(desk, section), key)
+                full_value = getattr(getattr(full, section), key)
+                assert desk_value * DESK_SCALE == full_value, key
 
     def test_diversity_rows(self):
         assert build_preset("qt-outputs-4-ns").training.diversity.kind == "outputs"

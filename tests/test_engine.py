@@ -15,14 +15,12 @@ from mcqd.config import (
     TrainingSection,
 )
 from mcqd.core import EmptyContainerError, GridContainer, InvalidValueError
-from mcqd.descriptors import ChannelReduction, LearnedExtractor
+from mcqd.descriptors import ENCODE_ROWS, ChannelReduction, LearnedExtractor, row_parts
 from mcqd.engine import (
-    ENCODE_ROWS,
     STREAM_MUTATION,
     STREAM_SELECTION,
     Engine,
     mutate_polynomial,
-    row_parts,
     select_curiosity_roulette,
     substream,
 )
@@ -197,10 +195,9 @@ GENE_FD = (ChannelReduction("gene", "final", (0.0, 1.0)),)
 class LineTask(Task):
     def __init__(self):
         self.definition = TaskDefinition(
-            name="line", genome_dim=1, genome_bounds=(0.0, 1.0),
-            n_obs_channels=1, n_timepoints=4, obs_averaging_window=1,
-            episodes_per_eval=1, fitness_bounds=(0.0, 1.0),
-            channel_names=("gene",), hardcoded_fds=(GENE_FD,) * 4,
+            name="line", genome_dim=1, genome_bounds=(0.0, 1.0), n_timepoints=4,
+            fitness_bounds=(0.0, 1.0), channel_names=("gene",),
+            hardcoded_fds=(GENE_FD,) * 4,
         )
 
     def evaluate_many(self, genomes, seed_seqs):
@@ -401,7 +398,7 @@ def engine_fingerprint(engine):
 
 
 def test_row_parts_are_equal_and_at_least_half_of_the_most():
-    """The FD encoding's chunks: one for at most ENCODE_ROWS rows, else
+    """A learned extraction's chunks: one for at most ENCODE_ROWS rows, else
     equal parts of ENCODE_ROWS // 2 to ENCODE_ROWS rows."""
     assert row_parts(700, ENCODE_ROWS) == [0, 700]
     assert row_parts(ENCODE_ROWS, ENCODE_ROWS) == [0, ENCODE_ROWS]
@@ -656,9 +653,9 @@ class TestRetraining:
 
     def test_initialize_seeds_learned_containers_from_the_training_encoding(
             self, monkeypatch):
-        """The initial batch is scaled and encoded once, by the training:
-        the depot's initial learned FDs are that encoding's rows, with the
-        bits the new extractors give over the batch."""
+        """The initial batch is scaled and encoded once per learned module,
+        by the training: the depot's initial learned FDs are that encoding's
+        rows, with the bits the new extractors give over the batch."""
         trained, extracted = [], []
         real_train, real_extract = Engine._train, LearnedExtractor.extract_many
 
@@ -668,14 +665,15 @@ class TestRetraining:
             return report, fds
 
         def extract_many(extractor, observations):
-            extracted.append(len(observations))
+            extracted.append((extractor.module_index, len(observations)))
             return real_extract(extractor, observations)
 
         monkeypatch.setattr(Engine, "_train", train)
         monkeypatch.setattr(LearnedExtractor, "extract_many", extract_many)
         engine = toy_engine(learned=True, learned_fds=("ae", "ae_qt"))
         engine.initialize()
-        assert extracted == [] and len(trained) == 1
+        n = engine.search.initialization_budget
+        assert extracted == [(0, n), (1, n)] and len(trained) == 1
         (corpus, fds), depot = trained[0], engine.depot
         for cid, fd in zip(engine.learned, fds):
             assert depot.fds[cid].tobytes() == fd[depot.ids].tobytes()
@@ -684,11 +682,12 @@ class TestRetraining:
 
     @pytest.mark.parametrize("rows", [1025, 2049, 5000])
     def test_chunked_encoding_keeps_the_one_product_bits(self, rows):
-        """``_train`` scales and encodes the corpus in equal chunks of at
-        most ENCODE_ROWS rows, 512 to 1024 rows here.  On the OpenBLAS
-        kernel the golden pins were recorded with (SkylakeX), each encoded
-        row keeps the bits of one product over the whole scaled corpus, and
-        so do the quantile fit and its FDs."""
+        """``LearnedExtractor.extract_many`` scales and encodes in equal
+        chunks of at most ENCODE_ROWS rows, 512 to 1024 rows here.  On the
+        OpenBLAS kernel the golden pins were recorded with (SkylakeX), each
+        encoded row keeps the bits of one product over the whole scaled
+        batch, and so do the quantile fit and its FDs.  ``_train``'s FD
+        matrices are its new extractors' output over the corpus."""
         task = make_task("surrogate_walker")  # 14 channels x 10 timepoints
         grids = [GridSpec(shape=(5, 5), fd="ae"), GridSpec(shape=(5, 5), fd="ae_qt")]
         engine = Engine(task, grids, SearchSection(),
@@ -701,11 +700,14 @@ class TestRetraining:
         inputs = engine.scaler.transform(corpus)
         for module, (cid, fd) in enumerate(zip(engine.learned, fds)):
             z = engine.ensemble.encode(inputs, module)
+            raw = LearnedExtractor(engine.ensemble, module, engine.scaler)
+            assert raw.extract_many(corpus).tobytes() == z.tobytes()
             if cid in engine.quantile_transforms:
                 qt = engine.quantile_transforms[cid]
                 assert qt.landmarks.tobytes() == QuantileTransform.fit(z, 20).landmarks.tobytes()
                 z = qt.apply(z)
             assert fd.tobytes() == z.tobytes()
+            assert fd.tobytes() == engine.extractors[cid].extract_many(corpus).tobytes()
 
     def test_reindex_idempotent_with_unchanged_extractor(self):
         engine = toy_engine(learned=True)

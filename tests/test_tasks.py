@@ -30,7 +30,9 @@ class TestWalker:
     def test_observation_shape_and_timepoints(self, walker):
         d = walker.definition
         assert d.n_timepoints == 10
-        assert d.episode_steps == d.n_timepoints * d.obs_averaging_window
+        assert walker.episode_steps == d.n_timepoints * walker.obs_window
+        for task in (walker, make_task("rastrigin_toy")):
+            assert task.definition.n_obs_channels == len(task.definition.channel_names)
         fitness, obs = walker.evaluate_many(np.zeros((3, d.genome_dim)),
                                             [episode_seed_sequence(0, i) for i in range(3)])
         assert fitness.shape == (3,)

@@ -399,7 +399,9 @@ def engine_fingerprint(engine):
 
 def test_row_parts_are_equal_and_at_least_half_of_the_most():
     """A learned extraction's chunks: one for at most ENCODE_ROWS rows, else
-    equal parts of ENCODE_ROWS // 2 to ENCODE_ROWS rows."""
+    equal parts of ENCODE_ROWS // 2 to ENCODE_ROWS rows; no rows are one
+    empty part."""
+    assert row_parts(0, ENCODE_ROWS) == [0, 0]
     assert row_parts(700, ENCODE_ROWS) == [0, 700]
     assert row_parts(ENCODE_ROWS, ENCODE_ROWS) == [0, ENCODE_ROWS]
     for n in [*range(ENCODE_ROWS + 1, 3 * ENCODE_ROWS + 2), 20_000, 100_003]:

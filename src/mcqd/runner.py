@@ -27,11 +27,14 @@ replicate statistics (mean, std, min, q25, q75, max) per metric.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import json
 import logging
 import os
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -122,10 +125,53 @@ class ReplicateProgress:
     batch: int = 0
 
 
+@functools.cache
+def _blas_thread_calls():
+    """The setter and getter of the thread count of numpy's bundled
+    OpenBLAS, looked up once per process; None, after one warning that names
+    the library, where it has no setter."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("*openblas*"))
+    for path in paths:
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter, getter
+    log.warning("no OpenBLAS thread-count setter in %s; replicates run BLAS "
+                "at its default thread count",
+                ", ".join(path.name for path in paths) or f"{libs} (no OpenBLAS)")
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block, then restore the caller's
+    count.  Two workers at two threads each would oversubscribe a 2-core box
+    and run several times slower."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_count, get_count = calls
+    saved = get_count()
+    set_count(1)
+    try:
+        yield
+    finally:
+        set_count(saved)
+
+
+@_one_blas_thread()
 def run_replicate(config: ExperimentConfig, seed: int, rep_dir: Path,
                   progress: ReplicateProgress | None = None) -> None:
     """Execute one seeded replicate and write its artifacts, keeping
-    ``progress``, when given, at the phase and batch being run."""
+    ``progress``, when given, at the phase and batch being run.  BLAS runs on
+    one thread for the replicate's duration (``_one_blas_thread``), so its
+    bytes do not depend on the caller's thread count."""
     at = progress if progress is not None else ReplicateProgress()
     engine = build_engine(config, seed)
     bounds = engine.task.definition.fitness_bounds
@@ -192,52 +238,39 @@ def _replicate_job(config: ExperimentConfig, seed: int, rep_dir: Path) -> str:
     return ""
 
 
-# Each worker runs BLAS on one thread: two workers at two threads each
-# oversubscribe the cores and run several times slower.
-_ONE_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _run_in_workers(jobs: list[tuple]) -> list[str]:
-    """``_replicate_job`` for every job in a spawn-context process pool, one
+    """``_replicate_job`` for every job in a fork-context process pool, one
     worker per core at most; returns the errors in job order.
 
-    Workers read their BLAS thread count from the environment when numpy
-    loads, before any pool initializer could run, so it is set around the
-    pool.  Weight gradients do not depend on the thread count, so a
-    replicate's bytes do not depend on where it ran.  A worker that dies
-    breaks the pool: its replicate and every one not yet done are marked
-    FAILED.  An interrupt stops the workers before it propagates.
+    A forked worker shares the modules its parent imported, so it starts
+    without importing anything, and a script that runs several replicates
+    needs no ``if __name__ == "__main__":`` guard.  ``run_replicate`` runs
+    BLAS on one thread wherever it runs, so a replicate's bytes do not depend
+    on where it ran.  A worker that dies breaks the pool: its replicate and
+    every one not yet done are marked FAILED.  An interrupt stops the workers
+    before it propagates.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    saved = {name: os.environ.get(name) for name in _ONE_THREAD_ENV}
-    os.environ.update(dict.fromkeys(_ONE_THREAD_ENV, "1"))
-    try:
-        with ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0))),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            errors = []
-            try:
-                futures = [pool.submit(_replicate_job, *job) for job in jobs]
-                for (_, _, rep_dir), future in zip(jobs, futures):
-                    try:
-                        errors.append(future.result())
-                    except BrokenProcessPool as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                        _write_failed(rep_dir, "phase=unknown batch=unknown", error + "\n")
-                        errors.append(error)
-            except BaseException:
-                # The executor offers no public way to stop calls that run.
-                for process in list(pool._processes.values()):
-                    process.terminate()
-                raise
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    with ProcessPoolExecutor(min(len(jobs), len(os.sched_getaffinity(0))),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        errors = []
+        try:
+            futures = [pool.submit(_replicate_job, *job) for job in jobs]
+            for (_, _, rep_dir), future in zip(jobs, futures):
+                try:
+                    errors.append(future.result())
+                except BrokenProcessPool as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    _write_failed(rep_dir, "phase=unknown batch=unknown", error + "\n")
+                    errors.append(error)
+        except BaseException:
+            # The executor offers no public way to stop calls that run.
+            for process in list(pool._processes.values()):
+                process.terminate()
+            raise
     return errors
 
 
@@ -276,8 +309,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunResult:
 
     Replicate k runs with seed (config.seed + k) in ``rep_<k>``.  Several
     replicates run in worker processes (``_run_in_workers``); a single one
-    runs in-process, where a worker's start-up would cost about a quarter
-    of a small run.  A replicate that raises is recorded in a FAILED file
+    runs in-process.  A replicate that raises is recorded in a FAILED file
     and skipped by the aggregate; its partial artifacts are kept.  The
     aggregate is written once every replicate has finished; with no
     successful replicate there is nothing to aggregate, and none is

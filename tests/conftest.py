@@ -50,15 +50,16 @@ def poison_theta_after_epoch(monkeypatch, epoch):
     monkeypatch.setattr(ae.Adam, "step", step)
 
 
-def outputs_at_blas_threads(script: str) -> list[str]:
+def outputs_at_blas_threads(script: str, extra_env: dict | None = None) -> list[str]:
     """Standard output of ``python -c script`` in a fresh process at one and
-    at two BLAS threads; BLAS reads its thread count once, when numpy loads."""
+    at two BLAS threads; BLAS reads its thread count once, when numpy loads.
+    ``extra_env`` is added to both processes' environment only."""
     src = str(Path(mcqd.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for n in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
-                   PYTHONPATH=path)
+                   PYTHONPATH=path, **(extra_env or {}))
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr

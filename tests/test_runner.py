@@ -28,6 +28,7 @@ from mcqd.config import (
     ExperimentConfig,
     build_preset,
 )
+from mcqd import runner
 from mcqd.core import ConfigurationError
 from mcqd.engine import Engine
 from mcqd.runner import (
@@ -474,10 +475,92 @@ def test_learned_run_independent_of_blas_threads():
     assert one.splitlines() == two.splitlines()
 
 
+def _cpu_has_avx2() -> bool:
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_avx2(), reason="OpenBLAS's Haswell kernel needs AVX2")
+def test_learned_run_independent_of_blas_threads_on_the_haswell_kernel():
+    """On OpenBLAS's Haswell kernel a 256-row weight-gradient block gives
+    other bits at 2 threads than at 1.  A run's bytes hold anyway, because
+    ``run_replicate`` runs BLAS on one thread."""
+    one, two = outputs_at_blas_threads(_RUN_THREADS_SCRIPT,
+                                       {"OPENBLAS_CORETYPE": "Haswell"})
+    assert one.splitlines() == two.splitlines()
+
+
+class TestOneBlasThread:
+    """``run_replicate`` runs BLAS on one thread, in-process or in a worker,
+    and gives the caller back its own count."""
+
+    CALLER_THREADS = 2
+
+    @pytest.fixture
+    def thread_count(self):
+        """The getter of BLAS's thread count, which is CALLER_THREADS until
+        the test ends."""
+        set_count, get_count = runner._blas_thread_calls()
+        saved = get_count()
+        set_count(self.CALLER_THREADS)
+        yield get_count
+        set_count(saved)
+
+    @staticmethod
+    def _record_threads(monkeypatch, get_count, out_dir):
+        """Make ``Engine.initialize`` write its process id and BLAS's thread
+        count to ``out_dir/seed_<seed>``."""
+        initialize = Engine.initialize
+
+        def recording(engine):
+            (out_dir / f"seed_{engine.seed}").write_text(f"{os.getpid()} {get_count()}")
+            return initialize(engine)
+
+        monkeypatch.setattr(Engine, "initialize", recording)
+
+    def test_numpy_openblas_has_a_setter(self):
+        """numpy's bundled OpenBLAS exports a thread-count setter, so the pin
+        is not a silent no-op."""
+        assert runner._blas_thread_calls() is not None
+
+    def test_in_process_replicate_runs_on_one_thread(self, tmp_path, monkeypatch,
+                                                     thread_count):
+        self._record_threads(monkeypatch, thread_count, tmp_path)
+        run_replicate(ExperimentConfig.from_yaml(TOY_YAML), 9, tmp_path / "rep")
+        assert (tmp_path / "seed_9").read_text() == f"{os.getpid()} 1"
+        assert thread_count() == self.CALLER_THREADS
+
+    def test_count_restored_when_the_replicate_raises(self, tmp_path, monkeypatch,
+                                                      thread_count):
+        def fail(engine, batch_size):
+            raise RuntimeError("synthetic failure")
+
+        self._record_threads(monkeypatch, thread_count, tmp_path)
+        monkeypatch.setattr(Engine, "run_batch", fail)
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            run_replicate(ExperimentConfig.from_yaml(TOY_YAML), 9, tmp_path / "rep")
+        assert (tmp_path / "seed_9").read_text() == f"{os.getpid()} 1"
+        assert thread_count() == self.CALLER_THREADS
+
+    def test_worker_replicates_run_on_one_thread(self, tmp_path, monkeypatch,
+                                                 thread_count):
+        """A forked worker inherits the patched ``Engine.initialize``."""
+        self._record_threads(monkeypatch, thread_count, tmp_path)
+        result = run_experiment(ExperimentConfig.from_yaml(TOY_YAML), tmp_path / "run")
+        assert not result.failed
+        for seed in (9, 10):
+            pid, count = (tmp_path / f"seed_{seed}").read_text().split()
+            assert int(pid) != os.getpid()
+            assert count == "1"
+        assert thread_count() == self.CALLER_THREADS
+
+
 class TestWorkers:
     def test_workers_match_in_process_replicates(self, tmp_path):
-        """Three replicates on at most two one-thread workers give the bytes
-        that ``run_replicate`` gives in this process at its own thread count."""
+        """Three replicates on at most two forked workers give the bytes that
+        ``run_replicate`` gives in this process."""
         config = ExperimentConfig.from_yaml(
             BLOCK_WALKER_YAML.replace("replicates: 1", "replicates: 3"))
         env = {name: os.environ.get(name) for name in BLAS_ENV}
@@ -553,6 +636,24 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
         assert {name: os.environ.get(name) for name in BLAS_ENV} == env
 
+    def test_script_without_main_guard_runs_several_replicates(self, tmp_path):
+        """A forked worker does not import the caller's main script, so a
+        script with no ``if __name__ == "__main__":`` guard can run several
+        replicates."""
+        run_dir = tmp_path / "run"
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from mcqd.config import ExperimentConfig\n"
+            "from mcqd.runner import run_experiment\n"
+            f"result = run_experiment(ExperimentConfig.from_yaml({TOY_YAML!r}), "
+            f"{str(run_dir)!r})\n"
+            "print(len(result.replicates), [r.error for r in result.failed])\n")
+        out = subprocess.run([sys.executable, str(script)], env=_src_env(),
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["2 []"]
+        assert all(replicate_finished(run_dir / f"rep_{k:03d}") for k in range(2))
+
 
 def _src_env() -> dict:
     """This process's environment with mcqd's source tree on PYTHONPATH."""
@@ -573,8 +674,8 @@ class TestWhatEachProcessLoads:
     """A process imports only what it uses."""
 
     def test_replicate_worker_loads_no_yaml(self, tmp_path):
-        """A spawned worker gets its config pickled and never parses YAML:
-        a fresh process that does what the worker does has no PyYAML."""
+        """A replicate job gets its config pickled and never parses YAML: a
+        fresh process that runs the job, as a worker does, has no PyYAML."""
         config = ExperimentConfig.from_yaml(TOY_YAML.replace("replicates: 2",
                                                              "replicates: 1"))
         rep_dir = tmp_path / "rep_000"

@@ -33,8 +33,6 @@ from .core import InvalidValueError, StructuralError
 from .postprocess import QuantileTransform
 
 _STD_FLOOR = 1e-8  # regularizes correlation of a collapsed latent column
-# Rows per block of a weight gradient's sum over the minibatch (_weight_grad)
-_GRAD_BLOCK_ROWS = 256
 
 
 def _sigmoid(a, out=None, tmp=None):
@@ -51,22 +49,6 @@ def _sigmoid(a, out=None, tmp=None):
 
 def _elu(a):
     return np.where(a > 0, a, np.expm1(a))
-
-
-def _weight_grad(a, b, out):
-    """a.T @ b, the sum over rows of a layer's weight gradient, into out.
-
-    BLAS splits a long sum over rows one way at one thread and another way
-    at two, so the product's last bits would follow the thread count.  Block
-    products of at most ``_GRAD_BLOCK_ROWS`` rows are summed instead, the
-    first into out and each later one added in row order.  Up to that many
-    rows this is the single product ``np.matmul(a.T, b, out=out)``.
-    """
-    n = _GRAD_BLOCK_ROWS
-    np.matmul(a[:n].T, b[:n], out=out)
-    for lo in range(n, a.shape[0], n):
-        out += a[lo:lo + n].T @ b[lo:lo + n]
-    return out
 
 
 def net_forward(net, x, dropout=0.0, rng=None, stop=None):
@@ -115,7 +97,7 @@ def net_backward(net, grads, cache, g, input_grad=True):
         else:
             da = g * np.exp(np.minimum(a, 0.0))  # ELU's slope: exp(a), or exp(0) = 1 above 0
         dw, db = grads[i]
-        _weight_grad(da, x_in, dw)
+        np.matmul(da.T, x_in, out=dw)
         da.sum(axis=0, out=db)
         g = da @ net[i][0] if i or input_grad else None
     return g
@@ -472,7 +454,7 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
         np.multiply(d, sigmoid_grad, out=d)
         g_enc, g_dec = grad_nets[k]
         dw, db = g_dec[-1]
-        _weight_grad(d, h, dw)
+        np.matmul(d.T, h, out=dw)
         d.sum(axis=0, out=db)
         d_z = net_backward(dec, g_dec, dec_cache, d @ dec[-1][0])
         if d_z_extra is not None:

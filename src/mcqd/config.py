@@ -240,6 +240,7 @@ def _to_dict(value) -> dict:
 # Field annotation -> conversion of the YAML value.
 _COERCE = {
     "str": _to_str,
+    "str | None": lambda v: None if v is None else _to_str(v),
     "int": _to_int,
     "float": _to_float,
     "tuple[int, ...]": _to_int_tuple,

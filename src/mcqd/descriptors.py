@@ -92,7 +92,8 @@ class LearnedExtractor:
 
     Observations are scaled exactly as during training, flattened
     channel-major, and encoded with dropout disabled; without a transform the
-    raw sigmoid latents land in the open (0, 1).
+    raw sigmoid latents land in the closed [0, 1], since the sigmoid rounds
+    to exactly 1.0 at 40 and to exactly 0.0 at -800.
     """
 
     def __init__(self, ensemble, module_index: int, scaler, quantile_transform=None):

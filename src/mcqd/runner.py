@@ -142,7 +142,8 @@ def _blas_thread_calls():
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 return setter, getter
     log.warning("no OpenBLAS thread-count setter in %s; replicates run BLAS "
-                "at its default thread count",
+                "at its default thread count, and their learned bits may then "
+                "follow that count",
                 ", ".join(path.name for path in paths) or f"{libs} (no OpenBLAS)")
     return None
 
@@ -436,9 +437,7 @@ def emit_plot_data(run_dir) -> Path:
         raise FileNotFoundError(f"{run_dir} is not a run directory; missing: config.yaml")
     reps = _finished_replicates([run_dir])
 
-    config_text = (run_dir / "config.yaml").read_text()
-    body = "\n".join(ln for ln in config_text.splitlines() if not ln.startswith("#"))
-    config = ExperimentConfig.from_yaml(body)
+    config = ExperimentConfig.from_file(run_dir / "config.yaml")
 
     plot_dir = run_dir / "plot"
     plot_dir.mkdir(exist_ok=True)

@@ -29,7 +29,7 @@ from mcqd.engine import (
 )
 from mcqd.metrics import MetricSnapshot, kl_coverage, snapshot
 from mcqd.postprocess import QuantileTransform
-from mcqd.runner import run_experiment
+from mcqd.runner import _one_blas_thread, run_experiment
 from mcqd.tasks import make_task
 
 from conftest import build_toy_ensemble
@@ -113,11 +113,14 @@ def desk_battery():
         "cmd_ns": ("ae_qt", "non_shared", ("cmd", 1.0, -1)),
     }
     battery = {}
-    for name, (fd, sharing, diversity) in cases.items():
-        battery[name] = [run_desk_search(fd, sharing, diversity, seed=s)
-                         for s in DESK_SEEDS]
-    battery["single"] = [run_desk_search("hardcoded", "shared",
-                                         seed=DESK_SEEDS[0], n_containers=1)]
+    # Minibatches of up to 1024 rows: outside a replicate, one BLAS thread
+    # keeps the searches' bits independent of the machine's core count.
+    with _one_blas_thread():
+        for name, (fd, sharing, diversity) in cases.items():
+            battery[name] = [run_desk_search(fd, sharing, diversity, seed=s)
+                             for s in DESK_SEEDS]
+        battery["single"] = [run_desk_search("hardcoded", "shared",
+                                             seed=DESK_SEEDS[0], n_containers=1)]
     return battery
 
 

@@ -339,13 +339,27 @@ class TestParsing:
         ("fd: ae_qt", "fd: [ae_qt]",
          "line 7: key 'fd' in section 'containers.grids[]' must be str, "
          "got ['ae_qt']"),
-    ], ids=["case-mapping", "task-name-list", "fd-list"])
+        ("replicates: 2", "replicates: 2\noutput_dir: [a, b]",
+         "line 1: key 'output_dir' in section 'config' must be str | None, "
+         "got ['a', 'b']"),
+        ("replicates: 2", "replicates: 2\noutput_dir: {x: 1}",
+         "line 1: key 'output_dir' in section 'config' must be str | None, "
+         "got {'x': 1}"),
+    ], ids=["case-mapping", "task-name-list", "fd-list", "output-dir-list",
+            "output-dir-mapping"])
     def test_string_key_takes_only_a_scalar(self, old, new, message):
         """A list or a mapping does not load as its repr, which would then
         name the run directory or the task."""
         with pytest.raises(ConfigurationError) as err:
             ExperimentConfig.from_yaml(GOOD_YAML.replace(old, new))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("value,expected", [
+        ("null", None), ("runs/demo", "runs/demo"), ("7", "7")])
+    def test_output_dir_reads_null_or_a_scalar(self, value, expected):
+        cfg = ExperimentConfig.from_yaml(
+            GOOD_YAML.replace("replicates: 2", f"replicates: 2\noutput_dir: {value}"))
+        assert cfg.output_dir == expected
 
     @pytest.mark.parametrize("old,new,key,line", [
         ("shape: [6, 6]", 'shape: "66"', "shape", 7),

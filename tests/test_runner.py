@@ -374,6 +374,29 @@ class TestPlotData:
             (result.run_dir / "aggregate.csv").read_bytes()
         assert (plot_dir / "heatmap_rep_000_c0.csv").exists()
 
+    def test_config_error_names_the_line_of_the_file(self, toy_run, tmp_path):
+        """config.yaml starts with its meta comment line; an error names the
+        file's own line, the one ``mcqd run`` names for the same file."""
+        _, result = toy_run
+        text = (result.run_dir / "config.yaml").read_text()
+        assert text.startswith("# mcqd-config v1 ")
+        text = text.replace("training:\n", "training:\n  bogus: 1\n", 1)
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(text)
+        stub = tmp_path / "rep_000"
+        stub.mkdir()
+        (stub / "metrics.csv").write_text("")
+        (stub / "containers.jsonl").write_text("")
+        assert replicate_finished(stub)
+        # a section's errors name its first line
+        line = text.splitlines().index("  bogus: 1") + 1
+        with pytest.raises(ConfigurationError) as run_err:
+            ExperimentConfig.from_file(config_path)
+        with pytest.raises(ConfigurationError) as err:
+            emit_plot_data(tmp_path)
+        assert str(err.value) == str(run_err.value) == (
+            f"line {line}: unknown key(s) ['bogus'] in section 'config.training'")
+
     def test_missing_artifacts_diagnostic(self, tmp_path):
         with pytest.raises(FileNotFoundError) as err:
             emit_plot_data(tmp_path)
@@ -424,10 +447,10 @@ class TestFailureIsolation:
         assert lines[-1] == "RuntimeError: synthetic failure"
 
 
-# A learned walker run whose training minibatches (600 rows) are longer than
-# the 256-row blocks of the weight gradients' sums.  Its bits would follow
-# the BLAS thread count if the weight gradients did.
-BLOCK_WALKER_YAML = """\
+# A learned walker run with 600-row training minibatches, long enough that a
+# weight gradient's product gives other bits at 2 BLAS threads than at 1.
+# Its bits hold only because ``run_replicate`` runs BLAS on one thread.
+LONG_BATCH_WALKER_YAML = """\
 case: block-walker
 seed: 6
 replicates: 1
@@ -462,7 +485,7 @@ from mcqd.config import ExperimentConfig
 from mcqd.runner import run_experiment
 with tempfile.TemporaryDirectory() as tmp:
     run = Path(tmp) / "run"
-    result = run_experiment(ExperimentConfig.from_yaml({BLOCK_WALKER_YAML!r}), run)
+    result = run_experiment(ExperimentConfig.from_yaml({LONG_BATCH_WALKER_YAML!r}), run)
     if result.failed:
         raise SystemExit(result.failed[0].error)
     for name in {ARTIFACTS!r}:
@@ -484,9 +507,9 @@ def _cpu_has_avx2() -> bool:
 
 @pytest.mark.skipif(not _cpu_has_avx2(), reason="OpenBLAS's Haswell kernel needs AVX2")
 def test_learned_run_independent_of_blas_threads_on_the_haswell_kernel():
-    """On OpenBLAS's Haswell kernel a 256-row weight-gradient block gives
-    other bits at 2 threads than at 1.  A run's bytes hold anyway, because
-    ``run_replicate`` runs BLAS on one thread."""
+    """The same run on OpenBLAS's Haswell kernel, the one an AVX2 Intel CPU
+    gets.  Its bytes hold there too, because ``run_replicate`` runs BLAS on
+    one thread."""
     one, two = outputs_at_blas_threads(_RUN_THREADS_SCRIPT,
                                        {"OPENBLAS_CORETYPE": "Haswell"})
     assert one.splitlines() == two.splitlines()
@@ -562,7 +585,7 @@ class TestWorkers:
         """Three replicates on at most two forked workers give the bytes that
         ``run_replicate`` gives in this process."""
         config = ExperimentConfig.from_yaml(
-            BLOCK_WALKER_YAML.replace("replicates: 1", "replicates: 3"))
+            LONG_BATCH_WALKER_YAML.replace("replicates: 1", "replicates: 3"))
         env = {name: os.environ.get(name) for name in BLAS_ENV}
         result = run_experiment(config, tmp_path / "workers")
         assert not result.failed
@@ -594,7 +617,8 @@ class TestWorkers:
         return thread
 
     # long enough that no replicate finishes before the action
-    LONG_YAML = BLOCK_WALKER_YAML.replace("replicates: 1", "replicates: 3").replace(
+    LONG_YAML = LONG_BATCH_WALKER_YAML.replace(
+        "replicates: 1", "replicates: 3").replace(
         "evaluation_budget: 100", "evaluation_budget: 20000")
 
     def test_killed_worker_fails_its_replicates(self, tmp_path):

@@ -144,7 +144,8 @@ class ModularAutoEncoderEnsemble:
         self.module_size = sum(o * i + o for o, i in self._layer_shapes)
         size = self.n_modules * self.module_size
         self.theta = np.zeros(size) if theta is None else theta
-        self.nets = self.views(self.theta)
+        self.nets = [self.module_views(flat)
+                     for flat in np.split(self.theta, self.n_modules)]
 
     @classmethod
     def build(cls, input_dim, latent_dim, n_modules, hidden=(16, 5), dropout=0.2,
@@ -161,13 +162,6 @@ class ModularAutoEncoderEnsemble:
                     limit = np.sqrt(6.0 / (fan_in + fan_out))
                     w[...] = rng.uniform(-limit, limit, size=w.shape)
         return ensemble
-
-    def views(self, flat: np.ndarray) -> list:
-        """Per module, (encoder, decoder) lists of (W, b) views into a
-        vector laid out like ``theta``."""
-        n = self.module_size
-        return [self.module_views(flat[k * n:(k + 1) * n])
-                for k in range(self.n_modules)]
 
     def module_views(self, flat: np.ndarray) -> tuple[list, list]:
         """(encoder, decoder) lists of (W, b) views into a vector laid out
@@ -384,39 +378,21 @@ def _loss(ensemble, terms, div, n) -> float:
     return loss
 
 
-def _gradient(ensemble: ModularAutoEncoderEnsemble, per_module=False) -> tuple[np.ndarray, list]:
-    """A vector for ``backward`` to write gradients into and, per module,
-    its views.  The vector is laid out like ``ensemble.theta`` or, with
-    ``per_module``, like one module's slice of it, and then every module
-    shares its one set of views."""
-    if not per_module:
-        grad = np.empty_like(ensemble.theta)
-        return grad, ensemble.views(grad)
-    grad = np.empty(ensemble.module_size)
-    return grad, [ensemble.module_views(grad)] * ensemble.n_modules
+def backward(ensemble: ModularAutoEncoderEnsemble, batch, step, train=False,
+             rng=None, *, buffers: np.ndarray, grad: np.ndarray) -> float:
+    """One optimizer step per module on the combined loss; returns the loss.
 
-
-def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
-             buffers: np.ndarray | None = None, grad=None, step=None):
-    """Combined loss and its gradient w.r.t. every parameter of every module.
-
-    Returns (loss, grad) with grad a vector laid out like ``ensemble.theta``:
-    the vector of ``grad``, a (vector, views) pair from ``_gradient`` whose
-    every element is written, or else a fresh one.  With ``train=True``
-    dropout masks are sampled from ``rng`` and the returned gradient
-    incorporates them.  ``buffers``, from ``_output_buffers`` with at least
-    as many rows as the batch, and ``grad`` let a training loop reuse one
-    set of scratch arrays.  The returned grad is None when the loss is not
-    finite.
-
-    With ``step``, an optimizer step such as ``Adam.step``, module k's
-    gradient goes into one module-sized vector (``grad`` from
-    ``_gradient(ensemble, per_module=True)``, else a fresh one), and
-    ``step(vector, k)`` runs as soon as module k's backward pass has written
-    it; the returned grad is then None.  No module's backward pass reads
-    another module's parameters, and a diversity term's coupling is taken
-    from the forward passes, which all run first, so stepping module k
-    early changes no other module's gradient.
+    Module k's gradient goes into ``grad``, one module-sized vector, and
+    ``step(grad, k)``, an optimizer step such as ``Adam.step``, runs as soon
+    as module k's backward pass has written every element of it.  No
+    module's backward pass reads another module's parameters, and a
+    diversity term's coupling is taken from the forward passes, which all
+    run first, so stepping module k early changes no other module's
+    gradient.  With ``train=True`` dropout masks are sampled from ``rng``
+    and the gradients incorporate them.  ``buffers`` come from
+    ``_output_buffers`` with at least as many rows as the batch.  The loss
+    is known only after the last step, so when it is not finite the steps
+    have already used that minibatch's non-finite gradients.
 
     The wide decoder output layer runs one module at a time in the buffers:
     its forward pass, the loss terms, their gradient and the layer's
@@ -430,15 +406,13 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     tests' reference loss.
     """
     x = _as_batch(batch)
-    if buffers is None:
-        buffers = _output_buffers(ensemble, x.shape[0])
     b, m = x.shape[0], ensemble.n_modules
     kind = _diversity_kind(ensemble)
     lam = ensemble.diversity_sign * ensemble.diversity_weight
     dropout = ensemble.dropout if train else 0.0
     y, d, tmp, *mean = buffers[:, :b]
     mean_y = mean[0] if kind == "outputs" else None
-    grad, grad_nets = grad or _gradient(ensemble, per_module=step is not None)
+    grad_enc, grad_dec = ensemble.module_views(grad)
 
     def finish(k, h, enc_cache, dec_cache, d_z_extra=None):
         """Module k's output layer, loss terms and backward pass; returns
@@ -452,16 +426,14 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
                                   np.subtract(y, mean_y, out=tmp), out=tmp), out=d)
         sigmoid_grad = np.multiply(y, np.subtract(1.0, y, out=tmp), out=tmp)
         np.multiply(d, sigmoid_grad, out=d)
-        g_enc, g_dec = grad_nets[k]
-        dw, db = g_dec[-1]
+        dw, db = grad_dec[-1]
         np.matmul(d.T, h, out=dw)
         d.sum(axis=0, out=db)
-        d_z = net_backward(dec, g_dec, dec_cache, d @ dec[-1][0])
+        d_z = net_backward(dec, grad_dec, dec_cache, d @ dec[-1][0])
         if d_z_extra is not None:
             d_z = d_z + d_z_extra
-        net_backward(enc, g_enc, enc_cache, d_z, input_grad=False)
-        if step is not None:
-            step(grad, k)
+        net_backward(enc, grad_enc, enc_cache, d_z, input_grad=False)
+        step(grad, k)
         return terms
 
     # A diversity term couples the modules, so their backward passes wait
@@ -488,10 +460,7 @@ def backward(ensemble: ModularAutoEncoderEnsemble, batch, train=False, rng=None,
     for p, d_z_extra in zip(passes, d_zs_extra):
         terms.append(finish(*p, d_z_extra))
 
-    loss = _loss(ensemble, terms, div, b)
-    if not np.isfinite(loss):
-        return loss, None  # diverged; gradients would be garbage
-    return loss, None if step is not None else grad
+    return _loss(ensemble, terms, div, b)
 
 
 def _decoder_heads(ensemble, x, zs=None):
@@ -677,7 +646,7 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
     # is gathered into the first rows of one array
     gathered = np.empty((rows, *x.shape[1:]))
     buffers = _output_buffers(ensemble, rows)
-    grad = _gradient(ensemble, per_module=True)
+    grad = np.empty(ensemble.module_size)
     report = TrainReport()
     try:
         for epoch in range(training.epochs):
@@ -685,8 +654,8 @@ def train_ensemble(ensemble: ModularAutoEncoderEnsemble, inputs: np.ndarray,
             epoch_loss = 0.0
             for lo, hi in slices:
                 xb = _gather(x, train_idx[order[lo:hi]], gathered, scaler)
-                loss, _ = backward(ensemble, xb, train=True, rng=rng, buffers=buffers,
-                                   grad=grad, step=opt.step)
+                loss = backward(ensemble, xb, opt.step, True, rng, buffers=buffers,
+                                grad=grad)
                 if not np.isfinite(loss):
                     raise InvalidValueError("non-finite training loss")
                 epoch_loss += loss * (hi - lo)

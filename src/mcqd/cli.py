@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         path = write_aggregate(args.run_dirs, out)
         print(f"aggregate written to {path}")
         return 0
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -285,6 +285,17 @@ def _plain(value):
     return value
 
 
+def _float_fields(section, name):
+    """(section name, key, value) of every float key of a section and of
+    its nested sections, from the section dataclasses' fields."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value, f"{name}.{f.name}")
+        elif f.type == "float":
+            yield name, f.name, value
+
+
 @dataclass
 class ExperimentConfig:
     case: str
@@ -385,6 +396,10 @@ class ExperimentConfig:
         def error(section, message):
             return _config_error(lines.get(section), message)
 
+        for section, key, value in _float_fields(self, "config"):
+            if not math.isfinite(value):
+                name = f"{section}.{key}".removeprefix("config.")
+                raise error(section, f"{name} must be finite, got {value}")
         for i, g in enumerate(self.grids):
             if not g.shape or min(g.shape) < 1:
                 raise error(

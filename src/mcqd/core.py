@@ -111,7 +111,8 @@ class DepotContainer:
     and ``fds[c][r]``, its FD under container c's current extractor.  This
     is the training corpus for descriptor learning.
     ``added_since_last_training`` drives the retrain schedule and is reset by
-    the engine when a training pass completes.
+    the engine after initialization and after every retrain attempt,
+    diverged ones included.
     """
 
     def __init__(self, genome_dim: int, observation_shape, fd_dims):

@@ -4,7 +4,8 @@ No run executes these.  ``autoencoder.backward`` computes the training loss
 fused with the decoders' output layer, and the tests check it against
 ``combined_loss`` bit for bit.  ``forward_all`` runs every module in
 inference mode, and each loss is a formula over the latents and
-reconstructions it returns.
+reconstructions it returns.  ``gradient`` collects ``backward``'s
+module-by-module gradients into one vector laid out like ``theta``.
 """
 import numpy as np
 
@@ -14,6 +15,8 @@ from mcqd.autoencoder import (
     _cmd_term,
     _cov_term,
     _diversity_kind,
+    _output_buffers,
+    backward,
     net_forward,
 )
 
@@ -21,6 +24,24 @@ from mcqd.autoencoder import (
 def parameters(ensemble) -> list[np.ndarray]:
     """Every weight and bias view, in ``theta`` order."""
     return [p for enc, dec in ensemble.nets for layer in enc + dec for p in layer]
+
+
+def gradient(ensemble, batch, train=False, rng=None, buffers=None):
+    """``backward``'s loss and, laid out like ``ensemble.theta``, its
+    gradient, or None when the loss is not finite.  The step that
+    ``backward`` runs after each module's backward pass only copies the
+    module's gradient into its slice, so no parameter changes.  ``buffers``
+    default to fresh ones sized for the batch."""
+    x = _as_batch(batch)
+    grad, n = np.empty_like(ensemble.theta), ensemble.module_size
+
+    def copy(module_grad, k):
+        grad[k * n:(k + 1) * n] = module_grad
+
+    if buffers is None:
+        buffers = _output_buffers(ensemble, x.shape[0])
+    loss = backward(ensemble, x, copy, train, rng, buffers=buffers, grad=np.empty(n))
+    return loss, grad if np.isfinite(loss) else None
 
 
 def forward_all(ensemble, x: np.ndarray):

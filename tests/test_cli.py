@@ -205,3 +205,16 @@ class TestPlotAndAggregate:
 
     def test_aggregate_missing_dir(self, tmp_path, capsys):
         assert main(["aggregate", str(tmp_path / "nope")]) == 2
+
+    def test_aggregate_to_a_directory_exits_with_message(self, config_file, tmp_path,
+                                                         capsys):
+        """An --out that is a directory cannot take the aggregate; the
+        command prints the OS error and exits 2, not a traceback."""
+        run, out_dir = tmp_path / "run", tmp_path / "somedir"
+        assert main(["run", str(config_file), "--out", str(run)]) == 0
+        out_dir.mkdir()
+        capsys.readouterr()
+        assert main(["aggregate", str(run), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out_dir) in err
+        assert list(out_dir.iterdir()) == []

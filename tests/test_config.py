@@ -243,6 +243,50 @@ class TestParsing:
         assert key in str(err.value)
         ExperimentConfig.from_yaml(config(edge))  # the nearest valid value loads
 
+    @pytest.mark.parametrize("section,key,value,shown", [
+        ("mutation", "eta", ".nan", "nan"),
+        ("curiosity", "floor", ".inf", "inf"),
+        ("curiosity", "success_delta", ".nan", "nan"),
+        ("training", "learning_rate", ".nan", "nan"),
+        ("training", "validation_split", "-.inf", "-inf"),
+        ("diversity", "weight", ".nan", "nan"),
+    ], ids=["mutation-eta", "curiosity-floor", "curiosity-success-delta",
+            "learning-rate", "validation-split", "diversity-weight"])
+    def test_non_finite_float_fails_at_load_with_its_line(self, section, key, value,
+                                                           shown):
+        if section == "training":
+            text = GOOD_YAML.replace("  epochs: 2", f"  epochs: 2\n  {key}: {value}")
+            name, line = f"training.{key}", 16
+        elif section == "diversity":
+            text = GOOD_YAML.replace("weight: 1.0", f"weight: {value}")
+            name, line = f"training.diversity.{key}", 19
+        else:  # a search subsection, on the line after search.batch_size
+            text = GOOD_YAML.replace("  batch_size: 10", "  batch_size: 10\n"
+                                     f"  {section}: {{{key}: {value}}}")
+            name, line = f"search.{section}.{key}", 15
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_yaml(text)
+        assert str(err.value) == f"line {line}: {name} must be finite, got {shown}"
+
+    @pytest.mark.parametrize("name", [
+        "search.mutation.probability", "search.mutation.eta",
+        "search.curiosity.success_delta", "search.curiosity.failure_delta",
+        "search.curiosity.floor", "search.curiosity.initial",
+        "training.learning_rate", "training.validation_split", "training.dropout",
+        "training.diversity.weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_float_built_in_python_fails_validate(self, name, value):
+        cfg = ExperimentConfig.from_yaml(GOOD_YAML)
+        *path, key = name.split(".")
+        section = cfg
+        for part in path:
+            section = getattr(section, part)
+        setattr(section, key, value)
+        with pytest.raises(ConfigurationError) as err:
+            cfg.validate()
+        assert str(err.value) == f"{name} must be finite, got {value}"
+
     @pytest.mark.parametrize("changes,message", [
         ([("bin_budget: 72", "bin_budget: 20"), ("shape: [6, 6]", "shape: [-2, -5]")],
          "grid 0 has shape [-2, -5]"),

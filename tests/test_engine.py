@@ -457,6 +457,29 @@ class TestEngineLifecycle:
         with pytest.raises(RuntimeError):
             engine.initialize()
 
+    def test_run_batch_before_initialize_rejected(self):
+        engine = toy_engine()
+        with pytest.raises(RuntimeError, match=r"initialize\(\) must run before"):
+            engine.run_batch(10)
+        assert len(engine.depot) == 0 and engine.total_evaluations == 0
+
+    def test_diverged_initial_training_fails_before_any_commit(self, monkeypatch):
+        """The initial descriptor training's divergence names its message;
+        the depot and every grid stay empty."""
+        import mcqd.engine as engine_mod
+        from mcqd.autoencoder import TrainReport
+
+        def always_diverges(ensemble, inputs, cfg, rng, scaler):
+            return TrainReport(diverged=True, message="synthetic blow-up")
+
+        monkeypatch.setattr(engine_mod, "train_ensemble", always_diverges)
+        engine = toy_engine(learned=True)
+        with pytest.raises(RuntimeError) as err:
+            engine.initialize()
+        assert str(err.value) == "initial descriptor training diverged: synthetic blow-up"
+        assert not engine.initialized and len(engine.depot) == 0
+        assert all(c.occupancy == 0 for c in engine.containers)
+
     def test_same_seed_bit_identical(self):
         runs = []
         for _ in range(2):
